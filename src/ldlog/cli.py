@@ -5,7 +5,8 @@
 
 Exit codes: 0 all queries solved, 1 some query unprovable or floundered,
 2 lexing/parsing/elaboration errors, 3 a solver-produced proof failed
-re-checking under --check.
+re-checking under --check, 4 internal error (an unexpected exception, such
+as RecursionError, reported in one line).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import List, Optional
 
 from .elaborator import ElaborationError, elaborate, elaborate_library
 from .errors import LdlogError, SourceError
-from .oracle import UnsafeRule, oracle_answers
+from .oracle import oracle_answers
 from .parser import parse_program
 from .proof import CheckError, check_proof, render_proof, serialize_proof
-from .solver import FlounderedBuiltin, SolverConfig, TypeMismatch, solve
+from .solver import FlounderedBuiltin, SolverConfig, solve
 from .terms import Query, apply_subst_atom, atom_text, term_text
 
 
@@ -81,7 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return run_command(args)
+    try:
+        return run_command(args)
+    except Exception as exc:  # RecursionError included: no traceback, and never the "unprovable" code
+        print(f"ldlog: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def _parse_file(path: str):
@@ -150,7 +155,7 @@ def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
             entries.append(ReportEntry(q.name, goal_text, "floundered", detail=atom_text(exc.atom)))
             any_failed = True
             continue
-        except (TypeMismatch, LdlogError) as exc:
+        except LdlogError as exc:
             entries.append(ReportEntry(q.name, goal_text, "error", detail=str(exc)))
             any_failed = True
             continue
@@ -193,7 +198,7 @@ def _run_oracle(kb, queries: List[Query], args) -> int:
         goal_text = atom_text(q.goal)
         try:
             answers = oracle_answers(kb, q.goal)
-        except (UnsafeRule, LdlogError) as exc:
+        except LdlogError as exc:
             print(f"ldlog: {exc}", file=sys.stderr)
             return 2
         if not answers:

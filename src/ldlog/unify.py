@@ -86,8 +86,23 @@ def match_one_way(pattern: Term, target: Term) -> Optional[Substitution]:
     Variables on the target side are never bound; repeated pattern
     variables must match equal subterms.
     """
-    bindings: Substitution = {}
-    stack = [(pattern, target)]
+    return _match({}, [(pattern, target)])
+
+
+def match_atoms(pattern: Atom, target: Atom, s: Optional[Substitution] = None) -> Optional[Substitution]:
+    """One-way match of predicate atoms, sharing bindings across arguments.
+
+    Starts from s, which it leaves unmodified: a pattern variable s already
+    binds must meet an argument subterm equal to its binding.
+    """
+    if isinstance(pattern, Builtin) or isinstance(target, Builtin):
+        raise BuiltinNotUnifiable("comparison atoms cannot be matched")
+    if pattern.symbol != target.symbol or len(pattern.args) != len(target.args):
+        return None
+    return _match(dict(s) if s else {}, list(zip(pattern.args, target.args)))
+
+
+def _match(bindings: Substitution, stack: list) -> Optional[Substitution]:
     while stack:
         p, t = stack.pop()
         if isinstance(p, (Var, Meta)):
@@ -101,12 +116,3 @@ def match_one_way(pattern: Term, target: Term) -> Optional[Substitution]:
         elif p != t:
             return None
     return bindings
-
-
-def match_atoms(pattern: Atom, target: Atom) -> Optional[Substitution]:
-    """One-way match of predicate atoms, sharing bindings across arguments."""
-    if isinstance(pattern, Builtin) or isinstance(target, Builtin):
-        raise BuiltinNotUnifiable("comparison atoms cannot be matched")
-    if pattern.symbol != target.symbol or len(pattern.args) != len(target.args):
-        return None
-    return match_one_way(App(pattern.symbol, pattern.args), App(target.symbol, target.args))

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ldlog.elaborator import elaborate, elaborate_library
+from ldlog.oracle import UnsafeRule
 from ldlog.parser import (
     AppAst,
     Application,
@@ -29,13 +30,89 @@ from ldlog.parser import (
     UseStmt,
     parse_program,
 )
-from ldlog.terms import App, IntLit, Meta, Pred, StrLit, Var, apply_subst, free_vars
+from ldlog.terms import (
+    App,
+    Builtin,
+    IntLit,
+    Meta,
+    Pred,
+    StrLit,
+    Substitution,
+    Var,
+    apply_subst,
+    apply_subst_atom,
+    eval_builtin,
+    free_vars,
+)
+from ldlog.unify import unify_atoms
 
 
 def compile_text(text: str, lib_text: Optional[str] = None):
     """Parse and elaborate a program, optionally against a library."""
     library = elaborate_library(parse_program(lib_text)) if lib_text else None
     return elaborate(parse_program(text), library)
+
+
+def naive_saturate(kb) -> Set[Pred]:
+    """Reference fixpoint: naive bottom-up saturation.
+
+    Each pass instantiates every active rule against all facts derived so
+    far, unifying two ways, and adds the new heads until nothing changes.
+    `ldlog.oracle.saturate` must return the same set and raise in the same
+    cases.
+    """
+    active = [c for c in kb.clauses if c.name in kb.active]
+    rules = [c for c in active if c.body]
+    for c in rules:
+        _check_safe(c)
+    derived: Set[Pred] = {c.head for c in active if not c.body}
+    while True:
+        snapshot = list(derived)
+        new: Set[Pred] = set()
+        for c in rules:
+            for s in _body_matches(c.body, snapshot):
+                head = apply_subst_atom(c.head, s)
+                if head not in derived:
+                    new.add(head)
+        if not new:
+            return derived
+        derived |= new
+
+
+def _check_safe(c) -> None:
+    """Raise UnsafeRule if a head or comparison variable is in no premise.
+
+    Kept apart from the check in `ldlog.oracle` so that the reference
+    judges safety on its own.
+    """
+    in_premises = set()
+    elsewhere = free_vars(App(c.head.symbol, c.head.args))
+    for a in c.body:
+        if isinstance(a, Builtin):
+            elsewhere |= free_vars(a.lhs) | free_vars(a.rhs)
+        else:
+            in_premises |= free_vars(App(a.symbol, a.args))
+    if elsewhere - in_premises:
+        raise UnsafeRule(c.name, elsewhere - in_premises)
+
+
+def _body_matches(body, facts: List[Pred]) -> Iterator[Substitution]:
+    """Substitutions grounding every premise against the given facts."""
+    premises = [a for a in body if isinstance(a, Pred)]
+    comparisons = [a for a in body if isinstance(a, Builtin)]
+
+    def walk(i: int, s: Substitution) -> Iterator[Substitution]:
+        if i == len(premises):
+            if all(eval_builtin(c, s) for c in comparisons):
+                yield s
+            return
+        pattern = apply_subst_atom(premises[i], s)
+        for fact in facts:
+            s2 = unify_atoms(pattern, fact, s)
+            if s2 is not None:
+                yield from walk(i + 1, s2)
+
+    yield from walk(0, {})
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,26 @@ class TestProgramErrors:
         assert "max_depth" in err
 
 
+class TestInternalErrors:
+    def test_deep_chain_exits_4_without_traceback(self, tmp_path):
+        # proofs of height 501 exhaust Python's recursion limit in the solver
+        f = tmp_path / "chain.ldl"
+        lines = ["b0: p0()."] + [f"h{i}: p{i}() :- p{i - 1}()." for i in range(1, 501)] + ["q: p500()?"]
+        f.write_text("\n".join(lines) + "\n")
+
+        def ldlog(*flags):
+            return subprocess.run([sys.executable, "-m", "ldlog", "run", str(f), *flags], capture_output=True, text=True)
+
+        proc = ldlog("--max-depth", "600")
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ldlog: internal error: RecursionError: ")
+        assert proc.stderr.count("\n") == 1
+        proc = ldlog("--oracle")
+        assert proc.returncode == 0
+        assert proc.stdout == "q: p500()\n"
+
+
 class TestLibraries:
     def test_multiple_lib_flags_merge(self, capsys, tmp_path):
         lib1 = tmp_path / "one.ldl"
