@@ -1,131 +1,34 @@
 """Certifying rule engine: depth-bounded backward chaining over a Datalog
 dialect, emitting proof certificates an independent checker can validate,
-with a forward-chaining fixpoint evaluator as a second opinion."""
+with a forward-chaining fixpoint evaluator as a second opinion.
+
+The package exports what a library user needs; every other name is
+importable from its own module (ldlog.terms, ldlog.parser, ...)."""
 
 from .errors import LdlogError, SourceError
-from .terms import (
-    App,
-    Atom,
-    Builtin,
-    Clause,
-    ConflictingBinding,
-    Constructor,
-    IntLit,
-    KnowledgeBase,
-    Meta,
-    NonGroundBuiltin,
-    Pred,
-    Query,
-    StrLit,
-    Substitution,
-    Term,
-    TypeMismatch,
-    Var,
-    apply_subst,
-    apply_subst_atom,
-    atom_text,
-    compose,
-    eval_builtin,
-    free_vars,
-    is_ground,
-    term_text,
-)
-from .parser import LexError, ParseError, parse_program, render_program, render_statement, tokenize
-from .elaborator import (
-    ArityMismatch,
-    BuiltinNotAllowed,
-    ComparisonAsTerm,
-    DuplicateName,
-    ElaborationError,
-    NonGroundFact,
-    UnboundQueryVar,
-    UnknownField,
-    UnknownUseName,
-    elaborate,
-    elaborate_library,
-    fresh_name,
-    rewrite_atom,
-)
-from .unify import BuiltinNotUnifiable, match_one_way, unify, unify_atoms
-from .solver import FlounderedBuiltin, Solution, SolverConfig, solve, standardize_apart
-from .proof import (
-    BuiltinLeaf,
-    CheckError,
-    CheckReason,
-    ProofTree,
-    check_proof,
-    render_proof,
-    serialize_proof,
-)
-from .oracle import UnsafeRule, oracle_answers, saturate
+from .parser import parse_program
+from .elaborator import elaborate, elaborate_library
+from .solver import Solution, SolverConfig, solve
+from .proof import CheckError, ProofTree, check_proof, render_proof, serialize_proof
+from .oracle import oracle_answers, saturate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LdlogError",
     "SourceError",
-    "App",
-    "Atom",
-    "Builtin",
-    "Clause",
-    "ConflictingBinding",
-    "Constructor",
-    "IntLit",
-    "KnowledgeBase",
-    "Meta",
-    "NonGroundBuiltin",
-    "Pred",
-    "Query",
-    "StrLit",
-    "Substitution",
-    "Term",
-    "TypeMismatch",
-    "Var",
-    "apply_subst",
-    "apply_subst_atom",
-    "atom_text",
-    "compose",
-    "eval_builtin",
-    "free_vars",
-    "is_ground",
-    "term_text",
-    "LexError",
-    "ParseError",
     "parse_program",
-    "render_program",
-    "render_statement",
-    "tokenize",
-    "ArityMismatch",
-    "BuiltinNotAllowed",
-    "ComparisonAsTerm",
-    "DuplicateName",
-    "ElaborationError",
-    "NonGroundFact",
-    "UnboundQueryVar",
-    "UnknownField",
-    "UnknownUseName",
     "elaborate",
     "elaborate_library",
-    "fresh_name",
-    "rewrite_atom",
-    "BuiltinNotUnifiable",
-    "match_one_way",
-    "unify",
-    "unify_atoms",
-    "FlounderedBuiltin",
-    "Solution",
-    "SolverConfig",
     "solve",
-    "standardize_apart",
-    "BuiltinLeaf",
-    "CheckError",
-    "CheckReason",
-    "ProofTree",
+    "SolverConfig",
+    "Solution",
     "check_proof",
+    "CheckError",
+    "ProofTree",
     "render_proof",
     "serialize_proof",
-    "UnsafeRule",
-    "oracle_answers",
     "saturate",
+    "oracle_answers",
     "__version__",
 ]

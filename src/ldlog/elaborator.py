@@ -250,8 +250,7 @@ def _elaborate(statements, library, library_mode):
             atom = rewrite_atom(stmt.atom, ctx)
             if isinstance(atom, Builtin):
                 raise BuiltinNotAllowed("a fact")
-            kb.clauses.append(Clause(name, atom, (), ORIGIN_FACT))
-            kb.active.add(name)
+            kb.clauses[name] = Clause(name, atom, (), ORIGIN_FACT)
         elif isinstance(stmt, ast.RuleStmt):
             name = claim_name(stmt.label, "rule")
             ctx = ElabContext(kb.constructors, kb.defs, pred_arities, MODE_RULE, name)
@@ -259,8 +258,7 @@ def _elaborate(statements, library, library_mode):
             if isinstance(head, Builtin):
                 raise BuiltinNotAllowed("a rule head")
             body = tuple(rewrite_atom(a, ctx) for a in stmt.body)
-            kb.clauses.append(Clause(name, head, body, ORIGIN_RULE))
-            kb.active.add(name)
+            kb.clauses[name] = Clause(name, head, body, ORIGIN_RULE)
         elif isinstance(stmt, ast.QueryStmt):
             if library_mode:
                 raise InvalidLibraryStatement("query")
@@ -295,7 +293,7 @@ def _elaborate(statements, library, library_mode):
 def _import_clause(kb, name, library, pred_arities, clause_names):
     if library is None:
         raise UnknownUseName(name)
-    clause = library.clause_named(name)
+    clause = library.clauses.get(name)
     if clause is None:
         raise UnknownUseName(name)
     if name in clause_names:
@@ -303,8 +301,7 @@ def _import_clause(kb, name, library, pred_arities, clause_names):
     for atom in (clause.head,) + clause.body:
         _merge_atom_decls(kb, atom, library, pred_arities)
     clause_names.add(name)
-    kb.clauses.append(replace(clause, origin=ORIGIN_IMPORTED))
-    kb.active.add(name)
+    kb.clauses[name] = replace(clause, origin=ORIGIN_IMPORTED)
 
 
 def _merge_atom_decls(kb, atom: Atom, library, pred_arities):

@@ -1,7 +1,7 @@
 """Forward-chaining fixpoint evaluation, used as a testing oracle.
 
 Semi-naive bottom-up saturation (Bancilhon & Ramakrishnan 1986). Round 0
-joins every active rule against the facts. Each later round joins a rule
+joins every rule against the facts. Each later round joins a rule
 once per predicate premise whose symbol gained facts in the round before:
 that premise ranges over those new facts only, the premises before it over
 facts of still earlier rounds, and the premises after it over all facts,
@@ -55,13 +55,12 @@ class UnsafeRule(LdlogError):
 
 
 def saturate(kb: KnowledgeBase) -> Set[Pred]:
-    """All ground atoms derivable from the active clauses."""
-    active = [c for c in kb.clauses if c.name in kb.active]
-    rules = [c for c in active if c.body]
+    """All ground atoms derivable from the clauses of kb."""
+    rules = [c for c in kb.clauses.values() if c.body]
     for c in rules:
         _check_range_restricted(c)
     index = _FactIndex()
-    index.add([c.head for c in active if not c.body], 0)
+    index.add([c.head for c in kb.clauses.values() if not c.body], 0)
     new: Dict[Pred, None] = {}  # an ordered set: the next round's facts, in derivation order
     for c in rules:
         _join(_Plan.of(c, None), index, {}, 0, new)
@@ -201,15 +200,20 @@ def _comparison_vars(body) -> set:
 
 
 def oracle_answers(kb: KnowledgeBase, goal: Atom) -> List[Substitution]:
-    """Every placeholder binding whose goal instance is in the fixpoint.
+    """Every placeholder binding whose goal instance is in the fixpoint, ordered as by answers_in."""
+    if isinstance(goal, Builtin):
+        raise BuiltinNotUnifiable("a comparison cannot be an oracle goal")
+    return answers_in(saturate(kb), goal)
+
+
+def answers_in(facts: Set[Pred], goal: Pred) -> List[Substitution]:
+    """Every placeholder binding whose goal instance is one of the ground facts.
 
     Deterministic order: sorted by the rendered binding values.
     """
-    if isinstance(goal, Builtin):
-        raise BuiltinNotUnifiable("a comparison cannot be an oracle goal")
     metas = sorted((v for v in atom_free_vars(goal) if isinstance(v, Meta)), key=lambda m: m.id)
     answers: Dict[tuple, Substitution] = {}
-    for fact in saturate(kb):
+    for fact in facts:
         bindings = match_atoms(goal, fact)
         if bindings is None:
             continue

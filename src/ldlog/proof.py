@@ -75,16 +75,12 @@ class CheckError(LdlogError):
 
 
 def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
-    """Validate a certificate against kb's clauses; raises CheckError.
-
-    Validity does not depend on active membership: a proof cites clauses
-    by name and stands on its own.
-    """
+    """Validate a certificate against kb's clauses; raises CheckError."""
     _check(kb, proof, ())
 
 
 def _check(kb: KnowledgeBase, node: ProofTree, path: Tuple[int, ...]) -> None:
-    clause = kb.clause_named(node.clause_name)
+    clause = kb.clauses.get(node.clause_name)
     if clause is None:
         raise CheckError(path, CheckReason.UNKNOWN_CLAUSE, node.clause_name)
     if not atom_is_ground(node.conclusion):

@@ -1,12 +1,12 @@
-"""Depth-bounded backward chaining over active clauses.
+"""Depth-bounded backward chaining over a knowledge base's clauses.
 
 The search is a depth-first traversal with chronological backtracking:
 clauses are tried in knowledge-base order, body atoms left to right. The
 depth budget counts clause applications along a path, so it bounds proof
 height; facts prove at budget 1. Comparison premises consume no budget:
 a ground one is evaluated in place, a non-ground one is delayed behind the
-remaining predicate premises of its conjunction (when builtin_delay is on)
-and the query flounders with an error if none remain to bind it.
+remaining predicate premises of its conjunction, and the query flounders
+with an error if none remain to bind it.
 
 Solutions arrive in discovery order, deduplicated by placeholder bindings,
 each carrying a ground proof tree built from the final substitution.
@@ -25,11 +25,9 @@ from .terms import (
     Clause,
     KnowledgeBase,
     Meta,
-    NonGroundBuiltin,  # re-exported: raised by eval_builtin
     Pred,
     Query,
     Substitution,
-    TypeMismatch,  # re-exported: raised by eval_builtin
     Var,
     apply_subst,
     apply_subst_atom,
@@ -41,17 +39,6 @@ from .terms import (
     is_ground,
 )
 from .unify import BuiltinNotUnifiable, unify_atoms
-
-__all__ = [
-    "SolverConfig",
-    "Solution",
-    "FlounderedBuiltin",
-    "solve",
-    "standardize_apart",
-    "eval_builtin",
-    "NonGroundBuiltin",
-    "TypeMismatch",
-]
 
 
 class FlounderedBuiltin(LdlogError):
@@ -66,7 +53,6 @@ class FlounderedBuiltin(LdlogError):
 class SolverConfig:
     max_depth: int = 6
     solution_limit: Optional[int] = 1  # None means unbounded
-    builtin_delay: bool = True
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -83,13 +69,8 @@ class Solution:
     proof: ProofTree
 
 
-def standardize_apart(c: Clause, tick: int) -> Clause:
-    """Rename every clause variable x to x#tick."""
-    renamed, _ = _rename(c, tick)
-    return renamed
-
-
 def _rename(c: Clause, tick: int) -> Tuple[Clause, Dict[str, Var]]:
+    """Rename every clause variable x to x#tick; also return the renaming."""
     varmap = {v.name: Var(f"{v.name}#{tick}") for v in clause_vars(c)}
     renaming: Substitution = {Var(name): fresh for name, fresh in varmap.items()}
     head = apply_subst_atom(c.head, renaming)
@@ -108,21 +89,20 @@ class _OpenNode:
 
 
 def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> List[Solution]:
-    """Answer a query against the active clauses of kb."""
+    """Answer a query against the clauses of kb."""
     cfg = cfg or SolverConfig()
     if isinstance(q.goal, Builtin):
         raise BuiltinNotUnifiable("a comparison cannot be a query goal")
 
     index: Dict[str, List[Clause]] = {}
-    for c in kb.clauses:
-        if c.name in kb.active:
-            index.setdefault(c.head.symbol, []).append(c)
+    for c in kb.clauses.values():
+        index.setdefault(c.head.symbol, []).append(c)
 
     metas = sorted((v for v in atom_free_vars(q.goal) if isinstance(v, Meta)), key=lambda m: m.id)
     ticks = itertools.count(1)
     solutions: List[Solution] = []
     seen = set()
-    for s, node in _solve_goal(q.goal, {}, cfg.max_depth, index, ticks, cfg):
+    for s, node in _solve_goal(q.goal, {}, cfg.max_depth, index, ticks):
         proof = _freeze(node, s)
         if proof is None:
             continue  # derivation left a variable free; no ground certificate
@@ -139,7 +119,7 @@ def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> Li
     return solutions
 
 
-def _solve_goal(goal: Pred, s: Substitution, budget: int, index, ticks, cfg) -> Iterator[Tuple[Substitution, _OpenNode]]:
+def _solve_goal(goal: Pred, s: Substitution, budget: int, index, ticks) -> Iterator[Tuple[Substitution, _OpenNode]]:
     if budget < 1:
         return
     for clause in index.get(goal.symbol, ()):
@@ -147,12 +127,12 @@ def _solve_goal(goal: Pred, s: Substitution, budget: int, index, ticks, cfg) -> 
         s1 = unify_atoms(goal, renamed.head, s)
         if s1 is None:
             continue
-        for s2, by_index in _solve_items(list(enumerate(renamed.body)), s1, budget - 1, index, ticks, cfg):
+        for s2, by_index in _solve_items(list(enumerate(renamed.body)), s1, budget - 1, index, ticks):
             children = tuple(by_index[i] for i in range(len(renamed.body)))
             yield s2, _OpenNode(clause.name, renamed.head, varmap, children)
 
 
-def _solve_items(items, s: Substitution, budget: int, index, ticks, cfg):
+def _solve_items(items, s: Substitution, budget: int, index, ticks):
     """Solve an indexed conjunction; yields (subst, {index: child})."""
     if not items:
         yield s, {}
@@ -163,16 +143,16 @@ def _solve_items(items, s: Substitution, budget: int, index, ticks, cfg):
         if atom_is_ground(now):
             if eval_builtin(now):
                 leaf = BuiltinLeaf(now)
-                for s2, children in _solve_items(rest, s, budget, index, ticks, cfg):
+                for s2, children in _solve_items(rest, s, budget, index, ticks):
                     yield s2, {idx: leaf, **children}
             return
-        if cfg.builtin_delay and any(isinstance(a, Pred) for _, a in rest):
-            yield from _solve_items(rest + [(idx, atom)], s, budget, index, ticks, cfg)
+        if any(isinstance(a, Pred) for _, a in rest):
+            yield from _solve_items(rest + [(idx, atom)], s, budget, index, ticks)
             return
         raise FlounderedBuiltin(now)
     goal = apply_subst_atom(atom, s)
-    for s2, node in _solve_goal(goal, s, budget, index, ticks, cfg):
-        for s3, children in _solve_items(rest, s2, budget, index, ticks, cfg):
+    for s2, node in _solve_goal(goal, s, budget, index, ticks):
+        for s3, children in _solve_items(rest, s2, budget, index, ticks):
             yield s3, {idx: node, **children}
 
 

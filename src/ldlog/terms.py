@@ -129,22 +129,11 @@ class Constructor:
 
 @dataclass
 class KnowledgeBase:
-    """Clauses in declaration order plus the declaration environment."""
+    """Clauses keyed by name, in declaration order, plus the declaration environment."""
 
-    clauses: list = field(default_factory=list)
-    active: set = field(default_factory=set)
+    clauses: Dict[str, Clause] = field(default_factory=dict)
     constructors: Dict[str, Constructor] = field(default_factory=dict)
     defs: Dict[str, Term] = field(default_factory=dict)
-
-    def clause_named(self, name: str) -> Optional[Clause]:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        return None
-
-
-class ConflictingBinding(LdlogError):
-    """Raised by compose when two substitutions disagree on a key."""
 
 
 class NonGroundBuiltin(LdlogError):
@@ -169,22 +158,6 @@ def apply_subst_atom(a: Atom, s: Substitution) -> Atom:
     if isinstance(a, Pred):
         return Pred(a.symbol, tuple(apply_subst(t, s) for t in a.args))
     return Builtin(a.op, apply_subst(a.lhs, s), apply_subst(a.rhs, s))
-
-
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """Substitution satisfying apply(t, result) == apply(apply(t, s1), s2)."""
-    result: Substitution = {k: apply_subst(v, s2) for k, v in s1.items()}
-    for k, v in s2.items():
-        if k in result:
-            if result[k] != v:
-                raise ConflictingBinding(f"conflicting bindings for {term_text(k)}")
-        else:
-            result[k] = v
-    for k, v in result.items():
-        # idempotence: no key of the result may survive in its range
-        if free_vars(v) & result.keys():
-            raise ConflictingBinding(f"composition is cyclic at {term_text(k)}")
-    return result
 
 
 def free_vars(t: Term) -> Set[Key]:

@@ -56,16 +56,15 @@ def compile_text(text: str, lib_text: Optional[str] = None):
 def naive_saturate(kb) -> Set[Pred]:
     """Reference fixpoint: naive bottom-up saturation.
 
-    Each pass instantiates every active rule against all facts derived so
+    Each pass instantiates every rule against all facts derived so
     far, unifying two ways, and adds the new heads until nothing changes.
     `ldlog.oracle.saturate` must return the same set and raise in the same
     cases.
     """
-    active = [c for c in kb.clauses if c.name in kb.active]
-    rules = [c for c in active if c.body]
+    rules = [c for c in kb.clauses.values() if c.body]
     for c in rules:
         _check_safe(c)
-    derived: Set[Pred] = {c.head for c in active if not c.body}
+    derived: Set[Pred] = {c.head for c in kb.clauses.values() if not c.body}
     while True:
         snapshot = list(derived)
         new: Set[Pred] = set()
@@ -270,9 +269,8 @@ def enumeration_bound(kb, depth: int) -> int:
     too large instead of timing out on them.
     """
     by_symbol: dict = {}
-    for c in kb.clauses:
-        if c.name in kb.active:
-            by_symbol.setdefault(c.head.symbol, []).append(c)
+    for c in kb.clauses.values():
+        by_symbol.setdefault(c.head.symbol, []).append(c)
     cap = 10**9
     memo: dict = {}
 

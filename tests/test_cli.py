@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ldlog import cli, oracle
 from ldlog.cli import ReportEntry, format_report, main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -167,6 +168,30 @@ class TestOracleMode:
         code, out, _ = run(capsys, "run", str(f), "--oracle")
         assert code == 1
         assert 'q2: path("c", "d")  unprovable (oracle)\n' in out
+
+    def test_one_fixpoint_answers_every_query(self, capsys, monkeypatch):
+        real = oracle.saturate
+        calls = []
+
+        def counting(kb):
+            calls.append(kb)
+            return real(kb)
+
+        monkeypatch.setattr(cli, "saturate", counting)
+        monkeypatch.setattr(oracle, "saturate", counting)
+        code, out, _ = run(capsys, "run", REACH, "--oracle", "--all")
+        assert code == 0
+        assert out.count("\n") == 3  # q0 once, q1 twice
+        assert len(calls) == 1
+
+    def test_no_queries_skips_the_fixpoint(self, capsys, tmp_path):
+        # r is not range-restricted, so saturating would exit 2
+        f = tmp_path / "unsafe.ldl"
+        f.write_text('f: q("a").\nr: p(x, y) :- q(x).\n')
+        code, out, err = run(capsys, "run", str(f), "--oracle")
+        assert code == 0
+        assert out == "no queries.\n"
+        assert err == ""
 
 
 class TestProgramErrors:

@@ -31,15 +31,15 @@ hasDerivAt_cos: drv(cos, neg_sin).
 class TestFactsAndRules:
     def test_fact_becomes_active_clause(self):
         kb, _ = compile_text('f1: edge("a", "b").')
-        c = kb.clause_named("f1")
+        c = kb.clauses["f1"]
         assert c.head == Pred("edge", (StrLit("a"), StrLit("b")))
         assert c.body == ()
         assert c.origin == "fact"
-        assert "f1" in kb.active
+        assert c.name == "f1"
 
     def test_unlabeled_statements_numbered_in_order(self):
         kb, queries = compile_text('edge("a", "b").\nedge("b", "c").\npath(x, y) :- edge(x, y).\nedge("a", m?)?')
-        assert [c.name for c in kb.clauses] == ["_fact_1", "_fact_2", "_rule_1"]
+        assert [c.name for c in kb.clauses.values()] == ["_fact_1", "_fact_2", "_rule_1"]
         assert queries[0].name == "_query_1"
 
     def test_fresh_name_shape(self):
@@ -50,23 +50,23 @@ class TestFactsAndRules:
 
     def test_rule_identifiers_become_variables(self):
         kb, _ = compile_text("r1: path(x, y) :- edge(x, y).")
-        c = kb.clause_named("r1")
+        c = kb.clauses["r1"]
         assert c.head == Pred("path", (Var("x"), Var("y")))
         assert c.body == (Pred("edge", (Var("x"), Var("y"))),)
         assert c.origin == "rule"
 
     def test_unknown_identifier_in_fact_is_a_constant(self):
         kb, _ = compile_text("d: drv(sin, cos).")
-        assert kb.clause_named("d").head == Pred("drv", (App("sin"), App("cos")))
+        assert kb.clauses["d"].head == Pred("drv", (App("sin"), App("cos")))
         assert kb.constructors["sin"].arity == 0
 
     def test_comparison_premise(self):
         kb, _ = compile_text("r: big(x) :- num(x), (x > 2).")
-        assert kb.clause_named("r").body[1] == Builtin("gt", Var("x"), IntLit(2))
+        assert kb.clauses["r"].body[1] == Builtin("gt", Var("x"), IntLit(2))
 
     def test_statement_order_is_clause_order(self):
         kb, _ = compile_text("b: q().\na: p().\nc: r().")
-        assert [c.name for c in kb.clauses] == ["b", "a", "c"]
+        assert [c.name for c in kb.clauses.values()] == ["b", "a", "c"]
 
 
 class TestQueries:
@@ -103,11 +103,11 @@ class TestQueries:
 class TestStructsAndDefs:
     def test_def_substitutes_ground_value(self):
         kb, _ = compile_text("struct Rect(x1, y1, x2, y2).\ndef r1 := Rect(1, 2, 3, 4).\nf: box(r1).")
-        assert kb.clause_named("f").head.args[0] == App("Rect", (IntLit(1), IntLit(2), IntLit(3), IntLit(4)))
+        assert kb.clauses["f"].head.args[0] == App("Rect", (IntLit(1), IntLit(2), IntLit(3), IntLit(4)))
 
     def test_def_may_reference_earlier_defs(self):
         kb, _ = compile_text("def a := 5.\ndef b := wrap(a).\nf: p(b).")
-        assert kb.clause_named("f").head.args[0] == App("wrap", (IntLit(5),))
+        assert kb.clauses["f"].head.args[0] == App("wrap", (IntLit(5),))
 
     def test_projection_resolves_at_elaboration(self):
         kb, _ = compile_text(
@@ -116,11 +116,11 @@ class TestStructsAndDefs:
             "def rect2 := Rect(75, 25, 125, 300).\n"
             "r: ok() :- (rect2.y2 >= rect1.y1)."
         )
-        assert kb.clause_named("r").body[0] == Builtin("ge", IntLit(300), IntLit(50))
+        assert kb.clauses["r"].body[0] == Builtin("ge", IntLit(300), IntLit(50))
 
     def test_projection_in_fact_argument(self):
         kb, _ = compile_text("struct P(x, y).\ndef pt := P(7, 8).\nf: at(pt.y).")
-        assert kb.clause_named("f").head == Pred("at", (IntLit(8),))
+        assert kb.clauses["f"].head == Pred("at", (IntLit(8),))
 
     def test_unknown_field(self):
         with pytest.raises(UnknownField):
@@ -207,15 +207,15 @@ class TestUse:
 
     def test_import_brings_clause_and_constants(self):
         kb, queries = elaborate(parse_program("use hasDerivAt_sin.\nq0: drv(sin, h?)?"), self.lib())
-        c = kb.clause_named("hasDerivAt_sin")
+        c = kb.clauses["hasDerivAt_sin"]
         assert c.origin == "imported"
-        assert "hasDerivAt_sin" in kb.active
+        assert c.name == "hasDerivAt_sin"
         assert kb.constructors["sin"].arity == 0
         assert queries[0].goal.args[0] == App("sin")
 
     def test_import_at_use_position(self):
         kb, _ = elaborate(parse_program("a: p().\nuse hasDerivAt_sin, hasDerivAt_cos.\nb: q()."), self.lib())
-        assert [c.name for c in kb.clauses] == ["a", "hasDerivAt_sin", "hasDerivAt_cos", "b"]
+        assert [c.name for c in kb.clauses.values()] == ["a", "hasDerivAt_sin", "hasDerivAt_cos", "b"]
 
     def test_unknown_use_name(self):
         with pytest.raises(UnknownUseName):
@@ -248,7 +248,7 @@ class TestUse:
     def test_library_structs_travel_with_imports(self):
         lib = elaborate_library(parse_program("struct P(x, y).\nbase: at(P(1, 2))."))
         kb, _ = elaborate(parse_program("use base.\nf: at2(P(3, 4).x)."), lib)
-        assert kb.clause_named("f").head == Pred("at2", (IntLit(3),))
+        assert kb.clauses["f"].head == Pred("at2", (IntLit(3),))
 
 
 class TestDeterminism:
@@ -257,7 +257,7 @@ class TestDeterminism:
         kb1, q1 = compile_text(text)
         kb2, q2 = compile_text(text)
         assert kb1.clauses == kb2.clauses
-        assert kb1.active == kb2.active
+        assert list(kb1.clauses) == list(kb2.clauses)
         assert kb1.constructors == kb2.constructors
         assert kb1.defs == kb2.defs
         assert q1 == q2

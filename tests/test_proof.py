@@ -81,14 +81,6 @@ class TestGoldenProofs:
         assert leaves[3] == Builtin("le", IntLit(75), IntLit(400))
         check_proof(kb, proof)
 
-    def test_checking_ignores_activation(self):
-        # a certificate cites clauses by name; deactivating r2 breaks
-        # search but not checking
-        kb, q, proof = proof_of(REACH, "q0")
-        kb.active.discard("r2")
-        check_proof(kb, proof)
-        assert solve(kb, q, SolverConfig(solution_limit=None)) == []
-
 
 class TestMutations:
     def test_unknown_clause_at_root(self):

@@ -7,7 +7,6 @@ import pytest
 from ldlog.terms import (
     App,
     Builtin,
-    ConflictingBinding,
     IntLit,
     Meta,
     NonGroundBuiltin,
@@ -20,7 +19,6 @@ from ldlog.terms import (
     atom_free_vars,
     atom_is_ground,
     atom_text,
-    compose,
     eval_builtin,
     free_vars,
     is_ground,
@@ -80,45 +78,6 @@ class TestApplySubst:
         assert apply_subst_atom(a, {X: A}) == Pred("edge", (A, B))
         b = Builtin("ge", X, IntLit(2))
         assert apply_subst_atom(b, {X: IntLit(5)}) == Builtin("ge", IntLit(5), IntLit(2))
-
-
-class TestCompose:
-    def test_defining_equation_on_random_terms(self):
-        rng = random.Random(102)
-        for _ in range(300):
-            s1 = random_ground_subst(rng)
-            s2 = {v: random_ground_term(rng) for v in (X, Y, Z) if v not in s1 and rng.random() < 0.5}
-            combined = compose(s1, s2)
-            t = random_term(rng, 3)
-            assert apply_subst(t, combined) == apply_subst(apply_subst(t, s1), s2)
-
-    def test_chained_bindings_close(self):
-        assert compose({X: Y}, {Y: IntLit(2)}) == {X: IntLit(2), Y: IntLit(2)}
-
-    def test_identity_units(self):
-        s = {X: A}
-        assert compose(s, {}) == s
-        assert compose({}, s) == s
-
-    def test_agreeing_overlap_allowed(self):
-        assert compose({X: A}, {X: A}) == {X: A}
-
-    def test_conflicting_overlap_raises(self):
-        with pytest.raises(ConflictingBinding):
-            compose({X: A}, {X: B})
-
-    def test_cyclic_result_raises(self):
-        with pytest.raises(ConflictingBinding):
-            compose({X: App("f", (Z,))}, {Z: X})
-
-    def test_results_idempotent(self):
-        rng = random.Random(103)
-        for _ in range(200):
-            s1 = random_ground_subst(rng)
-            s2 = {v: random_ground_term(rng) for v in (X, Y, Z) if v not in s1 and rng.random() < 0.5}
-            combined = compose(s1, s2)
-            for value in combined.values():
-                assert not (free_vars(value) & combined.keys())
 
 
 class TestFreeVarsAndGroundness:
