@@ -5,10 +5,10 @@ joins every rule against the facts. Each later round joins a rule
 once per predicate premise whose symbol gained facts in the round before:
 that premise ranges over those new facts only, the premises before it over
 facts of still earlier rounds, and the premises after it over all facts,
-so each match of a rule body is found in exactly one round. Facts are
-indexed by symbol and by (symbol, argument position, ground value); a
-lookup takes the shortest list among the arguments that earlier premises
-made ground. Facts are ground, so premises are matched one way.
+so each match of a rule body is found in exactly one round. Facts sit in
+an `ldlog.index.ArgIndex`; a lookup takes the shortest list among the
+arguments that earlier premises made ground. Facts are ground, so
+premises are matched one way.
 
 Rules must be range-restricted (every head or comparison variable occurs
 in some predicate premise), which guarantees every derived atom is ground
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import LdlogError
+from .index import ArgIndex
 from .terms import (
     Atom,
     Builtin,
@@ -59,11 +60,12 @@ def saturate(kb: KnowledgeBase) -> Set[Pred]:
     rules = [c for c in kb.clauses.values() if c.body]
     for c in rules:
         _check_range_restricted(c)
-    index = _FactIndex()
-    index.add([c.head for c in kb.clauses.values() if not c.body], 0)
+    facts: Set[Pred] = set()
+    index: ArgIndex[_Entry] = ArgIndex()
+    _add_round(index, facts, [c.head for c in kb.clauses.values() if not c.body], 0)
     new: Dict[Pred, None] = {}  # an ordered set: the next round's facts, in derivation order
     for c in rules:
-        _join(_Plan.of(c, None), index, {}, 0, new)
+        _join(_Plan.of(c, None), index, facts, {}, 0, new)
     # premise symbol -> the plans that a round with new facts on it runs
     triggered: Dict[str, List[_Plan]] = {}
     for c in rules:
@@ -73,48 +75,25 @@ def saturate(kb: KnowledgeBase) -> Set[Pred]:
     rnd = 0
     while new:
         rnd += 1
-        delta = index.add(new, rnd)
+        delta = _add_round(index, facts, new, rnd)
         new = {}
         for symbol in delta:
             for plan in triggered.get(symbol, ()):
-                _join(plan, index, delta, rnd, new)
-    return index.facts
+                _join(plan, index, facts, delta, rnd, new)
+    return facts
 
 
-class _FactIndex:
-    """Facts by symbol and by (symbol, argument position, ground argument).
-
-    Lists are append-only and facts enter them round by round, so the
-    facts of the rounds before any given one form a prefix of each list.
-    """
-
-    def __init__(self) -> None:
-        self.facts: Set[Pred] = set()
-        self.by_symbol: Dict[str, List[_Entry]] = {}
-        self.by_arg: Dict[tuple, List[_Entry]] = {}
-
-    def add(self, facts, rnd: int) -> Dict[str, List[_Entry]]:
-        """Index the facts not yet known; return the added entries by symbol."""
-        added: Dict[str, List[_Entry]] = {}
-        for fact in facts:
-            if fact in self.facts:
-                continue
-            self.facts.add(fact)
-            entry = (rnd, fact)
-            added.setdefault(fact.symbol, []).append(entry)
-            self.by_symbol.setdefault(fact.symbol, []).append(entry)
-            for pos, arg in enumerate(fact.args):
-                self.by_arg.setdefault((fact.symbol, pos, arg), []).append(entry)
-        return added
-
-    def candidates(self, symbol: str, keys) -> List[_Entry]:
-        """The shortest of the lists for symbol and for each (position, value)."""
-        best = self.by_symbol.get(symbol, [])
-        for pos, value in keys:
-            entries = self.by_arg.get((symbol, pos, value), [])
-            if len(entries) < len(best):
-                best = entries
-        return best
+def _add_round(index: ArgIndex[_Entry], facts: Set[Pred], new, rnd: int) -> Dict[str, List[_Entry]]:
+    """Index the facts not yet known as derived in round rnd; return the added entries by symbol."""
+    added: Dict[str, List[_Entry]] = {}
+    for fact in new:
+        if fact in facts:
+            continue
+        facts.add(fact)
+        entry = (rnd, fact)
+        added.setdefault(fact.symbol, []).append(entry)
+        index.add(fact, entry)
+    return added
 
 
 _DELTA, _OLD, _ALL = "delta", "old", "all"
@@ -151,7 +130,14 @@ class _Plan(NamedTuple):
         return _Plan(c.head, steps, [a for a in c.body if isinstance(a, Builtin)])
 
 
-def _join(plan: _Plan, index: _FactIndex, delta: Dict[str, List[_Entry]], rnd: int, new: Dict[Pred, None]) -> None:
+def _join(
+    plan: _Plan,
+    index: ArgIndex[_Entry],
+    facts: Set[Pred],
+    delta: Dict[str, List[_Entry]],
+    rnd: int,
+    new: Dict[Pred, None],
+) -> None:
     """Add to `new` every unknown head instance the plan derives in round rnd.
 
     Comparisons are evaluated only once every premise has matched.
@@ -162,7 +148,7 @@ def _join(plan: _Plan, index: _FactIndex, delta: Dict[str, List[_Entry]], rnd: i
         if k == len(steps):
             if all(eval_builtin(c, s) for c in plan.comparisons):
                 head = apply_subst_atom(plan.head, s)
-                if head not in index.facts:
+                if head not in facts:
                     new[head] = None
             return
         premise, scope, bound = steps[k]

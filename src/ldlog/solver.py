@@ -1,7 +1,9 @@
 """Depth-bounded backward chaining over a knowledge base's clauses.
 
-The search is a depth-first traversal with chronological backtracking:
-clauses are tried in knowledge-base order, body atoms left to right. The
+The search is a depth-first traversal with chronological backtracking,
+body atoms left to right. A goal tries only the clauses whose head can
+match its ground arguments (an `ldlog.index.ArgIndex` over the heads,
+built per call), still in knowledge-base order. The
 depth budget counts clause applications along a path, so it bounds proof
 height; facts prove at budget 1. Comparison premises consume no budget:
 a ground one is evaluated in place, a non-ground one is delayed behind the
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import LdlogError
+from .index import ArgIndex
 from .proof import BuiltinLeaf, ProofTree
 from .terms import (
     Builtin,
@@ -94,9 +97,10 @@ def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> Li
     if isinstance(q.goal, Builtin):
         raise BuiltinNotUnifiable("a comparison cannot be a query goal")
 
-    index: Dict[str, List[Clause]] = {}
+    # built per call: kb.clauses is a plain dict its owner may edit between calls
+    index: ArgIndex[Clause] = ArgIndex()
     for c in kb.clauses.values():
-        index.setdefault(c.head.symbol, []).append(c)
+        index.add(c.head, c)
 
     metas = sorted((v for v in atom_free_vars(q.goal) if isinstance(v, Meta)), key=lambda m: m.id)
     ticks = itertools.count(1)
@@ -122,7 +126,8 @@ def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> Li
 def _solve_goal(goal: Pred, s: Substitution, budget: int, index, ticks) -> Iterator[Tuple[Substitution, _OpenNode]]:
     if budget < 1:
         return
-    for clause in index.get(goal.symbol, ()):
+    keys = [(pos, arg) for pos, arg in enumerate(goal.args) if is_ground(arg)]
+    for clause in index.candidates(goal.symbol, keys):
         renamed, varmap = _rename(clause, next(ticks))
         s1 = unify_atoms(goal, renamed.head, s)
         if s1 is None:

@@ -1,14 +1,18 @@
 """Backward-chaining search: order, depth, builtins, and certificates."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from ldlog.index import ArgIndex
 from ldlog.proof import BuiltinLeaf, check_proof, render_proof
 from ldlog.solver import FlounderedBuiltin, SolverConfig, solve
 from ldlog.oracle import oracle_answers, saturate
-from ldlog.terms import Builtin, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, term_text
+from ldlog.terms import Builtin, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, atom_text, term_text
 from support import compile_text, enumeration_bound, random_safe_program
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 REACH = """
 r1: path(x, y) :- edge(x, y).
@@ -188,3 +192,51 @@ class TestAgainstOracle:
         got = {term_text(s.bindings[m]) for s in sols}
         want = {term_text(b[m]) for b in oracle_answers(kb, q1.goal)}
         assert got == want == {'"c"', '"d"'}
+
+
+class TestIndexOnVersusOff:
+    """The argument index only drops clauses whose head cannot unify.
+
+    The "off" run patches the lookup to ignore the goal's ground arguments,
+    so every clause of the goal's symbol is tried, as before the index.
+    """
+
+    def both(self, monkeypatch, kb, q, cfg):
+        indexed = solve(kb, q, cfg)
+        lookup = ArgIndex.candidates
+        with monkeypatch.context() as m:
+            m.setattr(ArgIndex, "candidates", lambda index, symbol, keys: lookup(index, symbol, ()))
+            unindexed = solve(kb, q, cfg)
+        for sol in indexed:
+            check_proof(kb, sol.proof)
+        return indexed, unindexed
+
+    def test_random_programs(self, monkeypatch):
+        rng = random.Random(110)
+        accepted = answered = 0
+        while accepted < 200:
+            text, preds, consts = random_safe_program(rng)
+            # the generator lists every fact before every rule; shuffled, rules
+            # with loose head arguments land between facts of their symbol
+            lines = text.splitlines()
+            rng.shuffle(lines)
+            text = "\n".join(lines)
+            kb, _ = compile_text(text)
+            if enumeration_bound(kb, 5) > 20_000:
+                continue
+            accepted += 1
+            for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"'))):
+                q = Query("probe", Pred(preds[0], (first, Meta(1, "b?"))), {"a?": 0, "b?": 1})
+                indexed, unindexed = self.both(monkeypatch, kb, q, SolverConfig(max_depth=5, solution_limit=None))
+                assert indexed == unindexed, f"{text}\n{atom_text(q.goal)}"
+                answered += bool(indexed)
+        assert answered > 200
+
+    @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
+    def test_programs(self, monkeypatch, main, lib):
+        lib_text = (PROGRAMS / lib).read_text() if lib else None
+        kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
+        assert queries
+        for q in queries:
+            indexed, unindexed = self.both(monkeypatch, kb, q, SolverConfig(solution_limit=None))
+            assert indexed and indexed == unindexed
