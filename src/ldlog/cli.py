@@ -4,9 +4,10 @@
                    [--check] [--oracle]
 
 Exit codes: 0 all queries solved, 1 some query unprovable or floundered,
-2 lexing/parsing/elaboration errors, 3 a solver-produced proof failed
-re-checking under --check, 4 internal error (an unexpected exception, such
-as RecursionError, reported in one line).
+2 unreadable or non-UTF-8 files and lexing/parsing/elaboration errors,
+3 a solver-produced proof failed re-checking under --check, 4 internal
+error (an unexpected exception, such as RecursionError, reported in one
+line).
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ def _parse_file(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"ldlog: {exc}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as exc:
+        print(f"ldlog: {path}: {exc}", file=sys.stderr)
         return None
     try:
         return parse_program(text)

@@ -1,4 +1,16 @@
-"""Lexer, parser, and renderer for the rule DSL.
+r"""Lexer, parser, and renderer for the rule DSL.
+
+Lexical rules, which one compiled pattern encodes:
+
+    identifier   [A-Za-z_][A-Za-z0-9_]* with an optional trailing '?';
+                 use, struct and def are keywords
+    integer      -?[0-9]+ whose value fits in int64; leading zeros allowed
+    string       "..." on one line; the escapes are \" \\ \n \t and no others
+    punctuation  :- <= >= != ( ) , . ? : < > =
+    skipped      spaces, tabs, '\r', newlines, and '//' comments to end of line
+
+Any other character is an illegal-character error at that character.
+Columns count characters from 1.
 
 Surface syntax, one statement per '.' or '?' terminator:
 
@@ -13,7 +25,6 @@ Atoms are either ident(args) or a parenthesized term, which is how
 comparison premises are written: (x <= 4). Terms are integer literals,
 string literals, identifiers, constructor applications, field projections
 (value.field), and comparisons (only inside a parenthesized atom).
-Comments run from '//' to end of line.
 
 A '.' after a term is a projection only when followed by a plain
 identifier that is not itself followed by ':' or '(' ; otherwise it
@@ -23,17 +34,14 @@ statements while `def a := r.x1.` projects.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import SourceError
 from .terms import INT64_MAX, INT64_MIN, quote_string
 
 KEYWORDS = ("use", "struct", "def")
-
-# Longest match first: two-char punctuation before its one-char prefixes.
-_PUNCT2 = (":-", "<=", ">=", "!=")
-_PUNCT1 = ("(", ")", ",", ".", "?", ":", "<", ">", "=")
 
 _MAX_TERM_DEPTH = 100
 
@@ -52,8 +60,7 @@ class ParseError(SourceError):
         super().__init__(line, column, f"expected {alts}, found {found}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "str" | "kw" | "punct" | "eof"
     value: object
     line: int
@@ -160,115 +167,86 @@ StatementAst = Union[FactStmt, RuleStmt, QueryStmt, UseStmt, StructStmt, DefStmt
 # ---------------------------------------------------------------------------
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)")
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+_STRING_PREFIX = re.compile(_STRING_BODY)
+
+# One named group per token kind; "bad" catches every character the others
+# refuse. "\n" only ever occurs in "skip" text, so only "skip" moves the line.
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("skip", r"(?:[ \t\r\n]|//[^\n]*)+"),
+            ("int", r"-?[0-9]+"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*\??"),
+            ("punct", r":-|<=|>=|!=|[(),.?:<>=]"),
+            ("str", f'"{_STRING_BODY}"'),
+            ("bad", r"."),
+        )
+    )
+)
 
 
 def tokenize(source: str) -> List[Token]:
     """Split source text into tokens; raises LexError on bad input."""
-    return _Lexer(source).run()
+    return _lex(source)[0]
 
 
-def _is_digit(ch: str) -> bool:
-    # str.isdigit also accepts superscripts and other unicode digits that
-    # int() rejects; only ASCII digits start a number token
-    return "0" <= ch <= "9"
+def _lex(source: str) -> Tuple[List[Token], Token]:
+    """The tokens of source, and the end-of-input token just past the last one."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "punct":
+            append(Token("punct", text, line, col))
+        elif kind == "ident":
+            append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "int":
+            append(Token("int", _int_value(text, line, col), line, col))
+        elif kind == "str":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], body)
+            append(Token("str", body, line, col))
+        else:
+            raise _bad_token(source, m.start(), line, col)
+    if not tokens:
+        return tokens, Token("eof", None, 1, 1)
+    # skip matches are maximal, so the last token ends where a trailing skip starts
+    end = m.start() if m.lastgroup == "skip" else m.end()
+    return tokens, Token("eof", None, tokens[-1].line, end - source.rfind("\n", 0, end))
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
+def _int_value(text: str, line: int, col: int) -> int:
+    # int() refuses strings of more than 4,300 digits, and an int64 has at
+    # most 19 significant digits: decide from those before converting
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) <= 19:
+        value = int(digits or "0")
+        value = -value if text[0] == "-" else value
+        if INT64_MIN <= value <= INT64_MAX:
+            return value
+    raise LexError(line, col, f"integer literal out of range: {text}")
 
-    def current(self) -> str:
-        return self.source[self.i] if self.i < len(self.source) else ""
 
-    def lookahead(self, k: int = 1) -> str:
-        j = self.i + k
-        return self.source[j] if j < len(self.source) else ""
-
-    def advance(self, k: int = 1) -> None:
-        for _ in range(k):
-            if self.i < len(self.source) and self.source[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def run(self) -> List[Token]:
-        tokens: List[Token] = []
-        while self.i < len(self.source):
-            ch = self.current()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "/":
-                if self.lookahead() != "/":
-                    raise LexError(self.line, self.col, "illegal character '/'")
-                while self.i < len(self.source) and self.current() != "\n":
-                    self.advance()
-            elif ch == '"':
-                tokens.append(self.string())
-            elif _is_digit(ch) or (ch == "-" and _is_digit(self.lookahead())):
-                tokens.append(self.number())
-            elif ch.isascii() and (ch.isalpha() or ch == "_"):
-                tokens.append(self.ident())
-            elif self.source[self.i : self.i + 2] in _PUNCT2:
-                tokens.append(Token("punct", self.source[self.i : self.i + 2], self.line, self.col))
-                self.advance(2)
-            elif ch in _PUNCT1:
-                tokens.append(Token("punct", ch, self.line, self.col))
-                self.advance()
-            else:
-                raise LexError(self.line, self.col, f"illegal character {ch!r}")
-        return tokens
-
-    def number(self) -> Token:
-        start_line, start_col = self.line, self.col
-        j = self.i + 1
-        while j < len(self.source) and _is_digit(self.source[j]):
-            j += 1
-        text = self.source[self.i : j]
-        value = int(text)
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise LexError(start_line, start_col, f"integer literal out of range: {text}")
-        self.advance(j - self.i)
-        return Token("int", value, start_line, start_col)
-
-    def ident(self) -> Token:
-        start_line, start_col = self.line, self.col
-        j = self.i
-        while j < len(self.source) and self.source[j].isascii() and (self.source[j].isalnum() or self.source[j] == "_"):
-            j += 1
-        if j < len(self.source) and self.source[j] == "?":
-            j += 1
-        text = self.source[self.i : j]
-        self.advance(j - self.i)
-        kind = "kw" if text in KEYWORDS else "ident"
-        return Token(kind, text, start_line, start_col)
-
-    def string(self) -> Token:
-        start_line, start_col = self.line, self.col
-        self.advance()  # opening quote
-        parts: List[str] = []
-        while True:
-            ch = self.current()
-            if ch == "" or ch == "\n":
-                raise LexError(start_line, start_col, "unterminated string literal")
-            if ch == '"':
-                self.advance()
-                return Token("str", "".join(parts), start_line, start_col)
-            if ch == "\\":
-                esc = self.lookahead()
-                if esc == "":
-                    raise LexError(start_line, start_col, "unterminated string literal")
-                if esc not in _STRING_ESCAPES:
-                    raise LexError(self.line, self.col, f"invalid escape sequence '\\{esc}'")
-                parts.append(_STRING_ESCAPES[esc])
-                self.advance(2)
-            else:
-                parts.append(ch)
-                self.advance()
+def _bad_token(source: str, pos: int, line: int, col: int) -> LexError:
+    if source[pos] != '"':
+        return LexError(line, col, f"illegal character {source[pos]!r}")
+    # escapes are validated left to right before the closing quote is sought
+    end = _STRING_PREFIX.match(source, pos + 1).end()
+    if source.startswith("\\", end) and end + 1 < len(source):
+        return LexError(line, col + end - pos, f"invalid escape sequence '\\{source[end + 1]}'")
+    return LexError(line, col, "unterminated string literal")
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +256,7 @@ class _Lexer:
 
 def parse_program(source: str) -> List[StatementAst]:
     """Parse a full program; raises LexError or ParseError on bad input."""
-    tokens = tokenize(source)
-    if tokens:
-        last = tokens[-1]
-        width = len(str(last.value)) if last.kind != "str" else len(quote_string(last.value))
-        eof = Token("eof", None, last.line, last.col + width)
-    else:
-        eof = Token("eof", None, 1, 1)
+    tokens, eof = _lex(source)
     return _Parser(tokens + [eof]).program()
 
 

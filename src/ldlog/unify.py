@@ -34,8 +34,11 @@ def unify(t1: Term, t2: Term, s: Optional[Substitution] = None) -> Optional[Subs
 
     The result is idempotent and leaves s unmodified.
     """
-    out: Substitution = dict(s) if s else {}
-    stack = [(t1, t2)]
+    return _unify(dict(s) if s else {}, [(t1, t2)])
+
+
+def _unify(out: Substitution, stack: list) -> Optional[Substitution]:
+    # pairs are taken from the end of stack, each one's subterms before the next pair
     while stack:
         a, b = stack.pop()
         a = apply_subst(a, out)
@@ -72,12 +75,8 @@ def unify_atoms(a1: Atom, a2: Atom, s: Optional[Substitution] = None) -> Optiona
         raise BuiltinNotUnifiable("comparison atoms cannot be unified")
     if a1.symbol != a2.symbol or len(a1.args) != len(a2.args):
         return None
-    out: Optional[Substitution] = dict(s) if s else {}
-    for x, y in zip(a1.args, a2.args):
-        out = unify(x, y, out)
-        if out is None:
-            return None
-    return out
+    # left to right, as one unify call per argument would bind them
+    return _unify(dict(s) if s else {}, list(zip(reversed(a1.args), reversed(a2.args))))
 
 
 def match_one_way(pattern: Term, target: Term) -> Optional[Substitution]:

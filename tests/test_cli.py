@@ -242,6 +242,30 @@ class TestProgramErrors:
         assert code == 2
         assert "max_depth" in err
 
+    def test_long_integer_literal(self, capsys, tmp_path):
+        f = tmp_path / "long.ldl"
+        f.write_text("f: p(" + "1" * 4301 + ").\n")
+        code, _, err = run(capsys, "run", str(f))
+        assert code == 2
+        assert err.startswith(f"{f}:1:6: integer literal out of range: 111")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_program(self, capsys, tmp_path):
+        f = tmp_path / "latin1.ldl"
+        f.write_bytes(b'f: p("caf\xe9").\n')
+        code, _, err = run(capsys, "run", str(f))
+        assert code == 2
+        assert err.startswith(f"ldlog: {f}: ")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_library(self, capsys, tmp_path):
+        lib = tmp_path / "lib.ldl"
+        lib.write_bytes(b"\xff")
+        code, _, err = run(capsys, "run", REACH, "--lib", str(lib))
+        assert code == 2
+        assert err.startswith(f"ldlog: {lib}: ")
+        assert err.count("\n") == 1
+
 
 class TestInternalErrors:
     def test_deep_chain_exits_4_without_traceback(self, tmp_path):

@@ -26,7 +26,7 @@ from ldlog.parser import (
     render_statement,
     tokenize,
 )
-from support import random_program_ast
+from support import random_program_ast, random_statement_ast
 
 
 def kinds_and_values(text):
@@ -162,6 +162,52 @@ class TestTokenize:
             with pytest.raises(LexError):
                 tokenize(f"p({ch})")
 
+    @pytest.mark.parametrize(
+        "source, line, col, message",
+        [
+            ("p(1) / q(2)", 1, 6, "illegal character '/'"),
+            ("p(- 1)", 1, 3, "illegal character '-'"),
+            ("p(1)\n  -", 2, 3, "illegal character '-'"),
+            ("p(x²)", 1, 4, "illegal character '²'"),
+            ("p(é)", 1, 3, "illegal character 'é'"),
+            ('p("ab\\"c', 1, 3, "unterminated string literal"),
+            ('x\np("ab\\', 2, 3, "unterminated string literal"),
+            ('p("a\\qb")', 1, 5, "invalid escape sequence '\\q'"),
+            ('p("a\\\nb")', 1, 5, "invalid escape sequence '\\\n'"),
+            ('p("\\n\\x unterminated', 1, 6, "invalid escape sequence '\\x'"),
+            ("p(1,\n\t-9223372036854775809)", 2, 2, "integer literal out of range: -9223372036854775809"),
+        ],
+    )
+    def test_error_positions_and_messages(self, source, line, col, message):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
+
+    def test_long_integer_literals(self):
+        # int() refuses more than 4,300 digits: the range is decided first
+        for text in ("1" * 4301, "-" + "9" * 5000, "1" * 20, "0" * 5000 + str(2**63)):
+            with pytest.raises(LexError) as err:
+                tokenize(f"p({text})")
+            assert (err.value.column, err.value.message) == (3, f"integer literal out of range: {text}")
+        assert tokenize("p(" + "0" * 5000 + "42)")[2].value == 42
+        assert tokenize("p(-" + "0" * 5000 + str(2**63) + ")")[2].value == -(2**63)
+        assert tokenize("p(-" + "0" * 4400 + ")")[2].value == 0
+
+    def test_token_positions_in_rendered_programs(self):
+        # at each token's (line, col) the source starts with that token's text
+        def text(t):
+            return str(t.value) if t.kind == "int" else '"' if t.kind == "str" else t.value
+
+        rng = random.Random(505)
+        sources = [render_program(random_program_ast(rng)) for _ in range(150)]
+        statements = [render_statement(random_statement_ast(rng)) for _ in range(60)]
+        sources.append("\n\n// a comment line\n".join(statements) + "  // trailing\n\n")
+        sources.append("".join(f"{s}\t// c{i}\n\n" if i % 2 else f"\n  {s}" for i, s in enumerate(statements)))
+        for source in sources:
+            lines = source.split("\n")
+            for t in tokenize(source):
+                assert lines[t.line - 1].startswith(text(t), t.col - 1), (source, t)
+
 
 class TestParseStatements:
     def test_fact(self):
@@ -279,6 +325,11 @@ class TestParseErrors:
     def test_unexpected_eof(self):
         err = self.check("f: p(", 1, 6)
         assert err.found == "end of input"
+
+    def test_eof_just_past_a_literal_written_unlike_its_value(self):
+        for source, col in (("q: p(007", 9), ("q: p(-0", 8), ('q: p("a\tb"', 11), ("q: p(1) // c\n", 8)):
+            err = self.check(source, 1, col)
+            assert err.found == "end of input"
 
     def test_keyword_where_atom_expected(self):
         self.check("f: use(1).", 1, 4)

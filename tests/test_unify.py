@@ -82,6 +82,25 @@ class TestUnifyAtoms:
         with pytest.raises(BuiltinNotUnifiable):
             unify_atoms(Builtin("lt", X, Y), Pred("p", ()))
 
+    def test_binds_as_unify_does_left_to_right(self):
+        assert unify_atoms(Pred("p", (X, X)), Pred("p", (Y, Z))) == {X: Z, Y: Z}  # right to left: X := Y, Z := Y
+        rng = random.Random(66)
+
+        def arg():  # bare variables make the binding order show
+            return rng.choice((X, Y, Z)) if rng.random() < 0.5 else random_term(rng)
+
+        for _ in range(2000):
+            n = rng.randint(0, 4)
+            a1 = Pred("p", tuple(arg() for _ in range(n)))
+            a2 = Pred("p", tuple(arg() for _ in range(n)))
+            s0 = rng.choice((None, {X: A}))
+            expected = dict(s0) if s0 else {}
+            for x, y in zip(a1.args, a2.args):
+                expected = unify(x, y, expected)
+                if expected is None:
+                    break
+            assert unify_atoms(a1, a2, s0) == expected
+
 
 class TestMatchOneWay:
     def test_binds_pattern_vars(self):
