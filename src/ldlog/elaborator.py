@@ -224,7 +224,8 @@ def elaborate_library(statements: List[ast.StatementAst]) -> KnowledgeBase:
 
 
 def _elaborate(statements, library, library_mode):
-    kb = KnowledgeBase()
+    kb = KnowledgeBase()  # its constructors and defs fill in place; its clauses come last
+    clauses: Dict[str, Clause] = {}
     queries: List[Query] = []
     pred_arities: Dict[str, int] = {}
     counters = {"fact": 0, "rule": 0, "query": 0}
@@ -250,7 +251,7 @@ def _elaborate(statements, library, library_mode):
             atom = rewrite_atom(stmt.atom, ctx)
             if isinstance(atom, Builtin):
                 raise BuiltinNotAllowed("a fact")
-            kb.clauses[name] = Clause(name, atom, (), ORIGIN_FACT)
+            clauses[name] = Clause(name, atom, (), ORIGIN_FACT)
         elif isinstance(stmt, ast.RuleStmt):
             name = claim_name(stmt.label, "rule")
             ctx = ElabContext(kb.constructors, kb.defs, pred_arities, MODE_RULE, name)
@@ -258,7 +259,7 @@ def _elaborate(statements, library, library_mode):
             if isinstance(head, Builtin):
                 raise BuiltinNotAllowed("a rule head")
             body = tuple(rewrite_atom(a, ctx) for a in stmt.body)
-            kb.clauses[name] = Clause(name, head, body, ORIGIN_RULE)
+            clauses[name] = Clause(name, head, body, ORIGIN_RULE)
         elif isinstance(stmt, ast.QueryStmt):
             if library_mode:
                 raise InvalidLibraryStatement("query")
@@ -272,7 +273,7 @@ def _elaborate(statements, library, library_mode):
             if library_mode:
                 raise InvalidLibraryStatement("use")
             for use_name in stmt.names:
-                _import_clause(kb, use_name, library, pred_arities, clause_names)
+                _import_clause(kb, clauses, use_name, library, pred_arities, clause_names)
         elif isinstance(stmt, ast.StructStmt):
             claim_term_name(stmt.name, "constructor name")
             seen = set()
@@ -287,10 +288,10 @@ def _elaborate(statements, library, library_mode):
             kb.defs[stmt.name] = rewrite_term(stmt.value, ctx)
         else:
             raise ElaborationError(f"unsupported statement {stmt!r}")
-    return kb, queries
+    return replace(kb, clauses=clauses), queries
 
 
-def _import_clause(kb, name, library, pred_arities, clause_names):
+def _import_clause(kb, clauses, name, library, pred_arities, clause_names):
     if library is None:
         raise UnknownUseName(name)
     clause = library.clauses.get(name)
@@ -301,7 +302,7 @@ def _import_clause(kb, name, library, pred_arities, clause_names):
     for atom in (clause.head,) + clause.body:
         _merge_atom_decls(kb, atom, library, pred_arities)
     clause_names.add(name)
-    kb.clauses[name] = replace(clause, origin=ORIGIN_IMPORTED)
+    clauses[name] = replace(clause, origin=ORIGIN_IMPORTED)
 
 
 def _merge_atom_decls(kb, atom: Atom, library, pred_arities):

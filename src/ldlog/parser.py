@@ -227,6 +227,9 @@ def _lex(source: str) -> Tuple[List[Token], Token]:
     return tokens, Token("eof", None, tokens[-1].line, end - source.rfind("\n", 0, end))
 
 
+_QUOTE_LIMIT = 24  # characters of an out-of-range literal that its error message quotes
+
+
 def _int_value(text: str, line: int, col: int) -> int:
     # int() refuses strings of more than 4,300 digits, and an int64 has at
     # most 19 significant digits: decide from those before converting
@@ -236,6 +239,8 @@ def _int_value(text: str, line: int, col: int) -> int:
         value = -value if text[0] == "-" else value
         if INT64_MIN <= value <= INT64_MAX:
             return value
+    if len(text) > _QUOTE_LIMIT:
+        text = f"{text[:_QUOTE_LIMIT]}... ({len(text.lstrip('-'))} digits)"
     raise LexError(line, col, f"integer literal out of range: {text}")
 
 
@@ -257,7 +262,8 @@ def _bad_token(source: str, pos: int, line: int, col: int) -> LexError:
 def parse_program(source: str) -> List[StatementAst]:
     """Parse a full program; raises LexError or ParseError on bad input."""
     tokens, eof = _lex(source)
-    return _Parser(tokens + [eof]).program()
+    # the parser looks at most two tokens past its position, which never passes the first EOF
+    return _Parser(tokens + [eof] * 3).program()
 
 
 class _Parser:
@@ -266,7 +272,7 @@ class _Parser:
         self.pos = 0
 
     def peek(self, k: int = 0) -> Token:
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+        return self.tokens[self.pos + k]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]

@@ -2,28 +2,58 @@
 
 The search is a depth-first traversal with chronological backtracking,
 body atoms left to right. A goal tries only the clauses whose head can
-match its ground arguments (an `ldlog.index.ArgIndex` over the heads,
-built per call), still in knowledge-base order. The
-depth budget counts clause applications along a path, so it bounds proof
-height; facts prove at budget 1. Comparison premises consume no budget:
-a ground one is evaluated in place, a non-ground one is delayed behind the
-remaining predicate premises of its conjunction, and the query flounders
-with an error if none remain to bind it.
+match its ground arguments (an `ldlog.index.ArgIndex` over the heads),
+still in knowledge-base order. The depth budget counts clause applications
+along a path, so it bounds proof height; facts prove at budget 1.
+Comparison premises consume no budget: a ground one is evaluated in
+place, a non-ground one is delayed behind the remaining predicate premises
+of its conjunction, and the query flounders with an error if none remain
+to bind it.
 
 Solutions arrive in discovery order, deduplicated by placeholder bindings,
-each carrying a ground proof tree built from the final substitution.
+each carrying a ground proof tree built from the final bindings.
+
+The machine follows the WAM's split between compiled clauses and a
+binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
+Reconstruction", 1991):
+
+- Slots. On its first try a clause is compiled into a template whose
+  variables are integer slots, numbered by first occurrence (head, then
+  body). A try allocates a frame of cells for them at the end of one store,
+  so renaming the clause apart is an offset. A cell is None while unbound,
+  else a (template term, frame base) pair: bindings share the clause's
+  structure instead of copying it.
+- Trail. Every binding is recorded on a trail. Backtracking undoes the
+  trail down to the choice point's mark and cuts the store back to its
+  length.
+- Explicit stack. One loop drives the search over a continuation (the
+  unsolved premises of each open clause application, innermost first) and
+  a stack of choice points (a goal with its untried candidate clauses).
+  Nothing recurses per proof level, so only the depth budget limits proof
+  height.
+- Per knowledge base. The head index and the templates are built on a
+  KB's first `solve` and kept in `kb.compiled`; a KB's clauses never
+  change, so every later query reuses them.
+
+Unification agrees with `ldlog.unify.unify_atoms`: the occurs check is on,
+arguments are unified left to right (a constructor's own arguments right
+to left, as unify's stack takes them), and where two unbound variables
+meet, the goal's is bound to the head's. Clause variables get names only
+to report a floundered comparison: x#k for clause variable x in the k-th
+clause try.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple
 
 from .errors import LdlogError
 from .index import ArgIndex
 from .proof import BuiltinLeaf, ProofTree
 from .terms import (
+    App,
     Builtin,
     Clause,
     KnowledgeBase,
@@ -32,16 +62,14 @@ from .terms import (
     Query,
     Substitution,
     Var,
-    apply_subst,
-    apply_subst_atom,
-    atom_free_vars,
-    atom_is_ground,
     atom_text,
-    clause_vars,
     eval_builtin,
     is_ground,
 )
-from .unify import BuiltinNotUnifiable, unify_atoms
+
+# Not called here: traced benchmark runs (bench/run.py) wrap the name
+# `ldlog.solver.unify_atoms`, so it must stay importable from this module.
+from .unify import BuiltinNotUnifiable, unify_atoms  # noqa: F401
 
 
 class FlounderedBuiltin(LdlogError):
@@ -72,23 +100,347 @@ class Solution:
     proof: ProofTree
 
 
-def _rename(c: Clause, tick: int) -> Tuple[Clause, Dict[str, Var]]:
-    """Rename every clause variable x to x#tick; also return the renaming."""
-    varmap = {v.name: Var(f"{v.name}#{tick}") for v in clause_vars(c)}
-    renaming: Substitution = {Var(name): fresh for name, fresh in varmap.items()}
-    head = apply_subst_atom(c.head, renaming)
-    body = tuple(apply_subst_atom(a, renaming) for a in c.body)
-    return Clause(c.name, head, body, c.origin), varmap
+# ---------------------------------------------------------------------------
+# Templates
+# ---------------------------------------------------------------------------
+#
+# A template term is an int (a slot of the frame), a _Struct (a constructor
+# application holding slots), or a ground Term, kept as it is.
 
 
-@dataclass
-class _OpenNode:
-    """Clause application whose terms still mention search variables."""
+class _Struct:
+    """Constructor application whose arguments hold slots; fields as in App."""
 
-    clause_name: str
-    head: Pred  # standardized-apart head instance
-    varmap: Dict[str, Var]
-    children: tuple  # _OpenNode | BuiltinLeaf, in body order
+    __slots__ = ("constructor", "args")
+
+    def __init__(self, constructor: str, args: tuple):
+        self.constructor = constructor
+        self.args = args
+
+
+class _Call:
+    """Predicate premise (or query goal) over template terms."""
+
+    __slots__ = ("symbol", "args")
+
+    def __init__(self, atom: Pred, slots: dict):
+        self.symbol = atom.symbol
+        self.args = tuple(_compile(t, slots) for t in atom.args)
+
+
+class _Test:
+    """Comparison premise over template terms."""
+
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, atom: Builtin, slots: dict):
+        self.op = atom.op
+        self.lhs = _compile(atom.lhs, slots)
+        self.rhs = _compile(atom.rhs, slots)
+
+
+def _compile(t, slots: dict):
+    if isinstance(t, (Var, Meta)):
+        return slots.setdefault(t, len(slots))
+    if isinstance(t, App) and not is_ground(t):
+        return _Struct(t.constructor, tuple(_compile(a, slots) for a in t.args))
+    return t
+
+
+class _Template:
+    """A clause compiled against one frame: its variables are slots 0..n-1."""
+
+    __slots__ = ("clause", "head", "body", "keys", "blank")
+
+    def __init__(self, clause: Clause):
+        slots: dict = {}
+        self.clause = clause
+        self.head = _Call(clause.head, slots).args
+        self.body = tuple((i, (_Call if isinstance(a, Pred) else _Test)(a, slots)) for i, a in enumerate(clause.body))
+        self.keys = tuple(slots)  # the clause variable of each slot
+        self.blank = (None,) * len(slots)
+
+
+def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template]]:
+    """kb's head index, and its templates by clause name, each made on its clause's first try."""
+    compiled = kb.compiled.get("solver")
+    if compiled is None:
+        index: ArgIndex[Clause] = ArgIndex()
+        for c in kb.clauses.values():
+            index.add(c.head, c)
+        compiled = kb.compiled["solver"] = (index, {})
+    return compiled
+
+
+# ---------------------------------------------------------------------------
+# The store
+# ---------------------------------------------------------------------------
+
+
+def _value(cells: list, t, b: int, names: Optional[dict] = None):
+    """The Term that template term t in the frame at b stands for.
+
+    None if it is not ground, unless names gives a variable for each unbound cell.
+    """
+    while type(t) is int:
+        v = cells[b + t]
+        if v is None:
+            return None if names is None else names[b + t]
+        t, b = v
+    if type(t) is _Struct:
+        args = []
+        for a in t.args:
+            a = _value(cells, a, b, names)
+            if a is None:
+                return None
+            args.append(a)
+        return App(t.constructor, tuple(args))
+    return t
+
+
+def _leaf(cells: list, test: _Test, b: int) -> BuiltinLeaf:
+    return BuiltinLeaf(Builtin(test.op, _value(cells, test.lhs, b), _value(cells, test.rhs, b)))
+
+
+def _occurs(cells: list, j: int, t: _Struct, b: int) -> bool:
+    """Whether the unbound cell j occurs in t, read in the frame at b."""
+    todo = [(t, b)]
+    while todo:
+        t, b = todo.pop()
+        for a in t.args:
+            ab = b
+            while type(a) is int:
+                k = ab + a
+                v = cells[k]
+                if v is None:
+                    if k == j:
+                        return True
+                    break
+                a, ab = v
+            if type(a) is _Struct:
+                todo.append((a, ab))
+    return False
+
+
+def _unify(cells: list, trail: list, t1, b1: int, t2, b2: int) -> bool:
+    """Bind cells so that t1 (goal side, frame b1) equals t2 (head side, frame b2)."""
+    stack = None
+    while True:
+        while type(t1) is int:
+            v = cells[b1 + t1]
+            if v is None:
+                break
+            t1, b1 = v
+        while type(t2) is int:
+            v = cells[b2 + t2]
+            if v is None:
+                break
+            t2, b2 = v
+        if type(t1) is int:
+            j = b1 + t1
+            if type(t2) is int:
+                if b2 + t2 != j:
+                    cells[j] = (t2, b2)
+                    trail.append(j)
+            elif type(t2) is _Struct and _occurs(cells, j, t2, b2):
+                return False
+            else:
+                cells[j] = (t2, b2)
+                trail.append(j)
+        elif type(t2) is int:
+            j = b2 + t2
+            if type(t1) is _Struct and _occurs(cells, j, t1, b1):
+                return False
+            cells[j] = (t1, b1)
+            trail.append(j)
+        elif type(t1) is _Struct or type(t2) is _Struct:
+            if (
+                (type(t1) is not _Struct and type(t1) is not App)
+                or (type(t2) is not _Struct and type(t2) is not App)
+                or t1.constructor != t2.constructor
+                or len(t1.args) != len(t2.args)
+            ):
+                return False
+            if stack is None:
+                stack = []
+            # popped last first: a constructor's arguments right to left, as in unify
+            stack.extend(zip(t1.args, repeat(b1), t2.args, repeat(b2)))
+        elif t1 != t2:
+            return False
+        if not stack:
+            return True
+        t1, b1, t2, b2 = stack.pop()
+
+
+# ---------------------------------------------------------------------------
+# The search
+# ---------------------------------------------------------------------------
+
+
+class _Node:
+    """A clause application of the current derivation.
+
+    children[i] is the _Node proving body atom i, or the _Test of a
+    comparison that held. A slot is only current once its premise is
+    solved on the present branch; backtracking leaves older entries behind.
+    """
+
+    __slots__ = ("template", "base", "tick", "children")
+
+    def __init__(self, template: Optional[_Template], base: int, tick: int, size: int):
+        self.template = template
+        self.base = base
+        self.tick = tick
+        self.children = [None] * size
+
+
+class _Search:
+    """One query's run: the store, the trail and the derivation being built."""
+
+    def __init__(self, kb: KnowledgeBase, goal: Pred):
+        slots: dict = {}
+        self.index, self.templates = _compiled(kb)
+        self.goal = _Call(goal, slots)
+        self.query_keys = tuple(slots)  # the query frame sits at base 0
+        self.cells: list = [None] * len(slots)
+        self.trail: List[int] = []
+        self.root = _Node(None, 0, 0, 1)  # root.children[0] proves the goal
+
+    def run(self, budget: int):
+        """Yield once per derivation of the goal, with the store holding its bindings."""
+        cells, trail = self.cells, self.trail
+        candidates = self.index.candidates
+        templates = self.templates
+        # a continuation is (items, node, base, budget, next): the unsolved
+        # (index, premise) pairs of node's body, its frame, the budget for
+        # their subgoals, and the continuation of node's parent
+        cont = (((0, self.goal),), self.root, 0, budget, None)
+        # a choice point is [candidates, next position, call, call's frame,
+        # call's index, node, budget for the body, continuation, trail mark, store length]
+        choices: list = []
+        tick = 0
+        while True:
+            if cont is not None:
+                items, node, base, budget, up = cont
+                if not items:
+                    cont = up
+                    continue
+                idx, item = items[0]
+                rest = items[1:]
+                if type(item) is _Test:
+                    lhs = _value(cells, item.lhs, base)
+                    rhs = _value(cells, item.rhs, base)
+                    if lhs is None or rhs is None:
+                        if any(type(later) is _Call for _, later in rest):
+                            cont = (rest + (items[0],), node, base, budget, up)
+                            continue
+                        names = self._names()
+                        now = Builtin(item.op, _value(cells, item.lhs, base, names), _value(cells, item.rhs, base, names))
+                        raise FlounderedBuiltin(now)
+                    if eval_builtin(Builtin(item.op, lhs, rhs)):
+                        node.children[idx] = item
+                        cont = (rest, node, base, budget, up)
+                        continue
+                elif budget >= 1:
+                    keys = []
+                    for pos, a in enumerate(item.args):
+                        if type(a) is int or type(a) is _Struct:
+                            a = _value(cells, a, base)
+                            if a is None:
+                                continue
+                        keys.append((pos, a))
+                    found = candidates(item.symbol, keys)
+                    if found:
+                        after = (rest, node, base, budget, up)
+                        choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells)])
+                cont = None
+            else:
+                yield
+            # backtrack: resume the newest choice point with its next candidate
+            while choices:
+                cp = choices[-1]
+                found, i, call, gbase, idx, node, budget, after, mark, top = cp
+                n = len(found)
+                while i < n:
+                    for j in trail[mark:]:
+                        cells[j] = None
+                    del trail[mark:]
+                    del cells[top:]
+                    clause = found[i]
+                    i += 1
+                    tick += 1
+                    template = templates.get(clause.name)
+                    if template is None:
+                        template = templates[clause.name] = _Template(clause)
+                    cells.extend(template.blank)
+                    head = template.head
+                    if len(head) != len(call.args):
+                        continue
+                    for g, h in zip(call.args, head):
+                        if not _unify(cells, trail, g, gbase, h, top):
+                            break
+                    else:
+                        break
+                else:
+                    choices.pop()
+                    continue
+                if i < n:
+                    cp[1] = i
+                else:
+                    choices.pop()  # the last candidate: nothing left to resume
+                child = _Node(template, top, tick, len(template.body))
+                node.children[idx] = child
+                cont = (template.body, child, top, budget, after)
+                break
+            else:
+                return
+
+    def _freeze(self) -> Optional[ProofTree]:
+        """The current derivation as a ground ProofTree, or None if a variable is unbound."""
+        cells = self.cells
+        order = []
+        todo = [self.root.children[0]]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            todo.extend(c for c in node.children if type(c) is _Node)
+        built: Dict[int, ProofTree] = {}
+        for node in reversed(order):  # every node after its children
+            template, base = node.template, node.base
+            values = []
+            for k in range(len(template.keys)):
+                v = _value(cells, k, base)
+                if v is None:
+                    return None
+                values.append(v)
+            children = tuple(
+                built[id(c)] if type(c) is _Node else _leaf(cells, c, base)
+                for c in node.children
+            )
+            clause = template.clause
+            conclusion = clause.head
+            if values:
+                conclusion = Pred(conclusion.symbol, tuple(_value(cells, a, base) for a in template.head))
+            built[id(node)] = ProofTree(clause.name, dict(zip(template.keys, values)), conclusion, children)
+        return built[id(order[0])]
+
+    def _names(self) -> dict:
+        """The variable each cell stands for: x#k for clause variable x of the k-th try.
+
+        The walk also meets nodes that backtracking left behind. Where two
+        cover a cell, the later try is current: a frame is only ever
+        allocated past every cell in use.
+        """
+        nodes, todo = [], [self.root]
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            todo.extend(c for c in node.children if type(c) is _Node)
+        names = dict(enumerate(self.query_keys))
+        for node in sorted(nodes[1:], key=lambda n: n.tick):
+            for k, key in enumerate(node.template.keys):
+                names[node.base + k] = Var(f"{key.name}#{node.tick}")
+        return names
 
 
 def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> List[Solution]:
@@ -96,88 +448,21 @@ def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> Li
     cfg = cfg or SolverConfig()
     if isinstance(q.goal, Builtin):
         raise BuiltinNotUnifiable("a comparison cannot be a query goal")
-
-    # built per call: kb.clauses is a plain dict its owner may edit between calls
-    index: ArgIndex[Clause] = ArgIndex()
-    for c in kb.clauses.values():
-        index.add(c.head, c)
-
-    metas = sorted((v for v in atom_free_vars(q.goal) if isinstance(v, Meta)), key=lambda m: m.id)
-    ticks = itertools.count(1)
+    search = _Search(kb, q.goal)
+    metas = sorted((k for k in search.query_keys if isinstance(k, Meta)), key=lambda m: m.id)
+    slots = [search.query_keys.index(m) for m in metas]
+    cells = search.cells
     solutions: List[Solution] = []
     seen = set()
-    for s, node in _solve_goal(q.goal, {}, cfg.max_depth, index, ticks):
-        proof = _freeze(node, s)
+    for _ in search.run(cfg.max_depth):
+        key = tuple(_value(cells, k, 0) for k in slots)
+        if any(v is None for v in key) or key in seen:
+            continue
+        proof = search._freeze()
         if proof is None:
             continue  # derivation left a variable free; no ground certificate
-        bindings = {m: apply_subst(m, s) for m in metas}
-        if not all(is_ground(v) for v in bindings.values()):
-            continue
-        key = tuple(bindings[m] for m in metas)
-        if key in seen:
-            continue
         seen.add(key)
-        solutions.append(Solution(bindings, proof))
+        solutions.append(Solution(dict(zip(metas, key)), proof))
         if cfg.solution_limit is not None and len(solutions) >= cfg.solution_limit:
             break
     return solutions
-
-
-def _solve_goal(goal: Pred, s: Substitution, budget: int, index, ticks) -> Iterator[Tuple[Substitution, _OpenNode]]:
-    if budget < 1:
-        return
-    keys = [(pos, arg) for pos, arg in enumerate(goal.args) if is_ground(arg)]
-    for clause in index.candidates(goal.symbol, keys):
-        renamed, varmap = _rename(clause, next(ticks))
-        s1 = unify_atoms(goal, renamed.head, s)
-        if s1 is None:
-            continue
-        for s2, by_index in _solve_items(list(enumerate(renamed.body)), s1, budget - 1, index, ticks):
-            children = tuple(by_index[i] for i in range(len(renamed.body)))
-            yield s2, _OpenNode(clause.name, renamed.head, varmap, children)
-
-
-def _solve_items(items, s: Substitution, budget: int, index, ticks):
-    """Solve an indexed conjunction; yields (subst, {index: child})."""
-    if not items:
-        yield s, {}
-        return
-    (idx, atom), rest = items[0], items[1:]
-    if isinstance(atom, Builtin):
-        now = apply_subst_atom(atom, s)
-        if atom_is_ground(now):
-            if eval_builtin(now):
-                leaf = BuiltinLeaf(now)
-                for s2, children in _solve_items(rest, s, budget, index, ticks):
-                    yield s2, {idx: leaf, **children}
-            return
-        if any(isinstance(a, Pred) for _, a in rest):
-            yield from _solve_items(rest + [(idx, atom)], s, budget, index, ticks)
-            return
-        raise FlounderedBuiltin(now)
-    goal = apply_subst_atom(atom, s)
-    for s2, node in _solve_goal(goal, s, budget, index, ticks):
-        for s3, children in _solve_items(rest, s2, budget, index, ticks):
-            yield s3, {idx: node, **children}
-
-
-def _freeze(node, s: Substitution):
-    """Close an open derivation into a ground ProofTree, or None."""
-    if isinstance(node, BuiltinLeaf):
-        return node
-    conclusion = apply_subst_atom(node.head, s)
-    if not atom_is_ground(conclusion):
-        return None
-    instantiation: Substitution = {}
-    for name, fresh in node.varmap.items():
-        value = apply_subst(fresh, s)
-        if not is_ground(value):
-            return None
-        instantiation[Var(name)] = value
-    children = []
-    for child in node.children:
-        closed = _freeze(child, s)
-        if closed is None:
-            return None
-        children.append(closed)
-    return ProofTree(node.clause_name, instantiation, conclusion, tuple(children))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Union
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Set, Union
 
 from .errors import LdlogError
 
@@ -127,13 +128,23 @@ class Constructor:
     fields: Optional[tuple] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
-    """Clauses keyed by name, in declaration order, plus the declaration environment."""
+    """Clauses keyed by name, in declaration order, plus the declaration environment.
 
-    clauses: Dict[str, Clause] = field(default_factory=dict)
+    `clauses` is a read-only copy of the mapping the KB was built from, so
+    what an evaluator derives from it never goes stale: `compiled` keeps
+    those forms, built on first use. A KB with other clauses is a new KB,
+    `dataclasses.replace(kb, clauses=...)`, with an empty `compiled`.
+    """
+
+    clauses: Mapping[str, Clause] = field(default_factory=dict)
     constructors: Dict[str, Constructor] = field(default_factory=dict)
     defs: Dict[str, Term] = field(default_factory=dict)
+    compiled: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "clauses", MappingProxyType(dict(self.clauses)))
 
 
 class NonGroundBuiltin(LdlogError):

@@ -1,4 +1,4 @@
-"""Shared helpers and random generators for the test suite.
+"""Shared helpers, reference evaluators and random generators for the test suite.
 
 Generators take an explicit random.Random so every suite is seeded and
 reproducible. The program generator only emits range-restricted,
@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ldlog.elaborator import elaborate, elaborate_library
+from ldlog.index import ArgIndex
 from ldlog.oracle import UnsafeRule
 from ldlog.parser import (
     AppAst,
@@ -30,9 +32,12 @@ from ldlog.parser import (
     UseStmt,
     parse_program,
 )
+from ldlog.proof import BuiltinLeaf, ProofTree
+from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
     App,
     Builtin,
+    Clause,
     IntLit,
     Meta,
     Pred,
@@ -41,10 +46,14 @@ from ldlog.terms import (
     Var,
     apply_subst,
     apply_subst_atom,
+    atom_free_vars,
+    atom_is_ground,
+    clause_vars,
     eval_builtin,
     free_vars,
+    is_ground,
 )
-from ldlog.unify import unify_atoms
+from ldlog.unify import BuiltinNotUnifiable, unify_atoms
 
 
 def compile_text(text: str, lib_text: Optional[str] = None):
@@ -112,6 +121,121 @@ def _body_matches(body, facts: List[Pred]) -> Iterator[Substitution]:
                 yield from walk(i + 1, s2)
 
     yield from walk(0, {})
+
+
+# ---------------------------------------------------------------------------
+# Reference backward chaining (for the solver differential)
+# ---------------------------------------------------------------------------
+
+
+def reference_solve(kb, q, cfg: Optional[SolverConfig] = None) -> List[Solution]:
+    """Recursive, substitution-based search: `ldlog.solver.solve` must agree.
+
+    Each clause try renames the clause's variables x to x#tick through
+    strings, unification keeps one idempotent substitution, and a pair of
+    generators recurses per proof level. The same solutions must come back
+    in the same order, with equal proofs, and the same errors with the same
+    messages. The recursion caps proof height near 500.
+    """
+    cfg = cfg or SolverConfig()
+    if isinstance(q.goal, Builtin):
+        raise BuiltinNotUnifiable("a comparison cannot be a query goal")
+    index: ArgIndex[Clause] = ArgIndex()
+    for c in kb.clauses.values():
+        index.add(c.head, c)
+    metas = sorted((v for v in atom_free_vars(q.goal) if isinstance(v, Meta)), key=lambda m: m.id)
+    ticks = itertools.count(1)
+    solutions: List[Solution] = []
+    seen = set()
+    for s, node in _ref_goal(q.goal, {}, cfg.max_depth, index, ticks):
+        proof = _ref_freeze(node, s)
+        if proof is None:
+            continue
+        bindings = {m: apply_subst(m, s) for m in metas}
+        if not all(is_ground(v) for v in bindings.values()):
+            continue
+        key = tuple(bindings[m] for m in metas)
+        if key in seen:
+            continue
+        seen.add(key)
+        solutions.append(Solution(bindings, proof))
+        if cfg.solution_limit is not None and len(solutions) >= cfg.solution_limit:
+            break
+    return solutions
+
+
+@dataclass
+class _RefNode:
+    clause_name: str
+    head: Pred  # the renamed head
+    varmap: Dict[str, Var]  # clause variable name -> its renamed variable
+    children: tuple  # _RefNode | BuiltinLeaf, in body order
+
+
+def _ref_rename(c: Clause, tick: int):
+    varmap = {v.name: Var(f"{v.name}#{tick}") for v in clause_vars(c)}
+    renaming: Substitution = {Var(name): fresh for name, fresh in varmap.items()}
+    head = apply_subst_atom(c.head, renaming)
+    body = tuple(apply_subst_atom(a, renaming) for a in c.body)
+    return Clause(c.name, head, body, c.origin), varmap
+
+
+def _ref_goal(goal: Pred, s: Substitution, budget: int, index, ticks):
+    if budget < 1:
+        return
+    keys = [(pos, arg) for pos, arg in enumerate(goal.args) if is_ground(arg)]
+    for clause in index.candidates(goal.symbol, keys):
+        renamed, varmap = _ref_rename(clause, next(ticks))
+        s1 = unify_atoms(goal, renamed.head, s)
+        if s1 is None:
+            continue
+        for s2, by_index in _ref_items(list(enumerate(renamed.body)), s1, budget - 1, index, ticks):
+            children = tuple(by_index[i] for i in range(len(renamed.body)))
+            yield s2, _RefNode(clause.name, renamed.head, varmap, children)
+
+
+def _ref_items(items, s: Substitution, budget: int, index, ticks):
+    if not items:
+        yield s, {}
+        return
+    (idx, atom), rest = items[0], items[1:]
+    if isinstance(atom, Builtin):
+        now = apply_subst_atom(atom, s)
+        if atom_is_ground(now):
+            if eval_builtin(now):
+                leaf = BuiltinLeaf(now)
+                for s2, children in _ref_items(rest, s, budget, index, ticks):
+                    yield s2, {idx: leaf, **children}
+            return
+        if any(isinstance(a, Pred) for _, a in rest):
+            yield from _ref_items(rest + [(idx, atom)], s, budget, index, ticks)
+            return
+        raise FlounderedBuiltin(now)
+    goal = apply_subst_atom(atom, s)
+    for s2, node in _ref_goal(goal, s, budget, index, ticks):
+        for s3, children in _ref_items(rest, s2, budget, index, ticks):
+            yield s3, {idx: node, **children}
+
+
+def _ref_freeze(node, s: Substitution):
+    if isinstance(node, BuiltinLeaf):
+        return node
+    conclusion = apply_subst_atom(node.head, s)
+    if not atom_is_ground(conclusion):
+        return None
+    instantiation: Substitution = {}
+    for name, fresh in node.varmap.items():
+        value = apply_subst(fresh, s)
+        if not is_ground(value):
+            return None
+        instantiation[Var(name)] = value
+    children = []
+    for child in node.children:
+        closed = _ref_freeze(child, s)
+        if closed is None:
+            return None
+        children.append(closed)
+    return ProofTree(node.clause_name, instantiation, conclusion, tuple(children))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +379,46 @@ def random_safe_program(rng: random.Random) -> Tuple[str, List[str], List[str]]:
     return "\n".join(lines) + "\n", preds, consts
 
 
+def random_term_program(rng: random.Random) -> str:
+    """Program with constructor terms, repeated variables and comparisons, plus two queries.
+
+    Rules need not be range-restricted, so derivations may leave head
+    variables unbound, comparisons may flounder or compare mixed types, and
+    unification meets variables on both sides inside constructors.
+    """
+    arity = {f"p{i}": rng.randint(0, 2) for i in range(rng.randint(1, 3))}
+    preds = list(arity)
+
+    def term(depth: int, variables) -> str:
+        roll = rng.random()
+        if variables and roll < 0.45:
+            return rng.choice(variables)
+        if depth <= 0 or roll < 0.7:
+            return rng.choice(("0", "1", "2", '"a"', "h"))
+        if rng.random() < 0.5:
+            return f"f({term(depth - 1, variables)})"
+        return f"g({term(depth - 1, variables)}, {term(depth - 1, variables)})"
+
+    def atom(p: str, variables) -> str:
+        return f"{p}({', '.join(term(2, variables) for _ in range(arity[p]))})"
+
+    rule_vars = ("x", "y", "z")
+    lines = [atom(rng.choice(preds), ()) + "." for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 4)):
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.25:
+                op = rng.choice(("<", "<=", ">", ">=", "=", "!="))
+                body.append(f"({term(1, rule_vars)} {op} {term(1, rule_vars)})")
+            else:
+                body.append(atom(rng.choice(preds), rule_vars))
+        lines.append(f"{atom(rng.choice(preds), rule_vars)} :- {', '.join(body)}.")
+    rng.shuffle(lines)
+    for i in range(2):
+        lines.append(f"q{i}: {atom(rng.choice(preds), ('a?', 'b?'))}?")
+    return "\n".join(lines) + "\n"
+
+
 def ground_probe(symbol: str, left: str, right: str) -> Pred:
     return Pred(symbol, (StrLit(left), StrLit(right)))
 
@@ -284,6 +448,8 @@ def enumeration_bound(kb, depth: int) -> int:
         for clause in by_symbol.get(sym, ()):
             branch = 1
             for atom in clause.body:
+                if isinstance(atom, Builtin):
+                    continue  # evaluated in place: one way through
                 branch *= proofs(atom.symbol, budget - 1)
                 if branch >= cap:
                     break

@@ -268,8 +268,8 @@ class TestProgramErrors:
 
 
 class TestInternalErrors:
-    def test_deep_chain_exits_4_without_traceback(self, tmp_path):
-        # proofs of height 501 exhaust Python's recursion limit in the solver
+    def test_deep_chain_proves_without_internal_error(self, tmp_path):
+        # a proof of height 501: the depth budget, not Python's recursion limit, bounds the search
         f = tmp_path / "chain.ldl"
         lines = ["b0: p0()."] + [f"h{i}: p{i}() :- p{i - 1}()." for i in range(1, 501)] + ["q: p500()?"]
         f.write_text("\n".join(lines) + "\n")
@@ -278,13 +278,27 @@ class TestInternalErrors:
             return subprocess.run([sys.executable, "-m", "ldlog", "run", str(f), *flags], capture_output=True, text=True)
 
         proc = ldlog("--max-depth", "600")
-        assert proc.returncode == 4
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("ldlog: internal error: RecursionError: ")
-        assert proc.stderr.count("\n") == 1
+        assert (proc.returncode, proc.stderr) == (0, "")
+        proof = "b0"
+        for i in range(1, 501):
+            proof = f"h{i} {proof}" if i == 1 else f"h{i} ({proof})"
+        assert proc.stdout == f"q: p500()  proof: {proof}\n"
+        assert proc.stdout.startswith("q: p500()  proof: h500 (h499 (h498 (")
+        proc = ldlog("--max-depth", "500")
+        assert (proc.returncode, proc.stdout) == (1, "q: p500()  unprovable (depth 500)\n")
         proc = ldlog("--oracle")
         assert proc.returncode == 0
         assert proc.stdout == "q: p500()\n"
+
+    def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch):
+        def broken(kb, q, cfg):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        code, out, err = run(capsys, "run", REACH)
+        assert (code, out) == (4, "")
+        assert err == "ldlog: internal error: RuntimeError: injected failure\n"
+        assert "Traceback" not in err
 
 
 class TestLibraries:

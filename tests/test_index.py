@@ -1,5 +1,7 @@
 """The argument index shared by the solver and the fixpoint."""
 
+import dataclasses
+
 from ldlog.index import ArgIndex
 from ldlog.oracle import saturate
 from ldlog.proof import check_proof, render_proof
@@ -132,5 +134,5 @@ class TestNoStaleIndex:
         q = queries[0]
         cfg = SolverConfig(solution_limit=None)
         assert [sol.proof.clause_name for sol in solve(kb, q, cfg)] == ["f", "g"]
-        del kb.clauses["f"]
+        kb = dataclasses.replace(kb, clauses={n: c for n, c in kb.clauses.items() if n != "f"})
         assert [sol.proof.clause_name for sol in solve(kb, q, cfg)] == ["g"]

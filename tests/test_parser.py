@@ -184,11 +184,19 @@ class TestTokenize:
         assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
 
     def test_long_integer_literals(self):
-        # int() refuses more than 4,300 digits: the range is decided first
-        for text in ("1" * 4301, "-" + "9" * 5000, "1" * 20, "0" * 5000 + str(2**63)):
+        # int() refuses more than 4,300 digits: the range is decided first;
+        # a long literal is quoted by its first 24 characters and its length
+        cases = [
+            ("1" * 20, "1" * 20),
+            ("1" * 4301, "1" * 24 + "... (4301 digits)"),
+            ("-" + "9" * 5000, "-" + "9" * 23 + "... (5000 digits)"),
+            ("0" * 5000 + str(2**63), "0" * 24 + "... (5019 digits)"),
+        ]
+        for text, quoted in cases:
             with pytest.raises(LexError) as err:
                 tokenize(f"p({text})")
-            assert (err.value.column, err.value.message) == (3, f"integer literal out of range: {text}")
+            assert (err.value.column, err.value.message) == (3, f"integer literal out of range: {quoted}")
+            assert len(f"long.ldl:{err.value}") < 120  # the line `ldlog run` prints for long.ldl
         assert tokenize("p(" + "0" * 5000 + "42)")[2].value == 42
         assert tokenize("p(-" + "0" * 5000 + str(2**63) + ")")[2].value == -(2**63)
         assert tokenize("p(-" + "0" * 4400 + ")")[2].value == 0

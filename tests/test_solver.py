@@ -1,16 +1,24 @@
 """Backward-chaining search: order, depth, builtins, and certificates."""
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
+from ldlog.errors import LdlogError
 from ldlog.index import ArgIndex
-from ldlog.proof import BuiltinLeaf, check_proof, render_proof
+from ldlog.proof import BuiltinLeaf, ProofTree, check_proof, render_proof
 from ldlog.solver import FlounderedBuiltin, SolverConfig, solve
 from ldlog.oracle import oracle_answers, saturate
-from ldlog.terms import Builtin, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, atom_text, term_text
-from support import compile_text, enumeration_bound, random_safe_program
+from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, atom_text, term_text
+from support import (
+    compile_text,
+    enumeration_bound,
+    random_safe_program,
+    random_term_program,
+    reference_solve,
+)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -151,9 +159,9 @@ class TestBuiltins:
 
 class TestClauseHandling:
     def test_inactive_clauses_are_ignored(self):
-        # search reads kb.clauses, so a clause removed after elaboration is gone
+        # search reads kb.clauses, so a KB derived without a clause never tries it
         kb, queries = compile_text('f: p("a").\nq: p("a")?')
-        del kb.clauses["f"]
+        kb = dataclasses.replace(kb, clauses={n: c for n, c in kb.clauses.items() if n != "f"})
         assert solve(kb, queries[0]) == []
 
     def test_underivable_head_variable_yields_no_certificate(self):
@@ -240,3 +248,138 @@ class TestIndexOnVersusOff:
         for q in queries:
             indexed, unindexed = self.both(monkeypatch, kb, q, SolverConfig(solution_limit=None))
             assert indexed and indexed == unindexed
+
+
+class TestFrozenKnowledgeBase:
+    def test_clauses_are_read_only(self):
+        kb, _ = compile_text('f: p("a").\nq: p("a")?')
+        with pytest.raises(TypeError):
+            kb.clauses["g"] = Clause("g", Pred("p", (StrLit("b"),)))
+        with pytest.raises(TypeError):
+            del kb.clauses["f"]
+        assert list(kb.clauses) == ["f"]
+
+    def test_second_solve_builds_no_index(self, monkeypatch):
+        calls = []
+        add = ArgIndex.add
+
+        def counted(index, atom, item):
+            calls.append(atom)
+            add(index, atom, item)
+
+        monkeypatch.setattr(ArgIndex, "add", counted)
+        kb, queries = compile_text(REACH)
+        cfg = SolverConfig(solution_limit=None)
+        first = [solve(kb, q, cfg) for q in queries]
+        assert len(calls) == len(kb.clauses)
+        calls.clear()
+        assert [solve(kb, q, cfg) for q in queries] == first
+        assert calls == []
+        # a derived KB is a new KB, compiled afresh
+        derived = dataclasses.replace(kb, clauses=kb.clauses)
+        assert [solve(derived, q, cfg) for q in queries] == first
+        assert len(calls) == len(kb.clauses)
+
+
+class TestProofHeight:
+    def test_height_5000_chain(self):
+        n = 5000
+        lines = ["b0: p0()."] + [f"h{i}: p{i}() :- p{i - 1}()." for i in range(1, n + 1)] + [f"q: p{n}()?"]
+        kb, queries = compile_text("\n".join(lines))
+        assert solve(kb, queries[0], SolverConfig(max_depth=n)) == []
+        sols = solve(kb, queries[0], SolverConfig(max_depth=n + 1, solution_limit=None))
+        assert len(sols) == 1
+        node, height = sols[0].proof, 0
+        while isinstance(node, ProofTree):
+            height += 1
+            assert node.clause_name == (f"h{n + 1 - height}" if height <= n else "b0")
+            node = node.children[0] if node.children else None
+        assert height == n + 1
+
+
+def outcome(search, kb, q, cfg):
+    """The solutions, or the type and message of the error raised."""
+    try:
+        return search(kb, q, cfg)
+    except LdlogError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    """`solve` returns what the recursive, renaming solver returns.
+
+    Equal means the same solutions in the same order, bindings and proof
+    trees (instantiations included), or the same error with the same message.
+    """
+
+    def assert_same(self, kb, q, cfg, text=""):
+        got = outcome(solve, kb, q, cfg)
+        assert got == outcome(reference_solve, kb, q, cfg), f"{text}\n{atom_text(q.goal)}"
+        return got
+
+    def test_random_safe_programs(self):
+        rng = random.Random(111)
+        accepted = answered = 0
+        while accepted < 400:
+            text, preds, consts = random_safe_program(rng)
+            lines = text.splitlines()
+            rng.shuffle(lines)
+            text = "\n".join(lines)
+            kb, _ = compile_text(text)
+            if enumeration_bound(kb, 4) > 2_000:
+                continue
+            accepted += 1
+            for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"'))):
+                q = Query("probe", Pred(preds[0], (first, Meta(1, "b?"))), {"a?": 0, "b?": 1})
+                for limit in (None, 1, 2):
+                    answered += bool(self.assert_same(kb, q, SolverConfig(max_depth=4, solution_limit=limit), text))
+        assert answered > 1000
+
+    def test_random_term_programs(self):
+        rng = random.Random(112)
+        accepted, seen = 0, set()
+        while accepted < 300:
+            text = random_term_program(rng)
+            try:
+                kb, queries = compile_text(text)
+            except LdlogError:
+                continue
+            depth = rng.randint(1, 4)
+            if enumeration_bound(kb, depth) > 2_000:
+                continue
+            accepted += 1
+            for q in queries:
+                for limit in (None, 1):
+                    got = self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=limit), text)
+                    seen.add(got[0] if isinstance(got, tuple) else bool(got))
+        assert seen == {True, False, FlounderedBuiltin, TypeMismatch}
+
+    @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
+    def test_programs(self, main, lib):
+        lib_text = (PROGRAMS / lib).read_text() if lib else None
+        kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
+        for q in queries:
+            for limit in (None, 1):
+                assert self.assert_same(kb, q, SolverConfig(solution_limit=limit))
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # a leading comparison waits for the premise that binds x
+            ("f: num(1).\ng: num(5).\nr: big(x) :- (x > 2), num(x).\nq: big(m?)?", 1),
+            # nothing left to bind x
+            ("r: big(x) :- (x > 2).\nq: big(m?)?", FlounderedBuiltin),
+            # the goal's x meets the head's y and z inside g(...): the error names the variable x ends at
+            ("f0: s(1).\nr: p(g(y, z)) :- s(1).\nc: top(w) :- p(g(x, x)), (x > 0).\nq: top(m?)?", FlounderedBuiltin),
+            ('f: num("s").\nr: big(x) :- num(x), (x > 2).\nq: big(m?)?', TypeMismatch),
+            # the occurs check, binding a goal variable and binding a head variable
+            ("f0: s(1).\nr: p(y, f(y)) :- s(1).\nq: p(m?, m?)?", 0),
+            ("f0: s(1).\nr: p(x, x) :- s(1).\nq: p(m?, f(m?))?", 0),
+            # y never gets a value, so no ground certificate
+            ('f: q("a").\nr: p(x, y) :- q(x).\nqq: p("a", m?)?', 0),
+        ],
+    )
+    def test_hand_written(self, text, want):
+        kb, queries = compile_text(text)
+        got = self.assert_same(kb, queries[0], SolverConfig(solution_limit=None))
+        assert got[0] is want if isinstance(got, tuple) else len(got) == want
