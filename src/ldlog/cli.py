@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from .elaborator import ElaborationError, elaborate, elaborate_library
 from .errors import LdlogError, SourceError
-from .oracle import answers_in, saturate
+from .oracle import oracle_answers
 from .parser import parse_program
 from .proof import CheckError, check_proof, render_proof, serialize_proof
 from .solver import FlounderedBuiltin, SolverConfig, solve
@@ -196,16 +196,15 @@ def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
 
 
 def _run_oracle(kb, queries: List[Query], args) -> int:
-    try:
-        facts = saturate(kb) if queries else set()  # one fixpoint answers every query
-    except LdlogError as exc:
-        print(f"ldlog: {exc}", file=sys.stderr)
-        return 2
     entries: List[ReportEntry] = []
     any_failed = False
     for q in queries:
         goal_text = atom_text(q.goal)
-        answers = answers_in(facts, q.goal)
+        try:
+            answers = oracle_answers(kb, q.goal)  # the KB's first query saturates, the rest reuse its fixpoint
+        except LdlogError as exc:
+            print(f"ldlog: {exc}", file=sys.stderr)
+            return 2
         if not answers:
             entries.append(ReportEntry(q.name, goal_text, "unprovable", depth_note="oracle"))
             any_failed = True

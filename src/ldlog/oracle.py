@@ -13,11 +13,15 @@ premises are matched one way.
 Rules must be range-restricted (every head or comparison variable occurs
 in some predicate premise), which guarantees every derived atom is ground
 and the fixpoint is finite over the program's constants.
+
+A knowledge base is frozen, so its fixpoint is a function of it: the first
+`saturate` keeps the facts and their index in `kb.compiled`, and every
+later `saturate` or `oracle_answers` on that KB reads them from there.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import LdlogError
 from .index import ArgIndex
@@ -34,6 +38,7 @@ from .terms import (
     atom_free_vars,
     eval_builtin,
     free_vars,
+    is_ground,
     term_text,
 )
 from .unify import BuiltinNotUnifiable, match_atoms
@@ -50,13 +55,35 @@ class UnsafeRule(LdlogError):
     """A rule variable occurs only in its head or in comparisons."""
 
     def __init__(self, name: str, variables):
-        names = ", ".join(sorted(v.name for v in variables))
-        super().__init__(f"rule '{name}' is not range-restricted: {names} never occur in a predicate premise")
+        names = sorted(v.name for v in variables)
+        verb = "occurs" if len(names) == 1 else "occur"
+        super().__init__(f"rule '{name}' is not range-restricted: {', '.join(names)} never {verb} in a predicate premise")
         self.name = name
 
 
-def saturate(kb: KnowledgeBase) -> Set[Pred]:
-    """All ground atoms derivable from the clauses of kb."""
+class _Fixpoint(NamedTuple):
+    facts: FrozenSet[Pred]
+    index: ArgIndex[_Entry]  # every fact, filed with the round it was derived in
+
+
+def saturate(kb: KnowledgeBase) -> FrozenSet[Pred]:
+    """All ground atoms derivable from the clauses of kb, computed once per KB.
+
+    Raises UnsafeRule (or TypeMismatch from a comparison) on every call, and
+    keeps nothing, if the KB has no fixpoint to keep.
+    """
+    return _fixpoint(kb).facts
+
+
+def _fixpoint(kb: KnowledgeBase) -> _Fixpoint:
+    """kb's fixpoint and fact index, saturated on the KB's first call."""
+    fixpoint = kb.compiled.get("oracle")
+    if fixpoint is None:
+        fixpoint = kb.compiled["oracle"] = _saturate(kb)
+    return fixpoint
+
+
+def _saturate(kb: KnowledgeBase) -> _Fixpoint:
     rules = [c for c in kb.clauses.values() if c.body]
     for c in rules:
         _check_range_restricted(c)
@@ -80,7 +107,7 @@ def saturate(kb: KnowledgeBase) -> Set[Pred]:
         for symbol in delta:
             for plan in triggered.get(symbol, ()):
                 _join(plan, index, facts, delta, rnd, new)
-    return facts
+    return _Fixpoint(frozenset(facts), index)
 
 
 def _add_round(index: ArgIndex[_Entry], facts: Set[Pred], new, rnd: int) -> Dict[str, List[_Entry]]:
@@ -186,20 +213,17 @@ def _comparison_vars(body) -> set:
 
 
 def oracle_answers(kb: KnowledgeBase, goal: Atom) -> List[Substitution]:
-    """Every placeholder binding whose goal instance is in the fixpoint, ordered as by answers_in."""
-    if isinstance(goal, Builtin):
-        raise BuiltinNotUnifiable("a comparison cannot be an oracle goal")
-    return answers_in(saturate(kb), goal)
-
-
-def answers_in(facts: Set[Pred], goal: Pred) -> List[Substitution]:
-    """Every placeholder binding whose goal instance is one of the ground facts.
+    """Every placeholder binding whose goal instance is in the fixpoint.
 
     Deterministic order: sorted by the rendered binding values.
     """
+    if isinstance(goal, Builtin):
+        raise BuiltinNotUnifiable("a comparison cannot be an oracle goal")
+    saturate(kb)  # through the module name, so traced runs see every request for the fixpoint
+    ground = [(pos, arg) for pos, arg in enumerate(goal.args) if is_ground(arg)]
     metas = sorted((v for v in atom_free_vars(goal) if isinstance(v, Meta)), key=lambda m: m.id)
     answers: Dict[tuple, Substitution] = {}
-    for fact in facts:
+    for _, fact in _fixpoint(kb).index.candidates(goal.symbol, ground):
         bindings = match_atoms(goal, fact)
         if bindings is None:
             continue

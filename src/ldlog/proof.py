@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import LdlogError
 from .terms import (
     Builtin,
+    Clause,
     KnowledgeBase,
     NonGroundBuiltin,
     Pred,
@@ -75,74 +76,111 @@ class CheckError(LdlogError):
 
 
 def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
-    """Validate a certificate against kb's clauses; raises CheckError."""
-    _check(kb, proof, ())
+    """Validate a certificate against kb's clauses; raises CheckError.
+
+    Nodes are checked in pre-order, children left to right, so the error
+    raised is the first one met in that order. An explicit stack walks the
+    tree, so Python's recursion limit does not bound its height.
+    """
+    # one frame per ProofTree from the root down: [node, its clause, index of its next child]
+    spine: List[list] = []
+    spine.append([proof, _check_node(kb, proof, spine), 0])
+    while spine:
+        frame = spine[-1]
+        node, clause, i = frame
+        if i == len(clause.body):
+            spine.pop()
+            continue
+        frame[2] = i + 1
+        premise, child = clause.body[i], node.children[i]
+        want = apply_subst_atom(premise, node.instantiation)
+        if isinstance(premise, Builtin):
+            _check_leaf(child, want, spine)
+        elif not isinstance(child, ProofTree):
+            raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
+        elif child.conclusion != want:
+            raise CheckError(
+                _path(spine),
+                CheckReason.PREMISE_MISMATCH,
+                f"child concludes {atom_text(child.conclusion)}, premise needs {atom_text(want)}",
+            )
+        else:
+            spine.append([child, _check_node(kb, child, spine), 0])
 
 
-def _check(kb: KnowledgeBase, node: ProofTree, path: Tuple[int, ...]) -> None:
+def _path(spine: List[list]) -> Tuple[int, ...]:
+    """Child indices from the root to the node being checked."""
+    return tuple(frame[2] - 1 for frame in spine)
+
+
+def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause:
+    """The clause that node applies, once its conclusion, head and premise count check."""
     clause = kb.clauses.get(node.clause_name)
     if clause is None:
-        raise CheckError(path, CheckReason.UNKNOWN_CLAUSE, node.clause_name)
+        raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, node.clause_name)
     if not atom_is_ground(node.conclusion):
-        raise CheckError(path, CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
+        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
     if apply_subst_atom(clause.head, node.instantiation) != node.conclusion:
         raise CheckError(
-            path,
+            _path(spine),
             CheckReason.HEAD_MISMATCH,
             f"instantiated head of '{clause.name}' is not {atom_text(node.conclusion)}",
         )
     if len(node.children) != len(clause.body):
         raise CheckError(
-            path,
+            _path(spine),
             CheckReason.PREMISE_MISMATCH,
             f"'{clause.name}' has {len(clause.body)} premises, proof supplies {len(node.children)}",
         )
-    for i, (premise, child) in enumerate(zip(clause.body, node.children)):
-        want = apply_subst_atom(premise, node.instantiation)
-        if isinstance(premise, Builtin):
-            if not isinstance(child, BuiltinLeaf):
-                raise CheckError(path + (i,), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
-            # truth first, so a falsified leaf reports BuiltinFalse rather
-            # than a mismatch against the instantiated premise
-            try:
-                holds = eval_builtin(child.atom)
-            except NonGroundBuiltin:
-                raise CheckError(path + (i,), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom)) from None
-            except TypeMismatch as exc:
-                raise CheckError(path + (i,), CheckReason.BUILTIN_FALSE, str(exc)) from None
-            if not holds:
-                raise CheckError(path + (i,), CheckReason.BUILTIN_FALSE, atom_text(child.atom))
-            if child.atom != want:
-                raise CheckError(
-                    path + (i,),
-                    CheckReason.PREMISE_MISMATCH,
-                    f"leaf {atom_text(child.atom)} is not the instantiated premise {atom_text(want)}",
-                )
-        else:
-            if not isinstance(child, ProofTree):
-                raise CheckError(path + (i,), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
-            if child.conclusion != want:
-                raise CheckError(
-                    path + (i,),
-                    CheckReason.PREMISE_MISMATCH,
-                    f"child concludes {atom_text(child.conclusion)}, premise needs {atom_text(want)}",
-                )
-            _check(kb, child, path + (i,))
+    return clause
+
+
+def _check_leaf(child: ProofNode, want: Builtin, spine: List[list]) -> None:
+    if not isinstance(child, BuiltinLeaf):
+        raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
+    # truth first, so a falsified leaf reports BuiltinFalse rather
+    # than a mismatch against the instantiated premise
+    try:
+        holds = eval_builtin(child.atom)
+    except NonGroundBuiltin:
+        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom)) from None
+    except TypeMismatch as exc:
+        raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
+    if not holds:
+        raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(child.atom))
+    if child.atom != want:
+        raise CheckError(
+            _path(spine),
+            CheckReason.PREMISE_MISMATCH,
+            f"leaf {atom_text(child.atom)} is not the instantiated premise {atom_text(want)}",
+        )
 
 
 def render_proof(node: ProofNode) -> str:
-    """Compact clause-application form, e.g. r2 (r1 f1) f2."""
+    """Compact clause-application form, e.g. r2 (r1 f1) f2.
+
+    A stack holds, for each open parenthesis, the children still to render,
+    so Python's recursion limit does not bound the proof's height.
+    """
     if isinstance(node, BuiltinLeaf):
         return f"({atom_text(node.atom)})"
-    if not node.children:
-        return node.clause_name
-    parts = [node.clause_name]
-    for child in node.children:
-        rendered = render_proof(child)
-        if isinstance(child, ProofTree) and child.children:
-            rendered = f"({rendered})"
-        parts.append(rendered)
-    return " ".join(parts)
+    out = [node.clause_name]
+    stack = [iter(node.children)]
+    while stack:
+        for child in stack[-1]:
+            if isinstance(child, BuiltinLeaf):
+                out.append(f" ({atom_text(child.atom)})")
+            elif child.children:
+                out.append(f" ({child.clause_name}")
+                stack.append(iter(child.children))
+                break
+            else:
+                out.append(f" {child.clause_name}")
+        else:
+            stack.pop()
+            if stack:
+                out.append(")")
+    return "".join(out)
 
 
 def proof_bindings(proof: ProofTree, q: Query) -> Substitution:

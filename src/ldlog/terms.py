@@ -134,7 +134,9 @@ class KnowledgeBase:
 
     `clauses` is a read-only copy of the mapping the KB was built from, so
     what an evaluator derives from it never goes stale: `compiled` keeps
-    those forms, built on first use. A KB with other clauses is a new KB,
+    those forms, built on first use (`solve`'s head index and clause
+    templates under "solver", `saturate`'s fixpoint and its fact index
+    under "oracle"). A KB with other clauses is a new KB,
     `dataclasses.replace(kb, clauses=...)`, with an empty `compiled`.
     """
 

@@ -32,7 +32,7 @@ from ldlog.parser import (
     UseStmt,
     parse_program,
 )
-from ldlog.proof import BuiltinLeaf, ProofTree
+from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, ProofTree
 from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
     App,
@@ -40,20 +40,24 @@ from ldlog.terms import (
     Clause,
     IntLit,
     Meta,
+    NonGroundBuiltin,
     Pred,
     StrLit,
     Substitution,
+    TypeMismatch,
     Var,
     apply_subst,
     apply_subst_atom,
     atom_free_vars,
     atom_is_ground,
+    atom_text,
     clause_vars,
     eval_builtin,
     free_vars,
     is_ground,
+    term_text,
 )
-from ldlog.unify import BuiltinNotUnifiable, unify_atoms
+from ldlog.unify import BuiltinNotUnifiable, match_atoms, unify_atoms
 
 
 def compile_text(text: str, lib_text: Optional[str] = None):
@@ -121,6 +125,88 @@ def _body_matches(body, facts: List[Pred]) -> Iterator[Substitution]:
                 yield from walk(i + 1, s2)
 
     yield from walk(0, {})
+
+
+def reference_answers(facts, goal: Pred) -> List[Substitution]:
+    """Every placeholder binding whose goal instance is one of the ground facts.
+
+    Matches the goal against every fact. `ldlog.oracle.oracle_answers`,
+    which looks candidates up in the fixpoint's index, must return the same
+    list, in the same order: sorted by the rendered binding values.
+    """
+    metas = sorted((v for v in atom_free_vars(goal) if isinstance(v, Meta)), key=lambda m: m.id)
+    answers: Dict[tuple, Substitution] = {}
+    for fact in facts:
+        bindings = match_atoms(goal, fact)
+        if bindings is None:
+            continue
+        key = tuple(term_text(bindings[m]) for m in metas)
+        answers.setdefault(key, bindings)
+    return [answers[key] for key in sorted(answers)]
+
+
+# ---------------------------------------------------------------------------
+# Reference certificate checker (for the checker differential)
+# ---------------------------------------------------------------------------
+
+
+def reference_check(kb, proof: ProofTree) -> None:
+    """Recursive checker, one call per proof level: `ldlog.proof.check_proof` must agree.
+
+    It must accept the same certificates and raise the same CheckError,
+    with the same path, reason and detail. The recursion caps proof height
+    near 1,000.
+    """
+    _ref_check(kb, proof, ())
+
+
+def _ref_check(kb, node: ProofTree, path: Tuple[int, ...]) -> None:
+    clause = kb.clauses.get(node.clause_name)
+    if clause is None:
+        raise CheckError(path, CheckReason.UNKNOWN_CLAUSE, node.clause_name)
+    if not atom_is_ground(node.conclusion):
+        raise CheckError(path, CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
+    if apply_subst_atom(clause.head, node.instantiation) != node.conclusion:
+        raise CheckError(
+            path,
+            CheckReason.HEAD_MISMATCH,
+            f"instantiated head of '{clause.name}' is not {atom_text(node.conclusion)}",
+        )
+    if len(node.children) != len(clause.body):
+        raise CheckError(
+            path,
+            CheckReason.PREMISE_MISMATCH,
+            f"'{clause.name}' has {len(clause.body)} premises, proof supplies {len(node.children)}",
+        )
+    for i, (premise, child) in enumerate(zip(clause.body, node.children)):
+        want = apply_subst_atom(premise, node.instantiation)
+        if isinstance(premise, Builtin):
+            if not isinstance(child, BuiltinLeaf):
+                raise CheckError(path + (i,), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
+            try:
+                holds = eval_builtin(child.atom)
+            except NonGroundBuiltin:
+                raise CheckError(path + (i,), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom)) from None
+            except TypeMismatch as exc:
+                raise CheckError(path + (i,), CheckReason.BUILTIN_FALSE, str(exc)) from None
+            if not holds:
+                raise CheckError(path + (i,), CheckReason.BUILTIN_FALSE, atom_text(child.atom))
+            if child.atom != want:
+                raise CheckError(
+                    path + (i,),
+                    CheckReason.PREMISE_MISMATCH,
+                    f"leaf {atom_text(child.atom)} is not the instantiated premise {atom_text(want)}",
+                )
+        else:
+            if not isinstance(child, ProofTree):
+                raise CheckError(path + (i,), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
+            if child.conclusion != want:
+                raise CheckError(
+                    path + (i,),
+                    CheckReason.PREMISE_MISMATCH,
+                    f"child concludes {atom_text(child.conclusion)}, premise needs {atom_text(want)}",
+                )
+            _ref_check(kb, child, path + (i,))
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,15 @@ class TestOracleMode:
         assert 'q2: path("c", "d")  unprovable (oracle)\n' in out
 
     def test_one_fixpoint_answers_every_query(self, capsys, monkeypatch):
-        real = oracle.saturate
+        # every query asks for the fixpoint; only the first one computes it
+        real = oracle._saturate
         calls = []
 
         def counting(kb):
             calls.append(kb)
             return real(kb)
 
-        monkeypatch.setattr(cli, "saturate", counting)
-        monkeypatch.setattr(oracle, "saturate", counting)
+        monkeypatch.setattr(oracle, "_saturate", counting)
         code, out, _ = run(capsys, "run", REACH, "--oracle", "--all")
         assert code == 0
         assert out.count("\n") == 3  # q0 once, q1 twice
@@ -289,6 +289,26 @@ class TestInternalErrors:
         proc = ldlog("--oracle")
         assert proc.returncode == 0
         assert proc.stdout == "q: p500()\n"
+
+    def test_height_3000_chain_proves_and_checks(self, tmp_path):
+        # rendering and checking walk explicit stacks, so only --max-depth bounds the height
+        f = tmp_path / "chain.ldl"
+        lines = ["b0: p0()."] + [f"h{i}: p{i}() :- p{i - 1}()." for i in range(1, 3000)] + ["q: p2999()?"]
+        f.write_text("\n".join(lines) + "\n")
+        proof = "b0"
+        for i in range(1, 3000):
+            proof = f"h{i} {proof}" if i == 1 else f"h{i} ({proof})"
+
+        def ldlog(*flags):
+            argv = [sys.executable, "-m", "ldlog", "run", str(f), "--max-depth", "3000", *flags]
+            return subprocess.run(argv, capture_output=True, text=True)
+
+        proc = ldlog()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"q: p2999()  proof: {proof}\n"
+        proc = ldlog("--check")
+        assert (proc.returncode, proc.stderr) == (0, "check: 1 proofs verified.\n")
+        assert proc.stdout == f"q: p2999()  proof: {proof}\n"
 
     def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch):
         def broken(kb, q, cfg):

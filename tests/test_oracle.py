@@ -5,10 +5,23 @@ import random
 
 import pytest
 
+from pathlib import Path
+
+from ldlog import oracle
+from ldlog.errors import LdlogError
 from ldlog.oracle import UnsafeRule, oracle_answers, saturate
-from ldlog.terms import Builtin, IntLit, Meta, Pred, StrLit, TypeMismatch, term_text
+from ldlog.terms import Builtin, IntLit, Meta, Pred, StrLit, TypeMismatch, atom_text, term_text
 from ldlog.unify import BuiltinNotUnifiable
-from support import compile_text, ground_probe, naive_saturate, random_safe_program
+from support import (
+    compile_text,
+    ground_probe,
+    naive_saturate,
+    random_safe_program,
+    random_term_program,
+    reference_answers,
+)
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 REACH = """
 r1: path(x, y) :- edge(x, y).
@@ -83,6 +96,87 @@ class TestSaturate:
         kb, _ = compile_text(REACH)
         assert saturate(kb) == saturate(kb)
 
+    def test_deterministic_across_knowledge_bases(self):
+        # one KB's second call returns its kept fixpoint; two KBs saturate twice
+        first, _ = compile_text(REACH)
+        second, _ = compile_text(REACH)
+        assert saturate(first) == saturate(second)
+        assert saturate(first) is not saturate(second)
+
+
+class TestFixpointCache:
+    """A KB saturates once: later calls on it read the fixpoint kept in kb.compiled."""
+
+    QUERIES = 'q1: path("b", m?)?\nq2: path(a?, b?)?\nq3: edge("a", "b")?\n'
+
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        calls = []
+        join = oracle._join
+
+        def counted(plan, *rest):
+            calls.append(plan)
+            join(plan, *rest)
+
+        monkeypatch.setattr(oracle, "_join", counted)
+        return calls
+
+    def test_second_saturate_runs_no_join(self, joins):
+        kb, queries = compile_text(REACH + self.QUERIES)
+        first = saturate(kb)
+        assert joins
+        joins.clear()
+        assert saturate(kb) is first
+        answers = [oracle_answers(kb, q.goal) for q in queries]
+        assert joins == []
+        assert answers == [reference_answers(first, q.goal) for q in queries]
+        assert [len(a) for a in answers] == [2, 5, 1]
+
+    def test_second_oracle_answers_runs_no_join(self, joins):
+        kb, queries = compile_text(REACH + self.QUERIES)
+        first = oracle_answers(kb, queries[0].goal)
+        assert joins
+        joins.clear()
+        assert oracle_answers(kb, queries[0].goal) == first
+        assert [len(oracle_answers(kb, q.goal)) for q in queries[1:]] == [5, 1]
+        assert len(saturate(kb)) == 8
+        assert joins == []
+
+    def test_replaced_kb_saturates_afresh(self, joins):
+        kb, _ = compile_text(REACH)
+        first = saturate(kb)
+        joins.clear()
+        derived = dataclasses.replace(kb, clauses=kb.clauses)
+        assert saturate(derived) == first
+        assert joins
+        smaller = dataclasses.replace(kb, clauses={n: c for n, c in kb.clauses.items() if n != "f3"})
+        assert ground_probe("path", "a", "d") not in saturate(smaller)
+        assert ground_probe("path", "a", "d") in saturate(kb)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('f: q("a").\nr: p(x, y) :- q(x).\nq: q(m?)?', UnsafeRule),
+            ('f1: n("a").\nf2: n(3).\nr: small(x) :- n(x), (x < 5).\nq: n(m?)?', TypeMismatch),
+        ],
+    )
+    def test_error_is_raised_on_every_call(self, text, error):
+        kb, queries = compile_text(text)
+        for _ in range(2):
+            with pytest.raises(error):
+                saturate(kb)
+            with pytest.raises(error):
+                oracle_answers(kb, queries[0].goal)
+        assert "oracle" not in kb.compiled
+
+    def test_fixpoint_is_a_frozenset(self):
+        kb, _ = compile_text(REACH)
+        fixpoint = saturate(kb)
+        assert isinstance(fixpoint, frozenset)
+        with pytest.raises(AttributeError):
+            fixpoint.add(ground_probe("path", "d", "a"))
+        assert saturate(kb) is fixpoint
+
 
 class TestRangeRestriction:
     def test_head_variable_not_in_body(self):
@@ -108,6 +202,18 @@ class TestRangeRestriction:
         with pytest.raises(UnsafeRule) as err:
             saturate(kb)
         assert err.value.name == "overlap"
+
+    def test_message_names_one_variable_in_the_singular(self):
+        kb, _ = compile_text('f: q("a").\nr: p(x, y) :- q(x).')
+        with pytest.raises(UnsafeRule) as err:
+            saturate(kb)
+        assert str(err.value) == "rule 'r' is not range-restricted: y never occurs in a predicate premise"
+
+    def test_message_names_several_variables_in_the_plural(self):
+        kb, _ = compile_text('f: q("a").\nr: p(z, x, y) :- q(x), (w > 1).')
+        with pytest.raises(UnsafeRule) as err:
+            saturate(kb)
+        assert str(err.value) == "rule 'r' is not range-restricted: w, y, z never occur in a predicate premise"
 
     def test_safe_program_passes(self):
         kb, _ = compile_text(REACH)
@@ -161,6 +267,9 @@ class TestAnswers:
         first = oracle_answers(kb, q.goal)
         second = oracle_answers(kb, q.goal)
         assert first == second
+        # a freshly elaborated KB saturates again and answers alike
+        kb, q = self.query(REACH + "q1: path(a?, b?)?", "q1")
+        assert oracle_answers(kb, q.goal) == first
 
 
 class TestAgainstIndependentClosure:
@@ -276,3 +385,76 @@ class TestAgainstNaiveReference:
         """
         kb, _ = compile_text(text)
         self.assert_same(kb)
+
+
+class TestAgainstReferenceAnswers:
+    """Answers looked up in the fixpoint's index equal a scan of every fact, in order."""
+
+    def assert_same(self, kb, goal):
+        """The number of answers, or the type of the error both sides raise."""
+        try:
+            facts = saturate(kb)
+        except LdlogError as exc:
+            with pytest.raises(type(exc)) as err:
+                oracle_answers(kb, goal)
+            assert str(err.value) == str(exc)
+            return type(exc)
+        got = oracle_answers(kb, goal)
+        assert got == reference_answers(facts, goal), atom_text(goal)
+        return len(got)
+
+    def test_random_safe_programs(self):
+        rng = random.Random(213)
+        m, n = Meta(0, "m?"), Meta(1, "n?")
+        answered = 0
+        for _ in range(300):
+            text, preds, consts = random_safe_program(rng)
+            kb, _ = compile_text(text)
+            for symbol in preds:
+                c1, c2 = (StrLit(rng.choice(consts).strip('"')) for _ in range(2))
+                # ground, one and two placeholders, a repeated one, and two arities no fact has
+                for args in ((c1, c2), (c1, m), (m, c2), (m, n), (m, m), (c1,), (m, n, c1)):
+                    answered += bool(self.assert_same(kb, Pred(symbol, args)))
+        assert answered > 1000
+
+    def test_random_term_programs(self):
+        # constructor arguments, repeated placeholders, unsafe rules and mixed-type comparisons
+        rng = random.Random(214)
+        outcomes, accepted = set(), 0
+        while accepted < 300:
+            try:
+                kb, queries = compile_text(random_term_program(rng))
+            except LdlogError:
+                continue
+            accepted += 1
+            for q in queries:
+                got = self.assert_same(kb, q.goal)
+                outcomes.add(got if isinstance(got, type) else bool(got))
+        assert outcomes == {True, False, UnsafeRule, TypeMismatch}
+
+    @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
+    def test_programs(self, main, lib):
+        lib_text = (PROGRAMS / lib).read_text() if lib else None
+        kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
+        for q in queries:
+            self.assert_same(kb, q.goal)
+
+    def test_constructor_arguments(self):
+        text = """
+        struct Pair(a, b).
+        f1: at(Pair(1, 2), "x").
+        f2: at(Pair(1, 3), "y").
+        f3: at(Pair(2, 2), "x").
+        f4: at(Pair(3, 3), "z").
+        r: same(p, q) :- at(p, l), at(q, l).
+        q1: at(Pair(1, a?), b?)?
+        q2: at(Pair(a?, a?), b?)?
+        q3: same(c?, c?)?
+        q4: same(Pair(1, 2), c?)?
+        q5: at(Pair(1, 2), "x")?
+        q6: at(Pair(1, 2), "y")?
+        q7: at(Pair(9, 9), b?)?
+        """
+        kb, queries = compile_text(text)
+        got = {q.name: self.assert_same(kb, q.goal) for q in queries}
+        assert got == {"q1": 2, "q2": 2, "q3": 4, "q4": 2, "q5": 1, "q6": 0, "q7": 0}

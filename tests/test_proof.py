@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,12 @@ from ldlog.proof import (
     render_proof,
     serialize_proof,
 )
+from ldlog.errors import LdlogError
 from ldlog.solver import SolverConfig, solve
-from ldlog.terms import Builtin, IntLit, Meta, Pred, Query, StrLit, Var
-from support import compile_text
+from ldlog.terms import App, Builtin, IntLit, Meta, Pred, Query, StrLit, Var
+from support import compile_text, enumeration_bound, random_safe_program, random_term_program, reference_check
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 REACH = """
 r1: path(x, y) :- edge(x, y).
@@ -251,3 +256,208 @@ class TestBindingsAndSerialization:
     def test_serialization_is_deterministic(self):
         _, q, proof = proof_of(RECTS, "q0")
         assert serialize_proof(proof, q) == serialize_proof(proof, q)
+
+
+def chain_proof(height):
+    """The zero-arity chain p_i() :- p_{i-1}() and its one proof, of the given height."""
+    lines = ["b0: p0()."] + [f"h{i}: p{i}() :- p{i - 1}()." for i in range(1, height)] + [f"q: p{height - 1}()?"]
+    kb, q, proof = proof_of("\n".join(lines), "q", max_depth=height)
+    return kb, proof
+
+
+class TestDeepProofs:
+    """Checking and rendering walk explicit stacks: height is not bounded by recursion."""
+
+    def test_height_3000_checks_and_renders(self):
+        kb, proof = chain_proof(3000)
+        check_proof(kb, proof)
+        want = "b0"
+        for i in range(1, 3000):
+            want = f"h{i} {want}" if i == 1 else f"h{i} ({want})"
+        assert render_proof(proof) == want
+
+    def test_mutation_at_the_bottom_reports_the_full_path(self):
+        kb, proof = chain_proof(3000)
+        spine = [proof]
+        while spine[-1].children:
+            spine.append(spine[-1].children[0])
+        bad = dataclasses.replace(spine.pop(), clause_name="b9")
+        while spine:
+            bad = dataclasses.replace(spine.pop(), children=(bad,))
+        err = reason_of(kb, bad)
+        assert err.reason is CheckReason.UNKNOWN_CLAUSE
+        assert err.path == (0,) * 2999
+        assert str(err).startswith("UnknownClause at 0/0/0/")
+
+
+def outcome(check, kb, proof):
+    """What a checker does with a certificate: None, or its error's type and fields."""
+    try:
+        check(kb, proof)
+    except CheckError as err:
+        return CheckError, err.path, err.reason, err.detail, str(err)
+    except Exception as err:  # noqa: BLE001 - both checkers must fail alike
+        return type(err), str(err)
+    return None
+
+
+def criterion_6_mutations():
+    """The mutated certificates of tests/test_acceptance.py's Criterion 6, with their KBs."""
+    reach = (PROGRAMS / "reach.ldl").read_text()
+    rects = (PROGRAMS / "rects.ldl").read_text()
+    derivs = (PROGRAMS / "lib" / "derivs.ldl").read_text()
+    out = []
+
+    kb, queries = compile_text(reach)
+    proof = solve(kb, queries[0])[0].proof
+    tampered_y, tampered_z = dict(proof.instantiation), dict(proof.instantiation)
+    tampered_y[Var("y")] = StrLit("d")
+    tampered_z[Var("z")] = StrLit("c")
+    out += [(kb, m) for m in (
+        proof,
+        dataclasses.replace(proof, clause_name="r99"),
+        dataclasses.replace(proof, conclusion=Pred("path", (StrLit("a"), StrLit("d")))),
+        dataclasses.replace(proof, children=proof.children[:1]),
+        dataclasses.replace(proof, instantiation=tampered_y),
+        dataclasses.replace(proof, instantiation=tampered_z),
+    )]
+
+    kb, queries = compile_text(rects)
+    proof = solve(kb, queries[0])[0].proof
+    false_leaf = BuiltinLeaf(Builtin("ge", IntLit(30), IntLit(50)))
+    true_wrong_leaf = BuiltinLeaf(Builtin("ge", IntLit(301), IntLit(50)))
+    out += [(kb, m) for m in (
+        proof,
+        dataclasses.replace(proof, children=(false_leaf,) + proof.children[1:]),
+        dataclasses.replace(proof, children=(true_wrong_leaf,) + proof.children[1:]),
+        dataclasses.replace(proof, clause_name="nothing"),
+        dataclasses.replace(proof, conclusion=Pred("overlap", (Var("a"), Var("b")))),
+    )]
+
+    kb, queries = compile_text((PROGRAMS / "deriv.ldl").read_text(), derivs)
+    proof = solve(kb, queries[0])[0].proof
+    out += [(kb, m) for m in (
+        proof,
+        dataclasses.replace(proof, clause_name="hasDerivAt_tan"),
+        dataclasses.replace(proof, conclusion=Pred("drv", (App("sin"), App("neg_sin")))),
+        dataclasses.replace(proof, children=(BuiltinLeaf(Builtin("eq", IntLit(1), IntLit(1))),)),
+        dataclasses.replace(proof, conclusion=Pred("drv", (App("sin"), Meta(0, "h?")))),
+    )]
+    return out
+
+
+def random_value(rng):
+    return rng.choice((IntLit(rng.randint(0, 3)), StrLit(rng.choice("abc")), App("h"), Var("v"), Meta(0, "m?")))
+
+
+def mutate(rng, kb, node):
+    """One random corruption of a certificate node."""
+    if isinstance(node, BuiltinLeaf):
+        if rng.random() < 0.2:
+            return ProofTree(rng.choice(list(kb.clauses)), {}, Pred("p"), ())
+        return BuiltinLeaf(Builtin(rng.choice(("lt", "le", "gt", "ge", "eq", "ne")), random_value(rng), random_value(rng)))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return dataclasses.replace(node, clause_name=rng.choice(list(kb.clauses) + ["nope"]))
+    if kind == 1:
+        args = list(node.conclusion.args)
+        if args:
+            args[rng.randrange(len(args))] = random_value(rng)
+        return dataclasses.replace(node, conclusion=Pred(node.conclusion.symbol, tuple(args)))
+    if kind == 2:
+        children = node.children[:-1] if node.children and rng.random() < 0.5 else node.children + node.children[:1]
+        return dataclasses.replace(node, children=children)
+    if kind == 3:
+        return dataclasses.replace(node, children=tuple(reversed(node.children)))
+    if kind == 4 and node.instantiation:
+        inst = dict(node.instantiation)
+        key = rng.choice(sorted(inst, key=lambda v: v.name))
+        if rng.random() < 0.8:
+            inst[key] = random_value(rng)
+        else:
+            del inst[key]
+        return dataclasses.replace(node, instantiation=inst)
+    if kind == 5 and node.children:
+        i = rng.randrange(len(node.children))
+        stray = BuiltinLeaf(Builtin("eq", IntLit(1), IntLit(1))) if rng.random() < 0.5 else node
+        return dataclasses.replace(node, children=node.children[:i] + (stray,) + node.children[i + 1:])
+    return dataclasses.replace(node, conclusion=rng.choice((Pred("p"), Pred(node.conclusion.symbol, ()))))
+
+
+def mutate_somewhere(rng, kb, proof):
+    """proof with one node, picked uniformly, corrupted."""
+    paths, stack = [], [((), proof)]
+    while stack:
+        path, node = stack.pop()
+        paths.append(path)
+        if isinstance(node, ProofTree):
+            stack.extend((path + (i,), c) for i, c in enumerate(node.children))
+    return _replace_at(proof, rng.choice(paths), lambda node: mutate(rng, kb, node))
+
+
+def _replace_at(node, path, change):
+    if not path:
+        return change(node)
+    i = path[0]
+    child = _replace_at(node.children[i], path[1:], change)
+    return dataclasses.replace(node, children=node.children[:i] + (child,) + node.children[i + 1:])
+
+
+class TestAgainstReferenceChecker:
+    """The stack-walking checker raises what the recursive reference raises, field for field."""
+
+    def assert_same(self, kb, proof):
+        got = outcome(check_proof, kb, proof)
+        assert got == outcome(reference_check, kb, proof)
+        return got
+
+    def test_criterion_6_mutations(self):
+        outcomes = [self.assert_same(kb, proof) for kb, proof in criterion_6_mutations()]
+        assert outcomes.count(None) == 3
+        assert all(o is None or o[0] is CheckError for o in outcomes)
+
+    def certificates(self, rng):
+        """(kb, certificate) pairs from the goldens and two seeded program streams."""
+        for main, lib in (("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")):
+            lib_text = (PROGRAMS / lib).read_text() if lib else None
+            kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
+            for q in queries:
+                yield from ((kb, sol.proof) for sol in solve(kb, q, SolverConfig(solution_limit=None)))
+        for _ in range(150):
+            text, preds, consts = random_safe_program(rng)
+            kb, _ = compile_text(text)
+            if enumeration_bound(kb, 4) > 2_000:
+                continue
+            for symbol in preds:
+                goal = Pred(symbol, (Meta(0, "m?"), Meta(1, "n?")))
+                q = Query("probe", goal, {"m?": 0, "n?": 1})
+                yield from ((kb, sol.proof) for sol in solve(kb, q, SolverConfig(max_depth=4, solution_limit=None)))
+        for _ in range(150):
+            try:
+                kb, queries = compile_text(random_term_program(rng))
+            except LdlogError:
+                continue
+            if enumeration_bound(kb, 4) > 2_000:
+                continue
+            for q in queries:
+                try:
+                    solutions = solve(kb, q, SolverConfig(max_depth=4, solution_limit=None))
+                except LdlogError:  # a floundered or mixed-type comparison
+                    continue
+                yield from ((kb, sol.proof) for sol in solutions)
+
+    def test_random_mutations_of_solver_certificates(self):
+        rng = random.Random(601)
+        reasons, certificates = set(), 0
+        for kb, proof in self.certificates(rng):
+            certificates += 1
+            assert self.assert_same(kb, proof) is None
+            for _ in range(3):
+                bad = mutate_somewhere(rng, kb, proof)
+                if rng.random() < 0.3:
+                    bad = mutate_somewhere(rng, kb, bad)
+                got = self.assert_same(kb, bad)
+                if got is not None:
+                    reasons.add(got[2] if got[0] is CheckError else got[0])
+        assert certificates > 300
+        assert reasons == set(CheckReason)
