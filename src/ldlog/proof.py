@@ -136,6 +136,7 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
 
 
 def _check_leaf(child: ProofNode, want: Builtin, spine: List[list]) -> None:
+    """A comparison premise, instantiated as want, needs a true leaf equal to it."""
     if not isinstance(child, BuiltinLeaf):
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
     # truth first, so a falsified leaf reports BuiltinFalse rather

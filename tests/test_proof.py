@@ -296,7 +296,7 @@ def outcome(check, kb, proof):
         check(kb, proof)
     except CheckError as err:
         return CheckError, err.path, err.reason, err.detail, str(err)
-    except Exception as err:  # noqa: BLE001 - both checkers must fail alike
+    except Exception as err:  # any other error: both checkers must raise it alike
         return type(err), str(err)
     return None
 
