@@ -177,6 +177,7 @@ def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
                     check_failed = True
         if args.json:
             json_lines.extend(serialize_proof(sol.proof, q) for sol in solutions)
+            continue  # the report is not printed
         entry = ReportEntry(q.name, goal_text, "solved")
         for sol in solutions:
             instance = atom_text(apply_subst_atom(q.goal, sol.bindings))

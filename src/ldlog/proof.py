@@ -12,18 +12,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple, Union
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import LdlogError
 from .terms import (
+    App,
     Builtin,
     Clause,
     KnowledgeBase,
+    Meta,
     NonGroundBuiltin,
     Pred,
     Query,
     Substitution,
     TypeMismatch,
+    Var,
     apply_subst_atom,
     atom_is_ground,
     atom_text,
@@ -45,7 +49,7 @@ class ProofTree:
     """One clause application; children prove the instantiated body."""
 
     clause_name: str
-    instantiation: Dict
+    instantiation: Mapping
     conclusion: Pred
     children: tuple = ()
 
@@ -93,12 +97,12 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
             continue
         frame[2] = i + 1
         premise, child = clause.body[i], node.children[i]
-        want = apply_subst_atom(premise, node.instantiation)
         if isinstance(premise, Builtin):
-            _check_leaf(child, want, spine)
+            _check_leaf(child, premise, node.instantiation, spine)
         elif not isinstance(child, ProofTree):
             raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
-        elif child.conclusion != want:
+        elif not _instantiates(premise, node.instantiation, child.conclusion):
+            want = apply_subst_atom(premise, node.instantiation)
             raise CheckError(
                 _path(spine),
                 CheckReason.PREMISE_MISMATCH,
@@ -120,7 +124,8 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, node.clause_name)
     if not atom_is_ground(node.conclusion):
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
-    if apply_subst_atom(clause.head, node.instantiation) != node.conclusion:
+    # a ground conclusion that is the head itself is its own instance
+    if node.conclusion is not clause.head and not _instantiates(clause.head, node.instantiation, node.conclusion):
         raise CheckError(
             _path(spine),
             CheckReason.HEAD_MISMATCH,
@@ -135,8 +140,51 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
     return clause
 
 
-def _check_leaf(child: ProofNode, want: Builtin, spine: List[list]) -> None:
-    """A comparison premise, instantiated as want, needs a true leaf equal to it."""
+def _instantiates(pattern, s: Substitution, atom) -> bool:
+    """Whether apply_subst_atom(pattern, s) == atom, decided without building that instance.
+
+    An explicit stack takes the arguments of nested constructors, so the
+    term's depth is not bounded by Python's recursion limit. A variable's
+    binding is compared by identity before equality.
+    """
+    if type(atom) is not type(pattern):
+        return False
+    if type(pattern) is Pred:
+        if atom.symbol != pattern.symbol or type(atom.args) is not tuple or len(atom.args) != len(pattern.args):
+            return False
+        pairs = zip(pattern.args, atom.args)
+    else:
+        if atom.op != pattern.op:
+            return False
+        pairs = ((pattern.lhs, atom.lhs), (pattern.rhs, atom.rhs))
+    todo = None
+    while True:
+        for p, t in pairs:
+            kind = type(p)
+            if kind is Var or kind is Meta:
+                p = s.get(p, p)
+                if p is not t and p != t:
+                    return False
+            elif kind is App and p.args:
+                if (
+                    type(t) is not App
+                    or t.constructor != p.constructor
+                    or type(t.args) is not tuple
+                    or len(t.args) != len(p.args)
+                ):
+                    return False
+                if todo is None:
+                    todo = []
+                todo.append(zip(p.args, t.args))
+            elif p is not t and p != t:
+                return False
+        if not todo:
+            return True
+        pairs = todo.pop()
+
+
+def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List[list]) -> None:
+    """A comparison premise needs a true leaf equal to its instance under s."""
     if not isinstance(child, BuiltinLeaf):
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
     # truth first, so a falsified leaf reports BuiltinFalse rather
@@ -149,7 +197,8 @@ def _check_leaf(child: ProofNode, want: Builtin, spine: List[list]) -> None:
         raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
     if not holds:
         raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(child.atom))
-    if child.atom != want:
+    if not _instantiates(premise, s, child.atom):
+        want = apply_subst_atom(premise, s)
         raise CheckError(
             _path(spine),
             CheckReason.PREMISE_MISMATCH,
@@ -193,24 +242,60 @@ def proof_bindings(proof: ProofTree, q: Query) -> Substitution:
 
 
 def serialize_proof(proof: ProofTree, q: Query) -> str:
-    """One-line JSON document for a checked proof of q."""
+    """One-line JSON document for a checked proof of q.
+
+    The `tree` is written as text by an explicit stack, so Python's
+    recursion limit does not bound the proof's height. Its bytes are those
+    `json.dumps` gives for the nested document (a node is `{"clause",
+    "conclusion", "children"}`, a builtin leaf `{"builtin"}`).
+    """
     bindings = proof_bindings(proof, q)
     by_id = sorted(bindings.items(), key=lambda kv: kv[0].id)
-    doc = {
-        "query": q.name,
-        "goal": atom_text(q.goal),
-        "bindings": {meta.source_name: term_text(value) for meta, value in by_id},
-        "render": render_proof(proof),
-        "tree": _tree_doc(proof),
-    }
-    return json.dumps(doc)
+    head = json.dumps(
+        {
+            "query": q.name,
+            "goal": atom_text(q.goal),
+            "bindings": {meta.source_name: term_text(value) for meta, value in by_id},
+            "render": render_proof(proof),
+        }
+    )
+    out = [head[:-1], ', "tree": ']
+    _write_tree(proof, out)
+    out.append("}")
+    return "".join(out)
 
 
-def _tree_doc(node: ProofNode):
-    if isinstance(node, BuiltinLeaf):
-        return {"builtin": atom_text(node.atom)}
-    return {
-        "clause": node.clause_name,
-        "conclusion": atom_text(node.conclusion),
-        "children": [_tree_doc(c) for c in node.children],
-    }
+def _write_tree(proof: ProofNode, out: List[str]) -> None:
+    """Append proof's `tree` document to out, one piece per node."""
+    texts: Dict[int, str] = {}  # id of a term -> its text
+    stack = [enumerate((proof,))]
+    while stack:
+        for i, node in stack[-1]:
+            if i:
+                out.append(", ")
+            if isinstance(node, BuiltinLeaf):
+                out.append(f'{{"builtin": {_json_str(atom_text(node.atom))}}}')
+                continue
+            conclusion = _json_str(_atom_text(node.conclusion, texts))
+            out.append(f'{{"clause": {_json_str(node.clause_name)}, "conclusion": {conclusion}, "children": [')
+            if node.children:
+                stack.append(enumerate(node.children))
+                break
+            out.append("]}")
+        else:
+            stack.pop()
+            if stack:
+                out.append("]}")
+
+
+def _atom_text(atom, texts: Dict[int, str]) -> str:
+    """atom_text(atom), with each argument's text kept in texts by the term's id."""
+    if type(atom) is not Pred:
+        return atom_text(atom)
+    args = []
+    for t in atom.args:
+        text = texts.get(id(t))
+        if text is None:
+            text = texts[id(t)] = term_text(t)
+        args.append(text)
+    return f"{atom.symbol}({', '.join(args)})"

@@ -11,7 +11,8 @@ of its conjunction, and the query flounders with an error if none remain
 to bind it.
 
 Solutions arrive in discovery order, deduplicated by placeholder bindings,
-each carrying a ground proof tree built from the final bindings.
+each carrying a ground proof tree built from the final bindings. Every
+derivation through a ground fact shares that fact's one ProofTree.
 
 The machine follows the WAM's split between compiled clauses and a
 binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from .errors import LdlogError
@@ -147,10 +149,19 @@ def _compile(t, slots: dict):
     return t
 
 
-class _Template:
-    """A clause compiled against one frame: its variables are slots 0..n-1."""
+# The instantiation of every shared fact certificate: read-only, so that no
+# answer's certificate can be changed through another's.
+_NO_BINDINGS = MappingProxyType({})
 
-    __slots__ = ("clause", "head", "body", "keys", "blank")
+
+class _Template:
+    """A clause compiled against one frame: its variables are slots 0..n-1.
+
+    A ground fact proves the same way in every derivation, so its template
+    holds the one ProofTree that all of them share (`fact`, else None).
+    """
+
+    __slots__ = ("clause", "head", "body", "keys", "blank", "fact")
 
     def __init__(self, clause: Clause):
         slots: dict = {}
@@ -159,6 +170,7 @@ class _Template:
         self.body = tuple((i, (_Call if isinstance(a, Pred) else _Test)(a, slots)) for i, a in enumerate(clause.body))
         self.keys = tuple(slots)  # the clause variable of each slot
         self.blank = (None,) * len(slots)
+        self.fact = None if slots or clause.body else ProofTree(clause.name, _NO_BINDINGS, clause.head)
 
 
 def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template]]:
@@ -195,6 +207,15 @@ def _value(cells: list, t, b: int, names: Optional[dict] = None):
                 return None
             args.append(a)
         return App(t.constructor, tuple(args))
+    return t
+
+
+def _fill(t, values: list):
+    """The Term that template term t stands for, given the value of each slot."""
+    if type(t) is int:
+        return values[t]
+    if type(t) is _Struct:
+        return App(t.constructor, tuple(_fill(a, values) for a in t.args))
     return t
 
 
@@ -280,9 +301,10 @@ def _unify(cells: list, trail: list, t1, b1: int, t2, b2: int) -> bool:
 class _Node:
     """A clause application of the current derivation.
 
-    children[i] is the _Node proving body atom i, or the _Test of a
-    comparison that held. A slot is only current once its premise is
-    solved on the present branch; backtracking leaves older entries behind.
+    children[i] is the _Node proving body atom i, the shared ProofTree of
+    the ground fact that proves it, or the _Test of a comparison that held.
+    A slot is only current once its premise is solved on the present
+    branch; backtracking leaves older entries behind.
     """
 
     __slots__ = ("template", "base", "tick", "children")
@@ -388,6 +410,10 @@ class _Search:
                     cp[1] = i
                 else:
                     choices.pop()  # the last candidate: nothing left to resume
+                if template.fact is not None:
+                    node.children[idx] = template.fact
+                    cont = after
+                    break
                 child = _Node(template, top, tick, len(template.body))
                 node.children[idx] = child
                 cont = (template.body, child, top, budget, after)
@@ -398,30 +424,48 @@ class _Search:
     def _freeze(self) -> Optional[ProofTree]:
         """The current derivation as a ground ProofTree, or None if a variable is unbound."""
         cells = self.cells
+        top = self.root.children[0]
+        if type(top) is ProofTree:
+            return top  # the goal is a ground fact
         order = []
-        todo = [self.root.children[0]]
+        todo = [top]
         while todo:
             node = todo.pop()
             order.append(node)
-            todo.extend(c for c in node.children if type(c) is _Node)
+            todo.extend([c for c in node.children if type(c) is _Node])
         built: Dict[int, ProofTree] = {}
+        known: Dict[int, object] = {}  # cell -> its value, for every frame frozen so far
         for node in reversed(order):  # every node after its children
             template, base = node.template, node.base
             values = []
-            for k in range(len(template.keys)):
-                v = _value(cells, k, base)
-                if v is None:
+            for j in range(base, base + len(template.keys)):
+                cell = cells[j]
+                if cell is None:
                     return None
-                values.append(v)
-            children = tuple(
-                built[id(c)] if type(c) is _Node else _leaf(cells, c, base)
-                for c in node.children
-            )
+                t, b = cell  # a ground term t is the value as it is
+                if type(t) is int:
+                    # bound to another cell, often of a child's frame, frozen already
+                    v = known.get(b + t)
+                    t = _value(cells, t, b) if v is None else v
+                elif type(t) is _Struct:
+                    t = _value(cells, t, b)
+                if t is None:
+                    return None
+                known[j] = t
+                values.append(t)
+            children = []
+            for c in node.children:
+                if type(c) is _Node:
+                    c = built[id(c)]
+                elif type(c) is _Test:
+                    c = _leaf(cells, c, base)
+                children.append(c)
             clause = template.clause
             conclusion = clause.head
             if values:
-                conclusion = Pred(conclusion.symbol, tuple(_value(cells, a, base) for a in template.head))
-            built[id(node)] = ProofTree(clause.name, dict(zip(template.keys, values)), conclusion, children)
+                args = [values[a] if type(a) is int else _fill(a, values) for a in template.head]
+                conclusion = Pred(conclusion.symbol, tuple(args))
+            built[id(node)] = ProofTree(clause.name, dict(zip(template.keys, values)), conclusion, tuple(children))
         return built[id(order[0])]
 
     def _names(self) -> dict:

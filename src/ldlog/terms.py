@@ -210,13 +210,13 @@ def is_ground(t: Term) -> bool:
     if isinstance(t, (Var, Meta)):
         return False
     if isinstance(t, App):
-        return all(is_ground(a) for a in t.args)
+        return all(map(is_ground, t.args))
     return True
 
 
 def atom_is_ground(a: Atom) -> bool:
     if isinstance(a, Pred):
-        return all(is_ground(t) for t in a.args)
+        return all(map(is_ground, a.args))
     return is_ground(a.lhs) and is_ground(a.rhs)
 
 
@@ -241,12 +241,12 @@ def eval_builtin(a: Builtin, s: Optional[Substitution] = None) -> bool:
     raise TypeMismatch(f"comparison on mixed or structured operands: {atom_text(Builtin(a.op, lhs, rhs))}")
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
+_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"})
 
 
 def quote_string(value: str) -> str:
     """Render a string value as a quoted literal."""
-    return '"' + "".join(_ESCAPES.get(ch, ch) for ch in value) + '"'
+    return '"' + value.translate(_ESCAPES) + '"'
 
 
 def term_text(t: Term) -> str:

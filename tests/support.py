@@ -8,6 +8,7 @@ comparison-free rules, which both evaluation strategies must agree on.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -32,10 +33,11 @@ from ldlog.parser import (
     UseStmt,
     parse_program,
 )
-from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, ProofTree
+from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, ProofTree, proof_bindings, render_proof
 from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
     App,
+    Query,
     Builtin,
     Clause,
     IntLit,
@@ -207,6 +209,39 @@ def _ref_check(kb, node: ProofTree, path: Tuple[int, ...]) -> None:
                     f"child concludes {atom_text(child.conclusion)}, premise needs {atom_text(want)}",
                 )
             _ref_check(kb, child, path + (i,))
+
+
+# ---------------------------------------------------------------------------
+# Reference serializer (for the serializer differential)
+# ---------------------------------------------------------------------------
+
+
+def reference_serialize(proof: ProofTree, q: Query) -> str:
+    """`json.dumps` of the nested document: `ldlog.proof.serialize_proof` must give the same bytes.
+
+    The `tree` recurses once per proof level here and again in the JSON
+    encoder, so this caps proof height near 500.
+    """
+    bindings = proof_bindings(proof, q)
+    by_id = sorted(bindings.items(), key=lambda kv: kv[0].id)
+    doc = {
+        "query": q.name,
+        "goal": atom_text(q.goal),
+        "bindings": {meta.source_name: term_text(value) for meta, value in by_id},
+        "render": render_proof(proof),
+        "tree": reference_tree_doc(proof),
+    }
+    return json.dumps(doc)
+
+
+def reference_tree_doc(node):
+    if isinstance(node, BuiltinLeaf):
+        return {"builtin": atom_text(node.atom)}
+    return {
+        "clause": node.clause_name,
+        "conclusion": atom_text(node.conclusion),
+        "children": [reference_tree_doc(c) for c in node.children],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +500,14 @@ def random_safe_program(rng: random.Random) -> Tuple[str, List[str], List[str]]:
     return "\n".join(lines) + "\n", preds, consts
 
 
-def random_term_program(rng: random.Random) -> str:
+def random_term_program(rng: random.Random, strings: Tuple[str, ...] = ('"a"',)) -> str:
     """Program with constructor terms, repeated variables and comparisons, plus two queries.
 
     Rules need not be range-restricted, so derivations may leave head
     variables unbound, comparisons may flounder or compare mixed types, and
-    unification meets variables on both sides inside constructors.
+    unification meets variables on both sides inside constructors. Constants
+    are drawn from 0, 1, 2, h and the string literals in `strings`, given as
+    source text.
     """
     arity = {f"p{i}": rng.randint(0, 2) for i in range(rng.randint(1, 3))}
     preds = list(arity)
@@ -480,7 +517,7 @@ def random_term_program(rng: random.Random) -> str:
         if variables and roll < 0.45:
             return rng.choice(variables)
         if depth <= 0 or roll < 0.7:
-            return rng.choice(("0", "1", "2", '"a"', "h"))
+            return rng.choice(("0", "1", "2", *strings, "h"))
         if rng.random() < 0.5:
             return f"f({term(depth - 1, variables)})"
         return f"g({term(depth - 1, variables)}, {term(depth - 1, variables)})"
@@ -503,6 +540,31 @@ def random_term_program(rng: random.Random) -> str:
     for i in range(2):
         lines.append(f"q{i}: {atom(rng.choice(preds), ('a?', 'b?'))}?")
     return "\n".join(lines) + "\n"
+
+
+def shuffled_safe_programs(rng: random.Random, count: int = 200):
+    """(text, kb, queries) for `count` shuffled random_safe_programs.
+
+    Programs of more than 20,000 derivations at depth 5 are skipped. The
+    generator lists every fact before every rule; shuffled, rules with loose
+    head arguments land between facts of their symbol. Each program gets two
+    queries on its first predicate: p(a?, b?) and p(<a constant>, b?).
+    """
+    accepted = 0
+    while accepted < count:
+        text, preds, consts = random_safe_program(rng)
+        lines = text.splitlines()
+        rng.shuffle(lines)
+        text = "\n".join(lines)
+        kb, _ = compile_text(text)
+        if enumeration_bound(kb, 5) > 20_000:
+            continue
+        accepted += 1
+        queries = [
+            Query("probe", Pred(preds[0], (first, Meta(1, "b?"))), {"a?": 0, "b?": 1})
+            for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"')))
+        ]
+        yield text, kb, queries
 
 
 def ground_probe(symbol: str, left: str, right: str) -> Pred:

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ldlog import cli, oracle
+from ldlog import cli, oracle, proof
 from ldlog.cli import ReportEntry, format_report, main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -133,6 +133,24 @@ class TestJsonAndCheck:
         assert code == 0
         assert "check: 2 proofs verified.\n" in err
         assert all(json.loads(line) for line in out.splitlines())
+
+    def test_json_renders_each_proof_once(self, capsys, monkeypatch):
+        # the report is not printed under --json, so only serialize_proof renders
+        renders = []
+        render = proof.render_proof
+
+        def counted(node):
+            renders.append(node)
+            return render(node)
+
+        code, want, _ = run(capsys, "run", REACH, "--json", "--all")
+        monkeypatch.setattr(proof, "render_proof", counted)
+        monkeypatch.setattr(cli, "render_proof", counted)
+        assert run(capsys, "run", REACH, "--json", "--all") == (code, want, "")
+        assert len(renders) == len(want.splitlines()) == 3
+        renders.clear()
+        code, out, _ = run(capsys, "run", REACH, "--all")
+        assert (code, len(renders)) == (0, 3)
 
 
 class TestOracleMode:
@@ -309,6 +327,15 @@ class TestInternalErrors:
         proc = ldlog("--check")
         assert (proc.returncode, proc.stderr) == (0, "check: 1 proofs verified.\n")
         assert proc.stdout == f"q: p2999()  proof: {proof}\n"
+        # the JSON tree is written by an explicit stack too; json.loads would
+        # itself exceed the recursion limit here, so check the text
+        proc = ldlog("--json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = proc.stdout
+        assert doc.startswith(f'{{"query": "q", "goal": "p2999()", "bindings": {{}}, "render": {json.dumps(proof)}, "tree": ')
+        assert doc.count('"clause": ') == 3000
+        assert '"tree": {"clause": "h2999", "conclusion": "p2999()", "children": [{"clause": "h2998", ' in doc
+        assert doc.endswith('{"clause": "b0", "conclusion": "p0()", "children": [' + "]}" * 3000 + "}\n")
 
     def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch):
         def broken(kb, q, cfg):

@@ -1,5 +1,6 @@
 """Certificate structure, checking, rendering, and serialization."""
 
+import ast
 import dataclasses
 import json
 import random
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ldlog import proof as proof_module
 from ldlog.proof import (
     BuiltinLeaf,
     CheckError,
@@ -20,7 +22,15 @@ from ldlog.proof import (
 from ldlog.errors import LdlogError
 from ldlog.solver import SolverConfig, solve
 from ldlog.terms import App, Builtin, IntLit, Meta, Pred, Query, StrLit, Var
-from support import compile_text, enumeration_bound, random_safe_program, random_term_program, reference_check
+from support import (
+    compile_text,
+    enumeration_bound,
+    random_safe_program,
+    random_term_program,
+    reference_check,
+    reference_serialize,
+    shuffled_safe_programs,
+)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -55,6 +65,14 @@ def reason_of(kb, proof):
     with pytest.raises(CheckError) as err:
         check_proof(kb, proof)
     return err.value
+
+
+def test_checker_imports_nothing_from_the_evaluators():
+    tree = ast.parse(Path(proof_module.__file__).read_text())
+    names = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules = {name.rpartition(".")[2] for name in names}
+    assert "terms" in modules and not modules & {"solver", "index", "oracle", "cli"}
 
 
 class TestGoldenProofs:
@@ -259,25 +277,32 @@ class TestBindingsAndSerialization:
 
 
 def chain_proof(height):
-    """The zero-arity chain p_i() :- p_{i-1}() and its one proof, of the given height."""
+    """The zero-arity chain p_i() :- p_{i-1}(), its query and its one proof, of the given height."""
     lines = ["b0: p0()."] + [f"h{i}: p{i}() :- p{i - 1}()." for i in range(1, height)] + [f"q: p{height - 1}()?"]
-    kb, q, proof = proof_of("\n".join(lines), "q", max_depth=height)
-    return kb, proof
+    return proof_of("\n".join(lines), "q", max_depth=height)
 
 
 class TestDeepProofs:
-    """Checking and rendering walk explicit stacks: height is not bounded by recursion."""
+    """Checking, rendering and serializing walk explicit stacks: height is not bounded by recursion."""
 
     def test_height_3000_checks_and_renders(self):
-        kb, proof = chain_proof(3000)
+        kb, _, proof = chain_proof(3000)
         check_proof(kb, proof)
         want = "b0"
         for i in range(1, 3000):
             want = f"h{i} {want}" if i == 1 else f"h{i} ({want})"
         assert render_proof(proof) == want
 
+    def test_height_3000_serializes(self):
+        _, q, proof = chain_proof(3000)
+        tree = '{"clause": "b0", "conclusion": "p0()", "children": []}'
+        for i in range(1, 3000):
+            tree = f'{{"clause": "h{i}", "conclusion": "p{i}()", "children": [{tree}]}}'
+        render = json.dumps(render_proof(proof))
+        assert serialize_proof(proof, q) == f'{{"query": "q", "goal": "p2999()", "bindings": {{}}, "render": {render}, "tree": {tree}}}'
+
     def test_mutation_at_the_bottom_reports_the_full_path(self):
-        kb, proof = chain_proof(3000)
+        kb, _, proof = chain_proof(3000)
         spine = [proof]
         while spine[-1].children:
             spine.append(spine[-1].children[0])
@@ -461,3 +486,200 @@ class TestAgainstReferenceChecker:
                     reasons.add(got[2] if got[0] is CheckError else got[0])
         assert certificates > 300
         assert reasons == set(CheckReason)
+
+    def test_in_place_comparison_mutations(self):
+        outcomes = [(self.assert_same(kb, proof), want) for kb, proof, want in in_place_mutations()]
+        assert [got and got[2] for got, _ in outcomes] == [want for _, want in outcomes]
+
+
+PAIRS = """
+f1: edge("a", "b").
+f2: wrap(g(1, h(2)), "a").
+r1: path(x, y) :- edge(x, y).
+r2: box(k(x, g(y, z))) :- wrap(g(y, z), x), (y < 2).
+r3: top("a") :- edge(x, y).
+q0: path("a", m?)?
+q1: box(m?)?
+"""
+
+
+def in_place_mutations():
+    """(kb, certificate, expected reason or None): cases where comparing an instance in place can go wrong."""
+    kb, queries = compile_text(PAIRS)
+    path = solve(kb, queries[0])[0].proof
+    box = solve(kb, queries[1])[0].proof
+    x, y, z = Var("x"), Var("y"), Var("z")
+    a, b = StrLit("a"), StrLit("b")
+    g = App("g", (IntLit(1), App("h", (IntLit(2),))))
+
+    def bind(proof, key, value):
+        inst = dict(proof.instantiation)
+        if value is None:
+            del inst[key]
+        else:
+            inst[key] = value
+        return dataclasses.replace(proof, instantiation=inst)
+
+    def conclude(proof, atom):
+        return dataclasses.replace(proof, conclusion=atom)
+
+    def child(proof, i, change):
+        children = list(proof.children)
+        children[i] = change(children[i])
+        return dataclasses.replace(proof, children=tuple(children))
+
+    def boxed(inner):
+        return Pred("box", (App("k", (a, inner)),))
+
+    head = CheckReason.HEAD_MISMATCH
+    premise = CheckReason.PREMISE_MISMATCH
+    cases = [
+        (path, None),
+        (box, None),
+        # a variable bound to an equal but distinct object
+        (bind(path, x, StrLit("a")), None),
+        (bind(box, z, App("h", (IntLit(2),))), None),
+        (child(box, 1, lambda leaf: BuiltinLeaf(Builtin("lt", IntLit(1), IntLit(2)))), None),
+        # a variable bound to a non-ground term, or not bound at all
+        (bind(path, x, Var("w")), head),
+        (bind(path, y, Meta(0, "m?")), head),
+        (bind(path, x, None), head),
+        (bind(box, z, None), head),
+        (bind(box, z, App("h", (Var("z"),))), head),
+        # a head with the wrong symbol or arity, or args that are not a tuple
+        (conclude(path, Pred("edge", (a, b))), head),
+        (conclude(path, Pred("path", (a,))), head),
+        (conclude(path, Pred("path", (a, b, b))), head),
+        (conclude(path, Pred("path", [a, b])), head),
+        # a constructor mismatch nested inside an argument
+        (conclude(box, boxed(App("g", (IntLit(1),)))), head),
+        (conclude(box, boxed(App("g", (IntLit(1), App("h", (IntLit(2),)), IntLit(3))))), head),
+        (conclude(box, boxed(App("q", g.args))), head),
+        (conclude(box, boxed(App("g", (IntLit(1), App("h"))))), head),
+        (conclude(box, boxed(App("g", (IntLit(1), App("h", (IntLit(3),)))))), head),
+        (conclude(box, boxed(App("g", [IntLit(1), App("h", (IntLit(2),))]))), head),
+        (conclude(box, Pred("box", (App("k", (a,)),))), head),
+        (bind(box, z, App("h", (IntLit(2), IntLit(3)))), head),
+        # the same mismatches between a premise and a child's conclusion
+        (child(path, 0, lambda f: conclude(f, Pred("edgy", (a, b)))), premise),
+        (child(path, 0, lambda f: conclude(f, Pred("edge", (a,)))), premise),
+        (child(box, 0, lambda f: conclude(f, Pred("wrap", (App("g", (IntLit(1),)), a)))), premise),
+        (child(box, 0, lambda f: conclude(f, Pred("wrap", (App("g", (IntLit(1), App("h", (IntLit(3),)))), a)))), premise),
+        (child(box, 1, lambda leaf: BuiltinLeaf(Builtin("le", IntLit(1), IntLit(2)))), premise),
+        (child(box, 1, lambda leaf: BuiltinLeaf(Builtin("lt", IntLit(0), IntLit(2)))), premise),
+        (child(box, 1, lambda leaf: BuiltinLeaf(Builtin("lt", IntLit(1), IntLit(3)))), premise),
+    ]
+    # a child whose conclusion is the premise itself, variables and all: it
+    # matches under an empty instantiation, and only the child's own check fails
+    r3 = kb.clauses["r3"]
+    stray = ProofTree("f1", {}, r3.body[0], ())
+    cases.append((ProofTree("r3", {}, r3.head, (stray,)), CheckReason.NON_GROUND_CONCLUSION))
+    cases.append((ProofTree("r3", {x: a}, r3.head, (stray,)), premise))
+    return [(kb, proof, want) for proof, want in cases]
+
+
+class TestSharedFacts:
+    """Every derivation through a ground fact reuses that fact's one certificate."""
+
+    def test_answers_share_one_fact_certificate(self):
+        kb, queries = compile_text(REACH.replace('q0: path("a", "c")?', 'q0: path("a", m?)?'))
+        sols = solve(kb, queries[0], SolverConfig(solution_limit=None))
+        assert [render_proof(s.proof) for s in sols] == ["r1 f1", "r2 (r1 f1) f2", "r2 (r1 f1) f3"]
+        f1 = [sols[0].proof.children[0], sols[1].proof.children[0].children[0], sols[2].proof.children[0].children[0]]
+        shared = f1[0]
+        assert all(node is shared for node in f1)
+        assert solve(kb, queries[0])[0].proof.children[0] is shared  # and in a later solve on the KB
+        assert shared == ProofTree("f1", {}, Pred("edge", (StrLit("a"), StrLit("b"))), ())
+
+    def test_shared_certificate_cannot_be_changed_through_an_answer(self):
+        kb, queries = compile_text(REACH.replace('q0: path("a", "c")?', 'q0: path("a", m?)?'))
+        sols = solve(kb, queries[0], SolverConfig(solution_limit=None))
+        shared = sols[0].proof.children[0]
+        with pytest.raises(TypeError):
+            shared.instantiation[Var("x")] = StrLit("z")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.conclusion = Pred("edge", (StrLit("a"), StrLit("z")))
+        forged = dataclasses.replace(shared, conclusion=Pred("edge", (StrLit("a"), StrLit("z"))), instantiation={})
+        forged.instantiation[Var("x")] = StrLit("z")
+        err = reason_of(kb, dataclasses.replace(sols[0].proof, children=(forged,)))
+        assert (err.reason, err.path) == (CheckReason.PREMISE_MISMATCH, (0,))
+        for sol in sols:
+            check_proof(kb, sol.proof)
+        assert shared.instantiation == {} and shared.conclusion == Pred("edge", (StrLit("a"), StrLit("b")))
+
+
+GOLDENS = [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")]
+
+# String literals, as source text, holding every character quote_string or the JSON encoder escapes
+AWKWARD_STRINGS = ('"a"', '"say \\"hi\\" \\\\ back"', '"tab\\t and\\nline, caf\u00e9 \u2192 \U0001d53c"')
+
+
+class TestAgainstReferenceSerializer:
+    """serialize_proof writes, byte for byte, what json.dumps gives for the nested document."""
+
+    def assert_same(self, proof, q):
+        got = serialize_proof(proof, q)
+        assert got == reference_serialize(proof, q)
+        return got
+
+    @pytest.mark.parametrize("main, lib", GOLDENS)
+    def test_programs(self, main, lib):
+        lib_text = (PROGRAMS / lib).read_text() if lib else None
+        kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
+        documents = [
+            self.assert_same(sol.proof, q) for q in queries for sol in solve(kb, q, SolverConfig(solution_limit=None))
+        ]
+        assert documents
+
+    def test_index_differential_programs(self):
+        documents = 0
+        for _, kb, queries in shuffled_safe_programs(random.Random(110)):
+            for q in queries:
+                for sol in solve(kb, q, SolverConfig(max_depth=5, solution_limit=None)):
+                    self.assert_same(sol.proof, q)
+                    documents += 1
+        assert documents > 500
+
+    def test_random_term_programs(self):
+        rng = random.Random(603)
+        seen, documents = set(), 0
+        while documents < 500:
+            try:
+                kb, queries = compile_text(random_term_program(rng, AWKWARD_STRINGS))
+            except LdlogError:
+                continue
+            if enumeration_bound(kb, 4) > 2_000:
+                continue
+            for q in queries:
+                try:
+                    solutions = solve(kb, q, SolverConfig(max_depth=4, solution_limit=None))
+                except LdlogError:  # a floundered or mixed-type comparison
+                    continue
+                for sol in solutions:
+                    document = self.assert_same(sol.proof, q)
+                    assert document.isascii()
+                    documents += 1
+                    seen |= features(sol.proof)
+        assert seen == {"builtin", "constructor", '"', "\\", "\t", "\n", "non-ASCII"}
+
+
+def features(proof):
+    """Which awkward parts a certificate holds: builtin leaves, constructor terms, escaped characters."""
+    out, stack = set(), [proof]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BuiltinLeaf):
+            out.add("builtin")
+            continue
+        stack.extend(node.children)
+        terms = list(node.conclusion.args)
+        while terms:
+            t = terms.pop()
+            if isinstance(t, App) and t.args:
+                out.add("constructor")
+                terms.extend(t.args)
+            elif isinstance(t, StrLit):
+                out |= {ch for ch in ('"', "\\", "\t", "\n") if ch in t.value}
+                if not t.value.isascii():
+                    out.add("non-ASCII")
+    return out

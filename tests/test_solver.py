@@ -18,6 +18,7 @@ from support import (
     random_safe_program,
     random_term_program,
     reference_solve,
+    shuffled_safe_programs,
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -220,21 +221,9 @@ class TestIndexOnVersusOff:
         return indexed, unindexed
 
     def test_random_programs(self, monkeypatch):
-        rng = random.Random(110)
-        accepted = answered = 0
-        while accepted < 200:
-            text, preds, consts = random_safe_program(rng)
-            # the generator lists every fact before every rule; shuffled, rules
-            # with loose head arguments land between facts of their symbol
-            lines = text.splitlines()
-            rng.shuffle(lines)
-            text = "\n".join(lines)
-            kb, _ = compile_text(text)
-            if enumeration_bound(kb, 5) > 20_000:
-                continue
-            accepted += 1
-            for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"'))):
-                q = Query("probe", Pred(preds[0], (first, Meta(1, "b?"))), {"a?": 0, "b?": 1})
+        answered = 0
+        for text, kb, queries in shuffled_safe_programs(random.Random(110)):
+            for q in queries:
                 indexed, unindexed = self.both(monkeypatch, kb, q, SolverConfig(max_depth=5, solution_limit=None))
                 assert indexed == unindexed, f"{text}\n{atom_text(q.goal)}"
                 answered += bool(indexed)

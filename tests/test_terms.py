@@ -25,6 +25,7 @@ from ldlog.terms import (
     quote_string,
     term_text,
 )
+from ldlog.parser import Application, FactStmt, StrAst, parse_program, render_term
 from support import random_ground_term, random_term
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -151,3 +152,31 @@ class TestTermText:
         assert atom_text(Pred("path", (A, C))) == 'path("a", "c")'
         assert atom_text(Builtin("ge", IntLit(300), IntLit(50))) == "300 >= 50"
         assert atom_text(Pred("p", ())) == "p()"
+
+
+def reference_quote_string(value):
+    """The per-character definition quote_string must agree with."""
+    escapes = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
+    return '"' + "".join(escapes.get(ch, ch) for ch in value) + '"'
+
+
+def random_string(rng):
+    alphabet = 'ab "\\\n\t\r\x00\u00e9\u2192\U0001d53c'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+
+
+class TestQuoteString:
+    def test_matches_the_per_character_definition(self):
+        rng = random.Random(47)
+        for _ in range(3000):
+            value = random_string(rng)
+            assert quote_string(value) == reference_quote_string(value)
+        for value in ("", '"', "\\", "\n", "\t", "\r", "\x00", "\u00e9", '\\"\n\t'):
+            assert quote_string(value) == reference_quote_string(value)
+
+    def test_string_literals_round_trip_through_the_parser(self):
+        rng = random.Random(48)
+        for _ in range(1000):
+            value = random_string(rng)
+            text = f"f: p({render_term(StrAst(value))})."
+            assert parse_program(text) == [FactStmt("f", Application("p", (StrAst(value),)))], text
