@@ -7,12 +7,19 @@ that premise ranges over those new facts only, the premises before it over
 facts of still earlier rounds, and the premises after it over all facts,
 so each match of a rule body is found in exactly one round. Facts sit in
 an `ldlog.index.ArgIndex`; a lookup takes the shortest list among the
-arguments that earlier premises made ground. Facts are ground, so
-premises are matched one way.
+arguments that earlier premises made ground.
+
+Joins share the solver's matcher: each rule is compiled into an
+`ldlog.solver` slot template, a premise is unified with a candidate fact's
+arguments by the solver's `_unify` in one frame of cells, and the trail is
+undone after each candidate.
 
 Rules must be range-restricted (every head or comparison variable occurs
-in some predicate premise), which guarantees every derived atom is ground
-and the fixpoint is finite over the program's constants.
+in some predicate premise), which guarantees every derived atom is ground.
+It does not make the fixpoint finite: a recursive rule that wraps a premise
+variable in a constructor, such as `s: nat(f(x)) :- nat(x).`, derives ever
+deeper terms, and `saturate` then runs until Python's recursion limit stops
+it with a RecursionError, or without end.
 
 A knowledge base is frozen, so its fixpoint is a function of it: the first
 `saturate` keeps the facts and their index in `kb.compiled`, and every
@@ -25,6 +32,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import LdlogError
 from .index import ArgIndex
+from .solver import _Call, _ground_args, _Template, _Test, _unify, _value
 from .terms import (
     Atom,
     Builtin,
@@ -33,11 +41,9 @@ from .terms import (
     Meta,
     Pred,
     Substitution,
-    apply_subst,
-    apply_subst_atom,
     atom_free_vars,
+    clause_vars,
     eval_builtin,
-    free_vars,
     is_ground,
     term_text,
 )
@@ -87,18 +93,18 @@ def _saturate(kb: KnowledgeBase) -> _Fixpoint:
     rules = [c for c in kb.clauses.values() if c.body]
     for c in rules:
         _check_range_restricted(c)
+    plans = [_Plan.of(_Template(c), None) for c in rules]  # premises in body order
     facts: Set[Pred] = set()
     index: ArgIndex[_Entry] = ArgIndex()
     _add_round(index, facts, [c.head for c in kb.clauses.values() if not c.body], 0)
     new: Dict[Pred, None] = {}  # an ordered set: the next round's facts, in derivation order
-    for c in rules:
-        _join(_Plan.of(c, None), index, facts, {}, 0, new)
+    for plan in plans:
+        _join(plan, index, facts, {}, 0, new)
     # premise symbol -> the plans that a round with new facts on it runs
     triggered: Dict[str, List[_Plan]] = {}
-    for c in rules:
-        premises = [a for a in c.body if isinstance(a, Pred)]
-        for i, a in enumerate(premises):
-            triggered.setdefault(a.symbol, []).append(_Plan.of(c, i))
+    for plan in plans:
+        for i, (call, _) in enumerate(plan.calls):
+            triggered.setdefault(call.symbol, []).append(_Plan.of(plan.template, i))
     rnd = 0
     while new:
         rnd += 1
@@ -126,35 +132,21 @@ def _add_round(index: ArgIndex[_Entry], facts: Set[Pred], new, rnd: int) -> Dict
 _DELTA, _OLD, _ALL = "delta", "old", "all"
 
 
-class _Step(NamedTuple):
-    premise: Pred
-    scope: str  # _DELTA, _OLD or _ALL
-    bound: tuple  # (position, argument) pairs ground once the earlier steps matched
-
-
 class _Plan(NamedTuple):
-    """One join of a rule body: premises in match order, then comparisons."""
+    """One join of a rule body: premises in match order, then comparisons in body order."""
 
-    head: Pred
-    steps: List[_Step]
-    comparisons: List[Builtin]
+    template: _Template
+    calls: List[Tuple[_Call, str]]  # each premise with the facts it ranges over: _DELTA, _OLD or _ALL
+    tests: List[_Test]
 
     @staticmethod
-    def of(c: Clause, first: Optional[int]) -> "_Plan":
+    def of(template: _Template, first: Optional[int]) -> "_Plan":
         """All premises over all facts, or premise `first` over the delta first."""
-        premises = [a for a in c.body if isinstance(a, Pred)]
-        order = list(range(len(premises)))
+        premises = [a for _, a in template.body if type(a) is _Call]
+        calls = [(a, _ALL if first is None or i > first else _OLD) for i, a in enumerate(premises) if i != first]
         if first is not None:
-            order.remove(first)
-            order.insert(0, first)
-        steps, seen = [], set()
-        for i in order:
-            a = premises[i]
-            scope = _ALL if first is None or i > first else _DELTA if i == first else _OLD
-            bound = tuple((pos, arg) for pos, arg in enumerate(a.args) if free_vars(arg) <= seen)
-            steps.append(_Step(a, scope, bound))
-            seen |= atom_free_vars(a)
-        return _Plan(c.head, steps, [a for a in c.body if isinstance(a, Builtin)])
+            calls.insert(0, (premises[first], _DELTA))
+        return _Plan(template, calls, [a for _, a in template.body if type(a) is _Test])
 
 
 def _join(
@@ -167,31 +159,44 @@ def _join(
 ) -> None:
     """Add to `new` every unknown head instance the plan derives in round rnd.
 
-    Comparisons are evaluated only once every premise has matched.
+    Comparisons are evaluated once every premise has matched, up to the first false one.
     """
-    steps = plan.steps
+    template, calls, tests = plan
+    symbol = template.clause.head.symbol
+    cells = list(template.blank)  # the rule's one frame, at base 0
+    trail: List[int] = []
 
-    def walk(k: int, s: Substitution) -> None:
-        if k == len(steps):
-            if all(eval_builtin(c, s) for c in plan.comparisons):
-                head = apply_subst_atom(plan.head, s)
-                if head not in facts:
-                    new[head] = None
+    def walk(k: int) -> None:
+        if k == len(calls):
+            for t in tests:
+                if not eval_builtin(Builtin(t.op, _value(cells, t.lhs, 0), _value(cells, t.rhs, 0))):
+                    return
+            head = Pred(symbol, tuple([_value(cells, a, 0) for a in template.head]))
+            if head not in facts:
+                new[head] = None
             return
-        premise, scope, bound = steps[k]
+        call, scope = calls[k]
         if scope == _DELTA:
-            entries = delta.get(premise.symbol, [])
+            entries = delta.get(call.symbol, [])
         else:
-            entries = index.candidates(premise.symbol, [(pos, apply_subst(arg, s)) for pos, arg in bound])
+            entries = index.candidates(call.symbol, _ground_args(cells, call, 0))
         limit = rnd if scope == _OLD else rnd + 1
+        args, n = call.args, len(call.args)
+        mark = len(trail)
         for born, fact in entries:
             if born >= limit:
                 break
-            s2 = match_atoms(premise, fact, s)
-            if s2 is not None:
-                walk(k + 1, s2)
+            if len(fact.args) == n:
+                for a, f in zip(args, fact.args):
+                    if not _unify(cells, trail, a, 0, f, 0):
+                        break
+                else:
+                    walk(k + 1)
+            for j in trail[mark:]:
+                cells[j] = None
+            del trail[mark:]
 
-    walk(0, {})
+    walk(0)
 
 
 def _check_range_restricted(c: Clause) -> None:
@@ -199,17 +204,9 @@ def _check_range_restricted(c: Clause) -> None:
     for a in c.body:
         if isinstance(a, Pred):
             positive |= atom_free_vars(a)
-    loose = (atom_free_vars(c.head) | _comparison_vars(c.body)) - positive
+    loose = clause_vars(c) - positive
     if loose:
         raise UnsafeRule(c.name, loose)
-
-
-def _comparison_vars(body) -> set:
-    out = set()
-    for a in body:
-        if isinstance(a, Builtin):
-            out |= atom_free_vars(a)
-    return out
 
 
 def oracle_answers(kb: KnowledgeBase, goal: Atom) -> List[Substitution]:

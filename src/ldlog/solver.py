@@ -36,6 +36,9 @@ Reconstruction", 1991):
   KB's first `solve` and kept in `kb.compiled`; a KB's clauses never
   change, so every later query reuses them.
 
+`ldlog.oracle.saturate` joins rule bodies on these templates, with `_unify`
+and `_ground_args`.
+
 Unification agrees with `ldlog.unify.unify_atoms`: the occurs check is on,
 arguments are unified left to right (a constructor's own arguments right
 to left, as unify's stack takes them), and where two unbound variables
@@ -210,6 +213,18 @@ def _value(cells: list, t, b: int, names: Optional[dict] = None):
     return t
 
 
+def _ground_args(cells: list, call: _Call, b: int) -> list:
+    """(position, value) for each argument of call that is ground in the frame at b: an index key."""
+    keys = []
+    for pos, a in enumerate(call.args):
+        if type(a) is int or type(a) is _Struct:
+            a = _value(cells, a, b)
+            if a is None:
+                continue
+        keys.append((pos, a))
+    return keys
+
+
 def _fill(t, values: list):
     """The Term that template term t stands for, given the value of each slot."""
     if type(t) is int:
@@ -364,14 +379,7 @@ class _Search:
                         cont = (rest, node, base, budget, up)
                         continue
                 elif budget >= 1:
-                    keys = []
-                    for pos, a in enumerate(item.args):
-                        if type(a) is int or type(a) is _Struct:
-                            a = _value(cells, a, base)
-                            if a is None:
-                                continue
-                        keys.append((pos, a))
-                    found = candidates(item.symbol, keys)
+                    found = candidates(item.symbol, _ground_args(cells, item, base))
                     if found:
                         after = (rest, node, base, budget, up)
                         choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells)])

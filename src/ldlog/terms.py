@@ -70,8 +70,6 @@ class Pred:
     args: tuple = ()
 
 
-BUILTIN_OPS = ("lt", "le", "gt", "ge", "eq", "ne")
-
 OP_TEXT = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "=", "ne": "!="}
 TEXT_OP = {text: op for op, text in OP_TEXT.items()}
 
@@ -87,7 +85,7 @@ _OP_FUNC = {
 
 @dataclass(frozen=True)
 class Builtin:
-    """Comparison atom between two terms; op is one of BUILTIN_OPS."""
+    """Comparison atom between two terms; op is one of the keys of OP_TEXT."""
 
     op: str
     lhs: Term
@@ -220,16 +218,15 @@ def atom_is_ground(a: Atom) -> bool:
     return is_ground(a.lhs) and is_ground(a.rhs)
 
 
-def eval_builtin(a: Builtin, s: Optional[Substitution] = None) -> bool:
+def eval_builtin(a: Builtin) -> bool:
     """Decide a comparison atom once its operands are ground.
 
     Integers support all six operators; strings only equality and
     inequality. Anything else is a TypeMismatch.
     """
-    lhs = apply_subst(a.lhs, s or {})
-    rhs = apply_subst(a.rhs, s or {})
+    lhs, rhs = a.lhs, a.rhs
     if not (is_ground(lhs) and is_ground(rhs)):
-        raise NonGroundBuiltin(f"comparison on non-ground operands: {atom_text(Builtin(a.op, lhs, rhs))}")
+        raise NonGroundBuiltin(f"comparison on non-ground operands: {atom_text(a)}")
     if isinstance(lhs, IntLit) and isinstance(rhs, IntLit):
         return _OP_FUNC[a.op](lhs.value, rhs.value)
     if isinstance(lhs, StrLit) and isinstance(rhs, StrLit):
@@ -237,8 +234,8 @@ def eval_builtin(a: Builtin, s: Optional[Substitution] = None) -> bool:
             return lhs.value == rhs.value
         if a.op == "ne":
             return lhs.value != rhs.value
-        raise TypeMismatch(f"ordered comparison on strings: {atom_text(Builtin(a.op, lhs, rhs))}")
-    raise TypeMismatch(f"comparison on mixed or structured operands: {atom_text(Builtin(a.op, lhs, rhs))}")
+        raise TypeMismatch(f"ordered comparison on strings: {atom_text(a)}")
+    raise TypeMismatch(f"comparison on mixed or structured operands: {atom_text(a)}")
 
 
 _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"})

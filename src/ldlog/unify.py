@@ -88,17 +88,13 @@ def match_one_way(pattern: Term, target: Term) -> Optional[Substitution]:
     return _match({}, [(pattern, target)])
 
 
-def match_atoms(pattern: Atom, target: Atom, s: Optional[Substitution] = None) -> Optional[Substitution]:
-    """One-way match of predicate atoms, sharing bindings across arguments.
-
-    Starts from s, which it leaves unmodified: a pattern variable s already
-    binds must meet an argument subterm equal to its binding.
-    """
+def match_atoms(pattern: Atom, target: Atom) -> Optional[Substitution]:
+    """One-way match of predicate atoms, sharing bindings across arguments."""
     if isinstance(pattern, Builtin) or isinstance(target, Builtin):
         raise BuiltinNotUnifiable("comparison atoms cannot be matched")
     if pattern.symbol != target.symbol or len(pattern.args) != len(target.args):
         return None
-    return _match(dict(s) if s else {}, list(zip(pattern.args, target.args)))
+    return _match({}, list(zip(pattern.args, target.args)))
 
 
 def _match(bindings: Substitution, stack: list) -> Optional[Substitution]:

@@ -117,7 +117,7 @@ def _body_matches(body, facts: List[Pred]) -> Iterator[Substitution]:
 
     def walk(i: int, s: Substitution) -> Iterator[Substitution]:
         if i == len(premises):
-            if all(eval_builtin(c, s) for c in comparisons):
+            if all(eval_builtin(apply_subst_atom(c, s)) for c in comparisons):
                 yield s
             return
         pattern = apply_subst_atom(premises[i], s)

@@ -35,3 +35,32 @@ def test_every_exported_name_resolves():
     assert len(ldlog.__all__) == len(set(ldlog.__all__))
     for name in ldlog.__all__:
         assert getattr(ldlog, name) is not None, name
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Each name a module under src/ldlog imports is used there or listed in its __all__.
+
+    An import statement marked `# noqa: F401` is kept on purpose and exempt.
+    """
+    unused = []
+    for path in sorted(Path(ldlog.__file__).resolve().parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in used and name not in exported:
+                    unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []

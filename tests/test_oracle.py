@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from pathlib import Path
 from ldlog import oracle
 from ldlog.errors import LdlogError
 from ldlog.oracle import UnsafeRule, oracle_answers, saturate
-from ldlog.terms import Builtin, IntLit, Meta, Pred, StrLit, TypeMismatch, atom_text, term_text
+from ldlog.terms import App, Builtin, Clause, IntLit, Meta, Pred, StrLit, TypeMismatch, atom_text, term_text
 from ldlog.unify import BuiltinNotUnifiable
 from support import (
     compile_text,
@@ -307,6 +308,23 @@ class TestAgainstIndependentClosure:
                 assert all(arg.value in universe for arg in atom.args)
 
 
+def same_fixpoint(kb, text: str) -> type:
+    """Assert that saturate and naive_saturate agree on kb; return the fixpoint's type or the error's.
+
+    Where both raise, only the error types are compared: the naive loop
+    meets comparisons in another order.
+    """
+    try:
+        want = naive_saturate(kb)
+    except LdlogError as exc:
+        with pytest.raises(type(exc)):
+            saturate(kb)
+        return type(exc)
+    got = saturate(kb)
+    assert got == want, text
+    return type(got)
+
+
 class TestAgainstNaiveReference:
     """Semi-naive saturation returns and raises what the naive loop does.
 
@@ -377,6 +395,67 @@ class TestAgainstNaiveReference:
         kb, _ = compile_text(text)
         self.assert_same_error(kb, TypeMismatch)
 
+    def test_repeated_premise_variable(self):
+        text = """
+        f1: t(1, 1).
+        f2: t(1, 2).
+        f3: t(f(1), f(1)).
+        f4: t(f(1), f(2)).
+        f5: t(g(1, 2), g(1, 2)).
+        f6: t("a", "b").
+        r: same(x) :- t(x, x).
+        """
+        kb, _ = compile_text(text)
+        self.assert_same(kb)
+        assert {term_text(a.args[0]) for a in saturate(kb) if a.symbol == "same"} == {"1", "f(1)", "g(1, 2)"}
+
+    def test_nested_pattern_against_other_constructors_and_arities(self):
+        text = """
+        f1: q(f(1, g(2))).
+        f2: q(f(1, h(2))).
+        f3: q(k(1, g(2))).
+        f4: q(1).
+        f5: q(f(3, g(h(4)))).
+        r: p(x, y) :- q(f(x, g(y))).
+        """
+        kb, _ = compile_text(text)
+        # the elaborator fixes each name's arity, so facts that reuse a name at another one are built here
+        one, two = IntLit(1), IntLit(2)
+        odd = [
+            Pred("q", (App("f", (one,)),)),
+            Pred("q", (App("f", (one, App("g", (two, IntLit(3))))),)),
+            Pred("q", (App("f", (one, App("g", ()))),)),
+            Pred("q", (App("f", (one, App("g", (two,)))), IntLit(3))),
+            Pred("q", ()),
+        ]
+        clauses = {**kb.clauses, **{f"x{i}": Clause(f"x{i}", fact) for i, fact in enumerate(odd)}}
+        kb = dataclasses.replace(kb, clauses=clauses)
+        self.assert_same(kb)
+        assert {atom_text(a) for a in saturate(kb) if a.symbol == "p"} == {"p(1, 2)", "p(3, h(4))"}
+
+    def test_bindings_are_undone_after_a_later_premise_fails(self):
+        # a(1) binds x before b(1, y) finds nothing; e(f(1), 4) binds y inside f before 3 != 4
+        text = """
+        f1: a(1).
+        f2: a(2).
+        f3: b(2, "z").
+        f4: e(f(1), 4).
+        f5: e(f(2), 3).
+        r1: p(x, y) :- a(x), b(x, y).
+        r2: s(y) :- e(f(y), 3).
+        r3: t(x, y) :- a(x), e(f(y), 3), b(y, z).
+        """
+        kb, _ = compile_text(text)
+        self.assert_same(kb)
+        derived = {atom_text(a) for a in saturate(kb) if a.symbol in ("p", "s", "t")}
+        assert derived == {'p(2, "z")', "s(2)", "t(1, 2)", "t(2, 2)"}
+
+    def test_comparison_on_a_constructor_bound_variable(self):
+        kb, _ = compile_text("f: n(f(1)).\nr: big(x) :- n(x), (x > 0).")
+        self.assert_same_error(kb, TypeMismatch)
+        with pytest.raises(TypeMismatch, match=r"structured operands: f\(1\) > 0"):
+            saturate(kb)
+
     def test_false_comparison_short_circuits_a_mismatch(self):
         text = """
         f1: num(1).
@@ -418,19 +497,24 @@ class TestAgainstReferenceAnswers:
         assert answered > 1000
 
     def test_random_term_programs(self):
-        # constructor arguments, repeated placeholders, unsafe rules and mixed-type comparisons
+        # constructor arguments, repeated placeholders, unsafe rules and mixed-type comparisons;
+        # each fixpoint is also checked against the naive loop, which matches two ways
         rng = random.Random(214)
         outcomes, accepted = set(), 0
+        fixpoints = Counter()
         while accepted < 300:
+            text = random_term_program(rng)
             try:
-                kb, queries = compile_text(random_term_program(rng))
+                kb, queries = compile_text(text)
             except LdlogError:
                 continue
             accepted += 1
+            fixpoints[same_fixpoint(kb, text)] += 1
             for q in queries:
                 got = self.assert_same(kb, q.goal)
                 outcomes.add(got if isinstance(got, type) else bool(got))
         assert outcomes == {True, False, UnsafeRule, TypeMismatch}
+        assert fixpoints == {frozenset: 96, UnsafeRule: 203, TypeMismatch: 1}
 
     @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
     def test_programs(self, main, lib):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ldlog.terms import App, Builtin, IntLit, Meta, Pred, StrLit, Var, apply_subst, free_vars
-from ldlog.unify import BuiltinNotUnifiable, match_atoms, match_one_way, unify, unify_atoms
+from ldlog.unify import BuiltinNotUnifiable, match_one_way, unify, unify_atoms
 from support import ground_unifiers, random_term
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -116,13 +116,6 @@ class TestMatchOneWay:
     def test_ground_pattern_is_equality(self):
         assert match_one_way(App("f", (A,)), App("f", (A,))) == {}
         assert match_one_way(App("f", (A,)), App("f", (B,))) is None
-
-    def test_atoms_extend_a_given_substitution(self):
-        s = {X: A}
-        assert match_atoms(Pred("p", (X, Y)), Pred("p", (A, B)), s) == {X: A, Y: B}
-        assert match_atoms(Pred("p", (Y, X)), Pred("p", (A, B)), s) is None
-        assert match_atoms(Pred("p", (X,)), Pred("q", (A,)), s) is None
-        assert s == {X: A}
 
 
 class TestProperties:
