@@ -36,15 +36,14 @@ from .solver import _Call, _ground_args, _Template, _Test, _unify, _value
 from .terms import (
     Atom,
     Builtin,
-    Clause,
     KnowledgeBase,
     Meta,
     Pred,
     Substitution,
     atom_free_vars,
-    clause_vars,
     eval_builtin,
     is_ground,
+    loose_vars,
     term_text,
 )
 from .unify import BuiltinNotUnifiable, match_atoms
@@ -92,7 +91,9 @@ def _fixpoint(kb: KnowledgeBase) -> _Fixpoint:
 def _saturate(kb: KnowledgeBase) -> _Fixpoint:
     rules = [c for c in kb.clauses.values() if c.body]
     for c in rules:
-        _check_range_restricted(c)
+        loose = loose_vars(c)
+        if loose:
+            raise UnsafeRule(c.name, loose)
     plans = [_Plan.of(_Template(c), None) for c in rules]  # premises in body order
     facts: Set[Pred] = set()
     index: ArgIndex[_Entry] = ArgIndex()
@@ -197,16 +198,6 @@ def _join(
             del trail[mark:]
 
     walk(0)
-
-
-def _check_range_restricted(c: Clause) -> None:
-    positive = set()
-    for a in c.body:
-        if isinstance(a, Pred):
-            positive |= atom_free_vars(a)
-    loose = clause_vars(c) - positive
-    if loose:
-        raise UnsafeRule(c.name, loose)
 
 
 def oracle_answers(kb: KnowledgeBase, goal: Atom) -> List[Substitution]:

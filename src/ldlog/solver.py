@@ -11,8 +11,33 @@ of its conjunction, and the query flounders with an error if none remain
 to bind it.
 
 Solutions arrive in discovery order, deduplicated by placeholder bindings,
-each carrying a ground proof tree built from the final bindings. Every
-derivation through a ground fact shares that fact's one ProofTree.
+each carrying a ground proof tree. Every derivation through a ground fact
+shares that fact's one ProofTree.
+
+Repeated answers (the duplicate-answer half of tabling: Tamaki & Sato,
+1986; Chen & Warren, 1996). Each call activation, a goal with its
+candidate clauses, keeps the answers its clause applications have
+produced. When one finishes its body with an answer already in that set,
+the search backtracks instead of running the continuation again: depth-first
+search ran the continuation to the end after the first derivation of that
+answer, and a later one hands it the same bindings and the same budget,
+so it could only re-derive solutions already found. Search cost then grows
+with answers times depth rather than with proof shapes, and solutions,
+their order, their certificates and every error stay as without it.
+
+- Gate. This needs every finished clause application to be ground and no
+  comparison to flounder, which holds when every rule is range-restricted
+  (`ldlog.terms.loose_vars`, the check `saturate` makes) and every fact is
+  ground (as the elaborator makes them). The flag is taken over the whole
+  KB's rules, since dropping derivations would renumber the clause tries
+  that name a floundered variable; on any other KB every derivation runs.
+  A fact with variables turns the flag off when its template is compiled,
+  and the query starts again without it.
+- Certificates. When deduplicating, a clause application's ProofTree is
+  built when it finishes, from its children's finished trees, and its
+  conclusion is the key. Later derivations through it share that tree, so
+  its instantiation is read-only. Otherwise the tree is built once a
+  derivation of the goal is complete, from the final bindings.
 
 The machine follows the WAM's split between compiled clauses and a
 binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
@@ -70,6 +95,7 @@ from .terms import (
     atom_text,
     eval_builtin,
     is_ground,
+    loose_vars,
 )
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
@@ -176,14 +202,18 @@ class _Template:
         self.fact = None if slots or clause.body else ProofTree(clause.name, _NO_BINDINGS, clause.head)
 
 
-def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template]]:
-    """kb's head index, and its templates by clause name, each made on its clause's first try."""
+def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool]:
+    """kb's head index, its templates by clause name (each made on its clause's
+    first try), and whether every rule is range-restricted (so repeated answers may be dropped)."""
     compiled = kb.compiled.get("solver")
     if compiled is None:
         index: ArgIndex[Clause] = ArgIndex()
+        dedup = True
         for c in kb.clauses.values():
             index.add(c.head, c)
-        compiled = kb.compiled["solver"] = (index, {})
+            if dedup and c.body and loose_vars(c):
+                dedup = False
+        compiled = kb.compiled["solver"] = (index, {}, dedup)
     return compiled
 
 
@@ -318,17 +348,25 @@ class _Node:
 
     children[i] is the _Node proving body atom i, the shared ProofTree of
     the ground fact that proves it, or the _Test of a comparison that held.
-    A slot is only current once its premise is solved on the present
-    branch; backtracking leaves older entries behind.
+    When deduplicating, it is instead the ProofTree of the finished clause
+    application proving it, and a _Test becomes its leaf when node
+    finishes. A slot is only current once its premise is solved on the
+    present branch; backtracking leaves older entries behind. `call` is the
+    choice point of the call that node proves (None at the root).
     """
 
-    __slots__ = ("template", "base", "tick", "children")
+    __slots__ = ("template", "base", "tick", "children", "call")
 
-    def __init__(self, template: Optional[_Template], base: int, tick: int, size: int):
+    def __init__(self, template: Optional[_Template], base: int, tick: int, size: int, call: Optional[list] = None):
         self.template = template
         self.base = base
         self.tick = tick
         self.children = [None] * size
+        self.call = call
+
+
+class _Restart(Exception):
+    """The query must run again, on a search that keeps every derivation."""
 
 
 class _Search:
@@ -336,7 +374,9 @@ class _Search:
 
     def __init__(self, kb: KnowledgeBase, goal: Pred):
         slots: dict = {}
-        self.index, self.templates = _compiled(kb)
+        self.kb = kb
+        self.index, self.templates, self.dedup = _compiled(kb)
+        self.known: Dict[int, object] = {}  # cell -> its value, written when its clause application finishes
         self.goal = _Call(goal, slots)
         self.query_keys = tuple(slots)  # the query frame sits at base 0
         self.cells: list = [None] * len(slots)
@@ -344,52 +384,62 @@ class _Search:
         self.root = _Node(None, 0, 0, 1)  # root.children[0] proves the goal
 
     def run(self, budget: int):
-        """Yield once per derivation of the goal, with the store holding its bindings."""
+        """Yield once per derivation of the goal, with the store holding its bindings.
+
+        On a range-restricted KB, a derivation whose finished clause
+        application repeats an answer its call gave before is dropped there.
+        """
         cells, trail = self.cells, self.trail
         candidates = self.index.candidates
         templates = self.templates
+        dedup = self.dedup
         # a continuation is (items, node, base, budget, next): the unsolved
         # (index, premise) pairs of node's body, its frame, the budget for
         # their subgoals, and the continuation of node's parent
         cont = (((0, self.goal),), self.root, 0, budget, None)
         # a choice point is [candidates, next position, call, call's frame,
-        # call's index, node, budget for the body, continuation, trail mark, store length]
+        # call's index, node, budget for the body, continuation, trail mark,
+        # store length, the arguments of the conclusions the call's finished
+        # clause applications gave (a set made by the first, when deduplicating)]
         choices: list = []
         tick = 0
         while True:
             if cont is not None:
                 items, node, base, budget, up = cont
                 if not items:
-                    cont = up
-                    continue
-                idx, item = items[0]
-                rest = items[1:]
-                if type(item) is _Test:
-                    lhs = _value(cells, item.lhs, base)
-                    rhs = _value(cells, item.rhs, base)
-                    if lhs is None or rhs is None:
-                        if any(type(later) is _Call for _, later in rest):
-                            cont = (rest + (items[0],), node, base, budget, up)
-                            continue
-                        names = self._names()
-                        now = Builtin(item.op, _value(cells, item.lhs, base, names), _value(cells, item.rhs, base, names))
-                        raise FlounderedBuiltin(now)
-                    if eval_builtin(Builtin(item.op, lhs, rhs)):
-                        node.children[idx] = item
-                        cont = (rest, node, base, budget, up)
+                    if up is None or not dedup or self._complete(node):
+                        cont = up
                         continue
-                elif budget >= 1:
-                    found = candidates(item.symbol, _ground_args(cells, item, base))
-                    if found:
-                        after = (rest, node, base, budget, up)
-                        choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells)])
-                cont = None
+                    cont = None  # an answer node's call gave before: nothing new follows
+                else:
+                    idx, item = items[0]
+                    rest = items[1:]
+                    if type(item) is _Test:
+                        lhs = _value(cells, item.lhs, base)
+                        rhs = _value(cells, item.rhs, base)
+                        if lhs is None or rhs is None:
+                            if any(type(later) is _Call for _, later in rest):
+                                cont = (rest + (items[0],), node, base, budget, up)
+                                continue
+                            names = self._names()
+                            now = Builtin(item.op, _value(cells, item.lhs, base, names), _value(cells, item.rhs, base, names))
+                            raise FlounderedBuiltin(now)
+                        if eval_builtin(Builtin(item.op, lhs, rhs)):
+                            node.children[idx] = item
+                            cont = (rest, node, base, budget, up)
+                            continue
+                    elif budget >= 1:
+                        found = candidates(item.symbol, _ground_args(cells, item, base))
+                        if found:
+                            after = (rest, node, base, budget, up)
+                            choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells), None])
+                    cont = None
             else:
                 yield
             # backtrack: resume the newest choice point with its next candidate
             while choices:
                 cp = choices[-1]
-                found, i, call, gbase, idx, node, budget, after, mark, top = cp
+                found, i, call, gbase, idx, node, budget, after, mark, top, _ = cp
                 n = len(found)
                 while i < n:
                     for j in trail[mark:]:
@@ -402,6 +452,8 @@ class _Search:
                     template = templates.get(clause.name)
                     if template is None:
                         template = templates[clause.name] = _Template(clause)
+                        if dedup and template.keys and not template.body:
+                            self._give_up_dedup()
                     cells.extend(template.blank)
                     head = template.head
                     if len(head) != len(call.args):
@@ -422,19 +474,75 @@ class _Search:
                     node.children[idx] = template.fact
                     cont = after
                     break
-                child = _Node(template, top, tick, len(template.body))
-                node.children[idx] = child
+                child = _Node(template, top, tick, len(template.body), cp)
+                if not dedup:  # else its ProofTree goes there when it finishes
+                    node.children[idx] = child
                 cont = (template.body, child, top, budget, after)
                 break
             else:
                 return
+
+    def _complete(self, node: "_Node") -> bool:
+        """Put node's ProofTree in its parent, unless node's call has given that answer before.
+
+        Only on a range-restricted KB, where every slot is ground by now.
+        A cell past node's frame belongs to a finished descendant, whose
+        value `known` holds; a cell at or below the frame may have been
+        filled by a frame since cut away, so its value is read afresh.
+        """
+        cells, known = self.cells, self.known
+        template, base = node.template, node.base
+        end = base + len(template.keys)
+        values = []
+        for j in range(base, end):
+            t, b = cells[j]  # a ground term t is the value as it is
+            if type(t) is int:
+                k = b + t
+                t = known[k] if k >= end else _value(cells, t, b)
+            elif type(t) is _Struct:
+                t = _value(cells, t, b)
+            known[j] = t
+            values.append(t)
+        clause = template.clause
+        conclusion = clause.head
+        args = conclusion.args
+        if values:
+            args = tuple([values[a] if type(a) is int else _fill(a, values) for a in template.head])
+        cp = node.call
+        answers = cp[10]  # the arguments of each conclusion: the call fixes the symbol
+        if answers is None:
+            answers = cp[10] = set()
+        seen = len(answers)
+        answers.add(args)  # one hash, where `in` and add would take two
+        if len(answers) == seen:
+            return False
+        if values:
+            conclusion = Pred(conclusion.symbol, args)
+        children = node.children
+        for i, c in enumerate(children):
+            if type(c) is _Test:
+                children[i] = _leaf(cells, c, base)
+        # shared by every later derivation through this one, so read-only
+        instantiation = MappingProxyType(dict(zip(template.keys, values)))
+        cp[5].children[cp[4]] = ProofTree(clause.name, instantiation, conclusion, tuple(children))
+        return True
+
+    def _give_up_dedup(self):
+        """Mark the KB as one whose search keeps every derivation, and restart this query.
+
+        A fact with variables (which the elaborator never makes) can leave a
+        finished clause application non-ground.
+        """
+        index, templates, _ = self.kb.compiled["solver"]
+        self.kb.compiled["solver"] = (index, templates, False)
+        raise _Restart
 
     def _freeze(self) -> Optional[ProofTree]:
         """The current derivation as a ground ProofTree, or None if a variable is unbound."""
         cells = self.cells
         top = self.root.children[0]
         if type(top) is ProofTree:
-            return top  # the goal is a ground fact
+            return top  # a ground fact, or built when the goal's clause application finished
         order = []
         todo = [top]
         while todo:
@@ -500,6 +608,13 @@ def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> Li
     cfg = cfg or SolverConfig()
     if isinstance(q.goal, Builtin):
         raise BuiltinNotUnifiable("a comparison cannot be a query goal")
+    try:
+        return _solve(kb, q, cfg)
+    except _Restart:
+        return _solve(kb, q, cfg)
+
+
+def _solve(kb: KnowledgeBase, q: Query, cfg: SolverConfig) -> List[Solution]:
     search = _Search(kb, q.goal)
     metas = sorted((k for k in search.query_keys if isinstance(k, Meta)), key=lambda m: m.id)
     slots = [search.query_keys.index(m) for m in metas]

@@ -40,6 +40,17 @@ class Var:
 
     name: str
 
+    # The generated hash's value, computed once: every instantiation lookup
+    # hashes its key. Pickling rebuilds it, as string hashes vary by process.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Var, (self.name,)
+
 
 @dataclass(frozen=True)
 class Meta:
@@ -47,6 +58,16 @@ class Meta:
 
     id: int
     source_name: str
+
+    # as in Var
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.id, self.source_name)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Meta, (self.id, self.source_name)
 
 
 @dataclass(frozen=True)
@@ -202,6 +223,16 @@ def clause_vars(c: Clause) -> Set[Key]:
     for a in c.body:
         out |= atom_free_vars(a)
     return out
+
+
+def loose_vars(c: Clause) -> Set[Key]:
+    """The variables of c that occur in no predicate premise: none if c is range-restricted."""
+    positive: Set[Key] = set()
+    for a in c.body:
+        if isinstance(a, Pred):
+            for t in a.args:
+                _collect_vars(t, positive)
+    return clause_vars(c) - positive
 
 
 def is_ground(t: Term) -> bool:

@@ -567,6 +567,21 @@ def shuffled_safe_programs(rng: random.Random, count: int = 200):
         yield text, kb, queries
 
 
+def diamond_ladder(rungs: int, left: bool = True) -> str:
+    """Reachability over the ladder r_i -> a_i, b_i -> r_{i+1}, with a query path(r_s, m?)? per rung s.
+
+    There are 2 ** k paths from r_s to r_{s+k}, one proof shape each, but
+    only 3 answers per rung. The recursive rule is left- or right-recursive.
+    """
+    step = "path(x, z), edge(z, y)" if left else "edge(x, z), path(z, y)"
+    lines = ["r1: path(x, y) :- edge(x, y).", f"r2: path(x, y) :- {step}."]
+    for i in range(rungs):
+        for src, dst in ((f"r{i}", f"a{i}"), (f"r{i}", f"b{i}"), (f"a{i}", f"r{i + 1}"), (f"b{i}", f"r{i + 1}")):
+            lines.append(f'edge("{src}", "{dst}").')
+    lines += [f'q{s}: path("r{s}", m?)?' for s in range(rungs + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def ground_probe(symbol: str, left: str, right: str) -> Pred:
     return Pred(symbol, (StrLit(left), StrLit(right)))
 

@@ -87,6 +87,19 @@ class TestFailureOutcomes:
         assert code == 1
         assert out == "q: big(m?)  floundered (x#1 > 2)\n"
 
+    def test_floundered_name_counts_every_clause_try(self, capsys, tmp_path):
+        # r1 and r2 give p(1) and p(2) twice each: a search that dropped the
+        # repeats would try fewer clauses and name the variable w#k for another k
+        f = tmp_path / "unsafe.ldl"
+        f.write_text(
+            "f1: e(1).\nf2: e(2).\nr1: p(x) :- e(x).\nr2: p(x) :- e(x).\nr3: p(3) :- e(1).\n"
+            "g1: ok(1).\ng2: ok(2).\nt: top(w) :- p(x), chk(x, w).\n"
+            "c1: chk(x, w) :- ok(x).\nc2: chk(3, w) :- (w > 0).\nq: top(m?)?\n"
+        )
+        code, out, _ = run(capsys, "run", str(f), "--all")
+        assert code == 1
+        assert out == "q: top(m?)  floundered (w#19 > 0)\n"
+
     def test_type_mismatch_reports_error(self, capsys, tmp_path):
         f = tmp_path / "mix.ldl"
         f.write_text('f: num("a").\nbig: big(x) :- num(x), (x > 2).\nq: big(m?)?\n')

@@ -579,7 +579,8 @@ def in_place_mutations():
 
 
 class TestSharedFacts:
-    """Every derivation through a ground fact reuses that fact's one certificate."""
+    """Every derivation through a ground fact reuses that fact's one certificate,
+    and every derivation through a finished clause application reuses its certificate."""
 
     def test_answers_share_one_fact_certificate(self):
         kb, queries = compile_text(REACH.replace('q0: path("a", "c")?', 'q0: path("a", m?)?'))
@@ -606,6 +607,25 @@ class TestSharedFacts:
         for sol in sols:
             check_proof(kb, sol.proof)
         assert shared.instantiation == {} and shared.conclusion == Pred("edge", (StrLit("a"), StrLit("b")))
+
+    def test_shared_rule_certificate_cannot_be_changed_through_an_answer(self):
+        # path("a", "b") is proved once by r1 and shared by the proofs of path("a", "c") and path("a", "d")
+        kb, queries = compile_text(REACH.replace('q0: path("a", "c")?', 'q0: path("a", m?)?'))
+        sols = solve(kb, queries[0], SolverConfig(solution_limit=None))
+        shared = sols[1].proof.children[0]
+        assert sols[2].proof.children[0] is shared
+        a, b = StrLit("a"), StrLit("b")
+        with pytest.raises(TypeError):
+            shared.instantiation[Var("y")] = StrLit("z")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.conclusion = Pred("path", (a, StrLit("z")))
+        forged = dataclasses.replace(shared, conclusion=Pred("path", (a, StrLit("z"))), instantiation={})
+        forged.instantiation.update({Var("x"): a, Var("y"): StrLit("z")})
+        err = reason_of(kb, dataclasses.replace(sols[1].proof, children=(forged, sols[1].proof.children[1])))
+        assert (err.reason, err.path) == (CheckReason.PREMISE_MISMATCH, (0,))
+        for sol in sols:
+            check_proof(kb, sol.proof)
+        assert shared.instantiation == {Var("x"): a, Var("y"): b} and shared.conclusion == Pred("path", (a, b))
 
 
 GOLDENS = [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")]

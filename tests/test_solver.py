@@ -6,14 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from ldlog import solver
 from ldlog.errors import LdlogError
 from ldlog.index import ArgIndex
 from ldlog.proof import BuiltinLeaf, ProofTree, check_proof, render_proof
 from ldlog.solver import FlounderedBuiltin, SolverConfig, solve
 from ldlog.oracle import oracle_answers, saturate
-from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, atom_text, term_text
+from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, Var, atom_text, term_text
 from support import (
     compile_text,
+    diamond_ladder,
     enumeration_bound,
     random_safe_program,
     random_term_program,
@@ -286,6 +288,29 @@ class TestProofHeight:
         assert height == n + 1
 
 
+class TestRepeatedAnswers:
+    """A call's repeated answers do not run its continuation again."""
+
+    def unify_calls(self, monkeypatch, rungs):
+        calls = 0
+        real = solver._unify
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_unify", counted)
+        kb, queries = compile_text(diamond_ladder(rungs))
+        for q in queries:
+            solve(kb, q, SolverConfig(max_depth=2 * rungs + 1, solution_limit=None))
+        return calls
+
+    def test_ladder_work_grows_with_answers_not_paths(self, monkeypatch):
+        # 2 ** 16 paths against 2 ** 8, but answers × depth grows about 7 times (408 × 33 against 108 × 17)
+        assert self.unify_calls(monkeypatch, 16) < 10 * self.unify_calls(monkeypatch, 8)
+
+
 def outcome(search, kb, q, cfg):
     """The solutions, or the type and message of the error raised."""
     try:
@@ -342,6 +367,52 @@ class TestAgainstReference:
                     got = self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=limit), text)
                     seen.add(got[0] if isinstance(got, tuple) else bool(got))
         assert seen == {True, False, FlounderedBuiltin, TypeMismatch}
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_diamond_ladders(self, left):
+        for rungs in range(1, 7):
+            text = diamond_ladder(rungs, left)
+            kb, queries = compile_text(text)
+            queries.append(Query("all", Pred("path", (Meta(0, "a?"), Meta(1, "b?"))), {"a?": 0, "b?": 1}))
+            for depth in range(1, 2 * rungs + 2):
+                for q in queries:
+                    for limit in (None, 1, 2):
+                        self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=limit), text)
+
+    # From shuffled_safe_programs(random.Random(110)). The goal p1(x, x) of
+    # the second rule meets the head p1(y, z): y is bound to z, a later slot
+    # of its own frame, whose cell an earlier frame may have filled before.
+    SLOT_BOUND_LATER = """
+p0("c2", "c2") :- p1("c2", "c0").
+p0(x, x) :- p1(x, x).
+p0("c2", "c2").
+p0("c1", "c1").
+p0("c2", y) :- p0(y, "c1").
+p0(x, x) :- p1("c1", x).
+p1(y, z) :- p0(y, z).
+p0(z, x) :- p1(z, x).
+p0("c1", "c0").
+p1("c2", "c0").
+"""
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_slot_bound_to_a_later_slot_of_its_frame(self, depth):
+        kb, _ = compile_text(self.SLOT_BOUND_LATER)
+        q = Query("probe", Pred("p0", (Meta(0, "a?"), Meta(1, "b?"))), {"a?": 0, "b?": 1})
+        for limit in (None, 1, 2):
+            for sol in self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=limit)):
+                check_proof(kb, sol.proof)
+
+    def test_fact_with_variables(self):
+        # the elaborator never makes one: the first query that tries it starts
+        # again on a search that keeps every derivation
+        kb, queries = compile_text(
+            'f1: e(1).\nf2: e(2).\nr: top(w) :- p(w), e(w).\nq0: e(m?)?\nq1: top(m?)?\nq2: top(m?)?'
+        )
+        loose = Clause("loose", Pred("p", (Var("x"),)))
+        kb = dataclasses.replace(kb, clauses={**kb.clauses, "loose": loose})
+        for q in queries:
+            assert self.assert_same(kb, q, SolverConfig(solution_limit=None))
 
     @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
     def test_programs(self, main, lib):
