@@ -134,15 +134,16 @@ def fresh_name(kind: str, counter: int) -> str:
 
 def rewrite_term(t: ast.TermAst, ctx: ElabContext) -> Term:
     """Elaborate a surface term under the context's resolution policy."""
-    if isinstance(t, ast.IntAst):
+    cls = type(t)
+    if cls is ast.IntAst:
         return IntLit(t.value)
-    if isinstance(t, ast.StrAst):
+    if cls is ast.StrAst:
         return StrLit(t.value)
-    if isinstance(t, ast.IdentAst):
+    if cls is ast.IdentAst:
         return _resolve_ident(t.name, ctx)
-    if isinstance(t, ast.AppAst):
+    if cls is ast.AppAst:
         return _resolve_app(t, ctx)
-    if isinstance(t, ast.ProjAst):
+    if cls is ast.ProjAst:
         return _resolve_projection(t, ctx)
     raise ComparisonAsTerm()
 
@@ -182,7 +183,7 @@ def _resolve_app(t: ast.AppAst, ctx: ElabContext) -> Term:
         ctx.constructors[t.name] = Constructor(len(t.args))
     elif decl.arity != len(t.args):
         raise ArityMismatch(t.name, decl.arity, len(t.args))
-    return App(t.name, tuple(rewrite_term(a, ctx) for a in t.args))
+    return App(t.name, tuple([rewrite_term(a, ctx) for a in t.args]))
 
 
 def _resolve_projection(t: ast.ProjAst, ctx: ElabContext) -> Term:
@@ -205,7 +206,7 @@ def rewrite_atom(a: ast.AtomAst, ctx: ElabContext) -> Atom:
             ctx.pred_arities[a.name] = len(a.args)
         elif known != len(a.args):
             raise ArityMismatch(a.name, known, len(a.args))
-        return Pred(a.name, tuple(rewrite_term(t, ctx) for t in a.args))
+        return Pred(a.name, tuple([rewrite_term(t, ctx) for t in a.args]))
     term = a.term
     if isinstance(term, ast.CmpAst):
         return Builtin(TEXT_OP[term.op], rewrite_term(term.lhs, ctx), rewrite_term(term.rhs, ctx))
@@ -244,31 +245,35 @@ def _elaborate(statements, library, library_mode):
         if name in kb.constructors or name in kb.defs:
             raise DuplicateName(name, what)
 
+    # one context per statement kind; each statement sets its name (and a query its placeholders)
+    fact_ctx, rule_ctx, query_ctx, def_ctx = (
+        ElabContext(kb.constructors, kb.defs, pred_arities, mode, "") for mode in (MODE_FACT, MODE_RULE, MODE_QUERY, MODE_DEF)
+    )
+    query_ctx.meta_ids = meta_ids
+
     for stmt in statements:
         if isinstance(stmt, ast.FactStmt):
-            name = claim_name(stmt.label, "fact")
-            ctx = ElabContext(kb.constructors, kb.defs, pred_arities, MODE_FACT, name)
-            atom = rewrite_atom(stmt.atom, ctx)
+            name = fact_ctx.statement_name = claim_name(stmt.label, "fact")
+            atom = rewrite_atom(stmt.atom, fact_ctx)
             if isinstance(atom, Builtin):
                 raise BuiltinNotAllowed("a fact")
             clauses[name] = Clause(name, atom, (), ORIGIN_FACT)
         elif isinstance(stmt, ast.RuleStmt):
-            name = claim_name(stmt.label, "rule")
-            ctx = ElabContext(kb.constructors, kb.defs, pred_arities, MODE_RULE, name)
-            head = rewrite_atom(stmt.head, ctx)
+            name = rule_ctx.statement_name = claim_name(stmt.label, "rule")
+            head = rewrite_atom(stmt.head, rule_ctx)
             if isinstance(head, Builtin):
                 raise BuiltinNotAllowed("a rule head")
-            body = tuple(rewrite_atom(a, ctx) for a in stmt.body)
+            body = tuple([rewrite_atom(a, rule_ctx) for a in stmt.body])
             clauses[name] = Clause(name, head, body, ORIGIN_RULE)
         elif isinstance(stmt, ast.QueryStmt):
             if library_mode:
                 raise InvalidLibraryStatement("query")
-            name = claim_name(stmt.label, "query")
-            ctx = ElabContext(kb.constructors, kb.defs, pred_arities, MODE_QUERY, name, placeholders={}, meta_ids=meta_ids)
-            goal = rewrite_atom(stmt.atom, ctx)
+            name = query_ctx.statement_name = claim_name(stmt.label, "query")
+            placeholders = query_ctx.placeholders = {}
+            goal = rewrite_atom(stmt.atom, query_ctx)
             if isinstance(goal, Builtin):
                 raise BuiltinNotAllowed("a query goal")
-            queries.append(Query(name, goal, dict(ctx.placeholders)))
+            queries.append(Query(name, goal, placeholders))
         elif isinstance(stmt, ast.UseStmt):
             if library_mode:
                 raise InvalidLibraryStatement("use")
@@ -284,8 +289,8 @@ def _elaborate(statements, library, library_mode):
             kb.constructors[stmt.name] = Constructor(len(stmt.fields), stmt.fields)
         elif isinstance(stmt, ast.DefStmt):
             claim_term_name(stmt.name, "definition name")
-            ctx = ElabContext(kb.constructors, kb.defs, pred_arities, MODE_DEF, stmt.name)
-            kb.defs[stmt.name] = rewrite_term(stmt.value, ctx)
+            def_ctx.statement_name = stmt.name
+            kb.defs[stmt.name] = rewrite_term(stmt.value, def_ctx)
         else:
             raise ElaborationError(f"unsupported statement {stmt!r}")
     return replace(kb, clauses=clauses), queries

@@ -12,7 +12,9 @@ arguments that earlier premises made ground.
 Joins share the solver's matcher: each rule is compiled into an
 `ldlog.solver` slot template, a premise is unified with a candidate fact's
 arguments by the solver's `_unify` in one frame of cells, and the trail is
-undone after each candidate.
+undone before the next candidate. The join walks the premises with an
+explicit stack, so Python's recursion limit does not bound a rule body's
+length.
 
 Rules must be range-restricted (every head or comparison variable occurs
 in some predicate premise), which guarantees every derived atom is ground.
@@ -28,7 +30,7 @@ later `saturate` or `oracle_answers` on that KB reads them from there.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import LdlogError
 from .index import ArgIndex
@@ -101,18 +103,20 @@ def _saturate(kb: KnowledgeBase) -> _Fixpoint:
     new: Dict[Pred, None] = {}  # an ordered set: the next round's facts, in derivation order
     for plan in plans:
         _join(plan, index, facts, {}, 0, new)
-    # premise symbol -> the plans that a round with new facts on it runs
+    # premise symbol -> the plans that a round with new facts on it runs, built
+    # when the symbol first gains facts (a rule of n premises has n such plans)
     triggered: Dict[str, List[_Plan]] = {}
-    for plan in plans:
-        for i, (call, _) in enumerate(plan.calls):
-            triggered.setdefault(call.symbol, []).append(_Plan.of(plan.template, i))
     rnd = 0
     while new:
         rnd += 1
         delta = _add_round(index, facts, new, rnd)
         new = {}
         for symbol in delta:
-            for plan in triggered.get(symbol, ()):
+            if symbol not in triggered:
+                triggered[symbol] = [
+                    _Plan.of(plan.template, i) for plan in plans for i, (call, _) in enumerate(plan.calls) if call.symbol == symbol
+                ]
+            for plan in triggered[symbol]:
                 _join(plan, index, facts, delta, rnd, new)
     return _Fixpoint(frozenset(facts), index)
 
@@ -166,38 +170,55 @@ def _join(
     symbol = template.clause.head.symbol
     cells = list(template.blank)  # the rule's one frame, at base 0
     trail: List[int] = []
-
-    def walk(k: int) -> None:
-        if k == len(calls):
+    # depth-first over the premises with an explicit stack: for each premise
+    # matched so far, or just opened, its remaining candidates, the trail
+    # length before its match, its arguments and their count, and the round
+    # its candidates must precede
+    stack: List[Tuple[Iterator[_Entry], int, tuple, int, int]] = []
+    k = 0  # the premise to open next
+    while True:
+        if k < len(calls):
+            call, scope = calls[k]
+            if scope == _DELTA:
+                entries = delta.get(call.symbol, [])
+            else:
+                entries = index.candidates(call.symbol, _ground_args(cells, call, 0))
+            stack.append((iter(entries), len(trail), call.args, len(call.args), rnd if scope == _OLD else rnd + 1))
+        else:
             for t in tests:
                 if not eval_builtin(Builtin(t.op, _value(cells, t.lhs, 0), _value(cells, t.rhs, 0))):
-                    return
-            head = Pred(symbol, tuple([_value(cells, a, 0) for a in template.head]))
-            if head not in facts:
-                new[head] = None
-            return
-        call, scope = calls[k]
-        if scope == _DELTA:
-            entries = delta.get(call.symbol, [])
-        else:
-            entries = index.candidates(call.symbol, _ground_args(cells, call, 0))
-        limit = rnd if scope == _OLD else rnd + 1
-        args, n = call.args, len(call.args)
-        mark = len(trail)
-        for born, fact in entries:
-            if born >= limit:
-                break
-            if len(fact.args) == n:
-                for a, f in zip(args, fact.args):
-                    if not _unify(cells, trail, a, 0, f, 0):
+                    break
+            else:
+                head = Pred(symbol, tuple([_value(cells, a, 0) for a in template.head]))
+                if head not in facts:
+                    new[head] = None
+        # move the innermost open premise to its next matching candidate,
+        # closing each premise whose candidates run out; a premise undoes the
+        # trail to its mark before each candidate, which also undoes every
+        # binding made after it by premises closed since
+        while stack:
+            candidates, mark, args, n, limit = stack[-1]
+            matched = False
+            for born, fact in candidates:
+                if len(trail) > mark:
+                    for j in trail[mark:]:
+                        cells[j] = None
+                    del trail[mark:]
+                if born >= limit:
+                    break
+                if len(fact.args) == n:
+                    for a, f in zip(args, fact.args):
+                        if not _unify(cells, trail, a, 0, f, 0):
+                            break
+                    else:
+                        matched = True
                         break
-                else:
-                    walk(k + 1)
-            for j in trail[mark:]:
-                cells[j] = None
-            del trail[mark:]
-
-    walk(0)
+            if matched:
+                k = len(stack)
+                break
+            stack.pop()
+        else:  # every premise is closed
+            return
 
 
 def oracle_answers(kb: KnowledgeBase, goal: Atom) -> List[Substitution]:

@@ -12,6 +12,11 @@ Lexical rules, which one compiled pattern encodes:
 Any other character is an illegal-character error at that character.
 Columns count characters from 1.
 
+The lexer keeps only each token's kind, value and start offset, in three
+parallel lists, and the parser reads those lists. A line and column are
+computed from an offset only when an error is raised, or when tokenize()
+builds its Token list.
+
 Surface syntax, one statement per '.' or '?' terminator:
 
     f1: edge("a", "b").                 fact (label optional)
@@ -61,7 +66,7 @@ class ParseError(SourceError):
 
 
 class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "str" | "kw" | "punct" | "eof"
+    kind: str  # "ident" | "int" | "str" | "kw" | "punct"
     value: object
     line: int
     col: int
@@ -171,13 +176,15 @@ _ESCAPE = re.compile(r"\\(.)")
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
 _STRING_PREFIX = re.compile(_STRING_BODY)
 
-# One named group per token kind; "bad" catches every character the others
-# refuse. "\n" only ever occurs in "skip" text, so only "skip" moves the line.
+# Skipped text, then one group per token kind; "bad" catches every character
+# the others refuse, and "\Z" ends the input after trailing skipped text. The
+# skip is greedy and some alternative always matches after it, so every
+# token takes one match and no match backtracks into its skip.
 _TOKEN = re.compile(
-    "|".join(
+    r"(?:[ \t\r\n]|//[^\n]*)*(?:"
+    + "|".join(
         f"(?P<{kind}>{pattern})"
         for kind, pattern in (
-            ("skip", r"(?:[ \t\r\n]|//[^\n]*)+"),
             ("int", r"-?[0-9]+"),
             ("ident", r"[A-Za-z_][A-Za-z0-9_]*\??"),
             ("punct", r":-|<=|>=|!=|[(),.?:<>=]"),
@@ -185,52 +192,71 @@ _TOKEN = re.compile(
             ("bad", r"."),
         )
     )
+    + r"|\Z)"
 )
+_INT, _IDENT, _PUNCT, _STR = (_TOKEN.groupindex[k] for k in ("int", "ident", "punct", "str"))
+_KEYWORDS = frozenset(KEYWORDS)
+_INT64_DIGITS = 18  # every literal of at most this many characters fits in int64
 
 
 def tokenize(source: str) -> List[Token]:
     """Split source text into tokens; raises LexError on bad input."""
-    return _lex(source)[0]
-
-
-def _lex(source: str) -> Tuple[List[Token], Token]:
-    """The tokens of source, and the end-of-input token just past the last one."""
+    kinds, values, starts = _lex(source)
     tokens: List[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
+    line, seen = 1, 0  # lines are counted on from the last token, so the whole source is read once
+    for kind, value, start in zip(kinds[:-1], values, starts):
+        line += source.count("\n", seen, start)
+        seen = start
+        col = start - source.rfind("\n", 0, start)
+        tokens.append(Token(kind if kind in ("ident", "int", "str", "kw") else "punct", value, line, col))
+    return tokens
+
+
+def _lex(source: str) -> Tuple[List[str], list, List[int]]:
+    """Parallel lists of the tokens' kinds, values and start offsets.
+
+    A punctuation token's kind is its own text. The lists end with an "eof"
+    entry whose offset is just past the last token.
+    """
+    kinds: List[str] = []
+    values: list = []
+    starts: List[int] = []
     for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = m.start() + text.rindex("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "punct":
-            append(Token("punct", text, line, col))
-        elif kind == "ident":
-            append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-        elif kind == "int":
-            append(Token("int", _int_value(text, line, col), line, col))
-        elif kind == "str":
-            body = text[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], body)
-            append(Token("str", body, line, col))
+        i = m.lastindex
+        if i == _PUNCT:
+            kind = value = m.group(i)
+        elif i == _IDENT:
+            value = m.group(i)
+            kind = "kw" if value in _KEYWORDS else "ident"
+        elif i == _INT:
+            text = m.group(i)
+            kind, value = "int", int(text) if len(text) <= _INT64_DIGITS else _int_value(text, source, m.start(i))
+        elif i == _STR:
+            kind, value = "str", m.group(i)[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], value)
+        elif i is None:  # the end of input, after any trailing skipped text
+            break
         else:
-            raise _bad_token(source, m.start(), line, col)
-    if not tokens:
-        return tokens, Token("eof", None, 1, 1)
-    # skip matches are maximal, so the last token ends where a trailing skip starts
-    end = m.start() if m.lastgroup == "skip" else m.end()
-    return tokens, Token("eof", None, tokens[-1].line, end - source.rfind("\n", 0, end))
+            raise _bad_token(source, m.start(i))
+        kinds.append(kind)
+        values.append(value)
+        starts.append(m.start(i))
+    kinds.append("eof")
+    values.append(None)
+    starts.append(m.start())
+    return kinds, values, starts
+
+
+def _position(source: str, pos: int) -> Tuple[int, int]:
+    """Line and column, both from 1, of offset pos; only skipped text holds newlines."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
 _QUOTE_LIMIT = 24  # characters of an out-of-range literal that its error message quotes
 
 
-def _int_value(text: str, line: int, col: int) -> int:
+def _int_value(text: str, source: str, pos: int) -> int:
     # int() refuses strings of more than 4,300 digits, and an int64 has at
     # most 19 significant digits: decide from those before converting
     digits = text.lstrip("-").lstrip("0")
@@ -241,10 +267,11 @@ def _int_value(text: str, line: int, col: int) -> int:
             return value
     if len(text) > _QUOTE_LIMIT:
         text = f"{text[:_QUOTE_LIMIT]}... ({len(text.lstrip('-'))} digits)"
-    raise LexError(line, col, f"integer literal out of range: {text}")
+    raise LexError(*_position(source, pos), f"integer literal out of range: {text}")
 
 
-def _bad_token(source: str, pos: int, line: int, col: int) -> LexError:
+def _bad_token(source: str, pos: int) -> LexError:
+    line, col = _position(source, pos)
     if source[pos] != '"':
         return LexError(line, col, f"illegal character {source[pos]!r}")
     # escapes are validated left to right before the closing quote is sought
@@ -258,118 +285,120 @@ def _bad_token(source: str, pos: int, line: int, col: int) -> LexError:
 # Parser
 # ---------------------------------------------------------------------------
 
+_COMPARISONS = frozenset(("<", "<=", ">", ">=", "=", "!="))
+
 
 def parse_program(source: str) -> List[StatementAst]:
     """Parse a full program; raises LexError or ParseError on bad input."""
-    tokens, eof = _lex(source)
-    # the parser looks at most two tokens past its position, which never passes the first EOF
-    return _Parser(tokens + [eof] * 3).program()
+    # the parser looks past a token only when that token is not the final "eof"
+    return _Parser(source, *_lex(source)).program()
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    """Recursive descent over _lex's lists; pos indexes the next token."""
+
+    def __init__(self, source: str, kinds: List[str], values: list, starts: List[int]):
+        self.source = source
+        self.kinds = kinds
+        self.values = values
+        self.starts = starts
         self.pos = 0
 
-    def peek(self, k: int = 0) -> Token:
-        return self.tokens[self.pos + k]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
     def error(self, expected: Tuple[str, ...]) -> ParseError:
-        t = self.peek()
-        if t.kind == "eof":
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if kind == "eof":
             found = "end of input"
-        elif t.kind == "str":
+        elif kind == "str":
             found = "string literal"
-        elif t.kind == "int":
-            found = f"integer {t.value}"
+        elif kind == "int":
+            found = f"integer {value}"
         else:
-            found = f"'{t.value}'"
-        return ParseError(t.line, t.col, expected, found)
+            found = f"'{value}'"
+        return ParseError(*self.position(), expected, found)
 
-    def expect_punct(self, p: str) -> Token:
-        t = self.peek()
-        if t.kind == "punct" and t.value == p:
-            return self.next()
-        raise self.error((f"'{p}'",))
+    def position(self) -> Tuple[int, int]:
+        return _position(self.source, self.starts[self.pos])
 
-    def at_punct(self, p: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.kind == "punct" and t.value == p
+    def expect_punct(self, p: str) -> None:
+        if self.kinds[self.pos] != p:
+            raise self.error((f"'{p}'",))
+        self.pos += 1
+
+    def accept(self, p: str) -> bool:
+        """Consume punctuation p if it is next."""
+        if self.kinds[self.pos] == p:
+            self.pos += 1
+            return True
+        return False
 
     def plain_ident(self, what: str) -> str:
-        t = self.peek()
-        if t.kind == "ident" and not t.value.endswith("?"):
-            self.next()
-            return t.value
+        pos = self.pos
+        value = self.values[pos]
+        if self.kinds[pos] == "ident" and value[-1] != "?":
+            self.pos = pos + 1
+            return value
         raise self.error((what,))
 
     # -- statements --------------------------------------------------------
 
     def program(self) -> List[StatementAst]:
         out: List[StatementAst] = []
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             out.append(self.statement())
         return out
 
     def statement(self) -> StatementAst:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.value == "use":
+        pos, kinds = self.pos, self.kinds
+        kind = kinds[pos]
+        if kind == "kw":
+            value = self.values[pos]
+            if value == "use":
                 return self.use_stmt()
-            if t.value == "struct":
+            if value == "struct":
                 return self.struct_stmt()
             return self.def_stmt()
         label = None
-        if t.kind == "ident" and self.at_punct(":", 1):
+        if kind == "ident" and kinds[pos + 1] == ":":
             label = self.plain_ident("plain identifier label")
-            self.next()  # ':'
+            self.pos += 1  # ':'
         atom = self.atom()
-        t = self.peek()
-        if self.at_punct("."):
-            self.next()
+        kind = kinds[self.pos]
+        if kind == ".":
+            self.pos += 1
             return FactStmt(label, atom)
-        if self.at_punct("?"):
-            self.next()
+        if kind == "?":
+            self.pos += 1
             return QueryStmt(label, atom)
-        if self.at_punct(":-"):
-            self.next()
+        if kind == ":-":
+            self.pos += 1
             body = [self.atom()]
-            while self.at_punct(","):
-                self.next()
+            while self.accept(","):
                 body.append(self.atom())
             self.expect_punct(".")
             return RuleStmt(label, atom, tuple(body))
         raise self.error(("'.'", "'?'", "':-'"))
 
     def use_stmt(self) -> UseStmt:
-        self.next()  # 'use'
+        self.pos += 1  # 'use'
         names = [self.plain_ident("clause name")]
-        while self.at_punct(","):
-            self.next()
+        while self.accept(","):
             names.append(self.plain_ident("clause name"))
         self.expect_punct(".")
         return UseStmt(tuple(names))
 
     def struct_stmt(self) -> StructStmt:
-        self.next()  # 'struct'
+        self.pos += 1  # 'struct'
         name = self.plain_ident("constructor name")
         self.expect_punct("(")
         fields = [self.plain_ident("field name")]
-        while self.at_punct(","):
-            self.next()
+        while self.accept(","):
             fields.append(self.plain_ident("field name"))
         self.expect_punct(")")
         self.expect_punct(".")
         return StructStmt(name, tuple(fields))
 
     def def_stmt(self) -> DefStmt:
-        self.next()  # 'def'
+        self.pos += 1  # 'def'
         name = self.plain_ident("definition name")
         self.expect_punct(":")
         self.expect_punct("=")
@@ -380,74 +409,69 @@ class _Parser:
     # -- atoms and terms ----------------------------------------------------
 
     def atom(self) -> AtomAst:
-        if self.at_punct("("):
-            self.next()
+        if self.accept("("):
             t = self.term(0)
             self.expect_punct(")")
             return ParenTerm(t)
         name = self.plain_ident("predicate name")
         self.expect_punct("(")
-        args = self.args(0)
-        return Application(name, args)
+        return Application(name, self.args(0))
 
     def args(self, depth: int) -> tuple:
         # opening '(' already consumed; consumes the closing ')'
-        if self.at_punct(")"):
-            self.next()
+        if self.accept(")"):
             return ()
         out = [self.term(depth)]
-        while self.at_punct(","):
-            self.next()
+        while self.accept(","):
             out.append(self.term(depth))
         self.expect_punct(")")
         return tuple(out)
 
     def term(self, depth: int) -> TermAst:
         if depth > _MAX_TERM_DEPTH:
-            t = self.peek()
-            raise ParseError(t.line, t.col, ("a shallower term",), "term nesting too deep")
+            raise ParseError(*self.position(), ("a shallower term",), "term nesting too deep")
         lhs = self.operand(depth)
-        t = self.peek()
-        if t.kind == "punct" and t.value in ("<", "<=", ">", ">=", "=", "!="):
-            self.next()
-            rhs = self.operand(depth)
-            return CmpAst(t.value, lhs, rhs)
+        op = self.kinds[self.pos]
+        if op in _COMPARISONS:
+            self.pos += 1
+            return CmpAst(op, lhs, self.operand(depth))
         return lhs
 
     def operand(self, depth: int) -> TermAst:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            base: TermAst = IntAst(t.value)
-        elif t.kind == "str":
-            self.next()
-            base = StrAst(t.value)
-        elif t.kind == "ident":
-            self.next()
-            if self.at_punct("("):
-                if t.value.endswith("?"):
-                    raise ParseError(t.line, t.col, ("plain identifier",), f"placeholder '{t.value}' applied to arguments")
-                self.next()
-                base = AppAst(t.value, self.args(depth + 1))
+        pos = self.pos
+        kind, value = self.kinds[pos], self.values[pos]
+        if kind == "int":
+            self.pos = pos + 1
+            base: TermAst = IntAst(value)
+        elif kind == "str":
+            self.pos = pos + 1
+            base = StrAst(value)
+        elif kind == "ident":
+            if self.kinds[pos + 1] != "(":
+                self.pos = pos + 1
+                base = IdentAst(value)
+            elif value[-1] == "?":
+                raise ParseError(*self.position(), ("plain identifier",), f"placeholder '{value}' applied to arguments")
             else:
-                base = IdentAst(t.value)
+                self.pos = pos + 2
+                base = AppAst(value, self.args(depth + 1))
         else:
             raise self.error(("a term",))
         while self._at_projection():
-            self.next()  # '.'
-            field = self.plain_ident("field name")
-            base = ProjAst(base, field)
+            self.pos += 1  # '.'
+            base = ProjAst(base, self.plain_ident("field name"))
         return base
 
     def _at_projection(self) -> bool:
         # '.' then plain ident, where the ident does not itself start a new
         # statement (label ':' or unlabeled atom '(').
-        if not self.at_punct("."):
-            return False
-        nxt = self.peek(1)
-        if nxt.kind != "ident" or nxt.value.endswith("?"):
-            return False
-        return not (self.at_punct(":", 2) or self.at_punct("(", 2))
+        pos, kinds = self.pos, self.kinds
+        return (
+            kinds[pos] == "."
+            and kinds[pos + 1] == "ident"
+            and self.values[pos + 1][-1] != "?"
+            and kinds[pos + 2] not in (":", "(")
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,21 @@ class TestInternalErrors:
         assert proc.returncode == 0
         assert proc.stdout == "q: p500()\n"
 
+    def test_oracle_joins_a_3000_premise_rule(self, capsys, tmp_path):
+        # the fixpoint's join walks a rule body with an explicit stack, so a
+        # long body does not reach Python's recursion limit
+        n = 3000
+        body = ", ".join(["s(x0)"] + [f"e(x{i}, x{i + 1})" for i in range(n)])
+        facts = ["s(0).", "s(1)."] + [f"e({k}, {k + 1})." for k in range(n + 1)]
+        f = tmp_path / "wide.ldl"
+        f.write_text("\n".join(facts + [f"r: p(x0, x{n}) :- {body}.", "q: p(a?, b?)?"]) + "\n")
+        code, out, err = run(capsys, "run", str(f), "--all", "--oracle")
+        assert (code, err) == (0, "")
+        assert out == f"q: p(0, {n})  [a? := 0, b? := {n}]\nq: p(1, {n + 1})  [a? := 1, b? := {n + 1}]\n"
+        code, solved, _ = run(capsys, "run", str(f), "--all", "--max-depth", "2")
+        assert code == 0
+        assert [line.split("  proof: ")[0] for line in solved.splitlines()] == out.splitlines()
+
     def test_height_3000_chain_proves_and_checks(self, tmp_path):
         # rendering and checking walk explicit stacks, so only --max-depth bounds the height
         f = tmp_path / "chain.ldl"

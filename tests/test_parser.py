@@ -1,9 +1,11 @@
 """Lexing, parsing, rendering, and their error positions."""
 
 import random
+import re
 
 import pytest
 
+from ldlog import parser
 from ldlog.parser import (
     AppAst,
     Application,
@@ -349,6 +351,138 @@ class TestParseErrors:
         source = "p(" + "f(" * 5000 + "1" + ")" * 5000 + ")."
         with pytest.raises(ParseError):
             parse_program(source)
+
+
+# the lexical grammar of the module docstring, written out independently
+_SKIP = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*")
+_TOKEN_TEXT = re.compile(r'-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*\??|:-|<=|>=|!=|[(),.?:<>=]|"(?:[^"\\\n]|\\.)*"')
+
+
+def _offset(source, line, col):
+    lines = source.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1, (source, line, col)
+    return sum(len(text) + 1 for text in lines[: line - 1]) + col - 1
+
+
+def _check_error_position(source, err):
+    """The text at err's position is what its message says is there."""
+    at = source[_offset(source, err.line, err.column) :]
+    if isinstance(err, ParseError):
+        found = err.found
+        if found == "end of input":
+            tokens = tokenize(source)
+            end = 0
+            if tokens:
+                last = _offset(source, tokens[-1].line, tokens[-1].col)
+                end = _TOKEN_TEXT.match(source, last).end()
+            assert _offset(source, err.line, err.column) == end and _SKIP.fullmatch(at), (source, err)
+        elif found == "string literal":
+            assert at.startswith('"'), (source, err)
+        elif found.startswith("integer "):
+            assert int(_TOKEN_TEXT.match(at).group()) == int(found[len("integer ") :]), (source, err)
+        elif found.startswith("'"):
+            assert at.startswith(found[1:-1]), (source, err)
+        elif found.startswith("placeholder '"):
+            assert at.startswith(found.split("'")[1] + "("), (source, err)
+        else:
+            assert found == "term nesting too deep" and _TOKEN_TEXT.match(at), (source, err)
+        return
+    message = err.message
+    if message.startswith("illegal character "):
+        assert repr(at[0]) == message[len("illegal character ") :], (source, err)
+    elif message == "unterminated string literal":
+        assert at.startswith('"'), (source, err)
+    elif message.startswith("invalid escape sequence "):
+        assert at.startswith(message[len("invalid escape sequence '") : -1]), (source, err)
+    else:
+        literal = message[len("integer literal out of range: ") :]
+        assert message.startswith("integer literal out of range: ") and at.startswith(literal.split("...")[0]), (source, err)
+
+
+def _error(source):
+    try:
+        parse_program(source)
+    except (LexError, ParseError) as err:
+        return err
+    return None
+
+
+class TestErrorPositions:
+    _NOISE = ("$", "\f", '"', "\\q", "99999999999999999999", "?", "(", ")", ".", ",", "m?(", "//", "\r", "é", "- ")
+    _SKIPS = (" ", "\n", "\r\n", "\t", "\n// a comment\n", "// tail\n", "\n\n  ")
+
+    def test_truncated_and_spliced_renderings(self):
+        rng = random.Random(1101)
+        errors = 0
+        for _ in range(1500):
+            a = render_program(random_program_ast(rng, 8))
+            if rng.random() < 0.5:
+                a = "".join(w + rng.choice(self._SKIPS) for w in a.split(" "))
+            roll = rng.random()
+            if roll < 0.4:
+                source = a[: rng.randint(0, len(a))]
+            else:
+                b = render_program(random_program_ast(rng, 8))
+                noise = "".join(rng.choice(self._NOISE) for _ in range(rng.randint(0, 2)))
+                source = a[: rng.randint(0, len(a))] + noise + b[rng.randint(0, len(b)) :]
+            err = _error(source)
+            if err is not None:
+                errors += 1
+                _check_error_position(source, err)
+        assert errors > 1000  # nearly every cut or splice is an error
+
+    def test_trailing_comment_without_newline(self):
+        assert parse_program("p(1). // done") == [FactStmt(None, Application("p", (IntAst(1),)))]
+        assert kinds_and_values("p() //") == [("ident", "p"), ("punct", "("), ("punct", ")")]
+        err = _error("f: p(1) // no newline")
+        assert (err.line, err.column, err.found) == (1, 8, "end of input")
+
+    def test_comment_and_whitespace_only_sources(self):
+        for source in ("// c", "// a\n// b", "//", "  \n\t\r\n ", "\n", " "):
+            assert tokenize(source) == [] and parse_program(source) == []
+        err = _error("\n  // c\n(")
+        assert (err.line, err.column, err.found) == (3, 2, "end of input")
+
+    def test_carriage_return_inside_a_line(self):
+        assert parse_program("p(1,\r 2).") == [FactStmt(None, Application("p", (IntAst(1), IntAst(2))))]
+        err = _error("p(\r$)")
+        assert (err.line, err.column, err.message) == (1, 4, "illegal character '$'")
+        err = _error("p(1).\r\nq(\r\r2 3).")
+        assert (err.line, err.column, err.found) == (2, 7, "integer 3")
+
+    def test_form_feed_is_illegal(self):
+        err = _error("p(1).\f")
+        assert (err.line, err.column, err.message) == (1, 6, "illegal character '\\x0c'")
+
+    def test_error_after_comment_lines(self):
+        source = "// one\n// two\n\n   // three\n// four\np(1) q"
+        err = _error(source)
+        assert (err.line, err.column, err.found) == (6, 6, "'q'")
+        _check_error_position(source, err)
+
+
+class TestNoTokenObjects:
+    def test_valid_program_builds_no_token_and_computes_no_position(self, monkeypatch):
+        # line and column are computed only for an error or for tokenize()
+        counts = {"Token": 0, "position": 0}
+        real_token, real_position = parser.Token, parser._position
+
+        def counting_token(*args):
+            counts["Token"] += 1
+            return real_token(*args)
+
+        def counting_position(*args):
+            counts["position"] += 1
+            return real_position(*args)
+
+        monkeypatch.setattr(parser, "Token", counting_token)
+        monkeypatch.setattr(parser, "_position", counting_position)
+        source = "".join(f'f{i}: emp({i}, "d{i % 7}", -{i * 31}, x).\n' for i in range(1000))
+        assert len(parse_program(source)) == 1000
+        assert counts == {"Token": 0, "position": 0}
+        # the patches are live: tokenize builds Tokens, an error computes its position
+        assert len(tokenize("p(1).")) == 5 and counts["Token"] == 5
+        assert _error(source + "p(") is not None and counts["position"] == 1
 
 
 class TestRender:
