@@ -117,7 +117,11 @@ def _saturate(kb: KnowledgeBase) -> _Fixpoint:
                     _Plan.of(plan.template, i) for plan in plans for i, (call, _) in enumerate(plan.calls) if call.symbol == symbol
                 ]
             for plan in triggered[symbol]:
-                _join(plan, index, facts, delta, rnd, new)
+                # a premise over earlier rounds matches nothing if its symbol had no
+                # fact then; a symbol's list is in round order, so its first entry decides
+                olds = (index.candidates(call.symbol, ()) for call, scope in plan.calls if scope == _OLD)
+                if all(entries and entries[0][0] < rnd for entries in olds):
+                    _join(plan, index, facts, delta, rnd, new)
     return _Fixpoint(frozenset(facts), index)
 
 

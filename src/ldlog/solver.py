@@ -26,18 +26,18 @@ with answers times depth rather than with proof shapes, and solutions,
 their order, their certificates and every error stay as without it.
 
 - Gate. This needs every finished clause application to be ground and no
-  comparison to flounder, which holds when every rule is range-restricted
-  (`ldlog.terms.loose_vars`, the check `saturate` makes) and every fact is
-  ground (as the elaborator makes them). The flag is taken over the whole
-  KB's rules, since dropping derivations would renumber the clause tries
-  that name a floundered variable; on any other KB every derivation runs.
-  A fact with variables turns the flag off when its template is compiled,
-  and the query starts again without it.
-- Certificates. When deduplicating, a clause application's ProofTree is
-  built when it finishes, from its children's finished trees, and its
-  conclusion is the key. Later derivations through it share that tree, so
-  its instantiation is read-only. Otherwise the tree is built once a
-  derivation of the goal is complete, from the final bindings.
+  comparison to flounder, which holds while every clause tried is
+  range-restricted (`ldlog.terms.loose_vars`, the check `saturate` makes;
+  the elaborator makes every fact ground): only a tried clause can finish
+  non-ground or flounder. The first try of a clause with loose variables
+  turns the KB's flag off for good, and the query starts again without it,
+  since dropping derivations would renumber the clause tries that name a
+  floundered variable.
+- Certificates. `_tree` builds each clause application's ProofTree, with a
+  read-only instantiation. When deduplicating, it runs as the application
+  finishes, on its children's finished trees, and later derivations
+  through it share the tree. Otherwise `_freeze` runs it once a derivation
+  of the goal is complete: a finished application may still be non-ground.
 
 The machine follows the WAM's split between compiled clauses and a
 binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
@@ -97,10 +97,11 @@ from .terms import (
     is_ground,
     loose_vars,
 )
+from .unify import BuiltinNotUnifiable
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
 # `ldlog.solver.unify_atoms`, so it must stay importable from this module.
-from .unify import BuiltinNotUnifiable, unify_atoms  # noqa: F401
+from .unify import unify_atoms  # noqa: F401
 
 
 class FlounderedBuiltin(LdlogError):
@@ -204,16 +205,14 @@ class _Template:
 
 def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool]:
     """kb's head index, its templates by clause name (each made on its clause's
-    first try), and whether every rule is range-restricted (so repeated answers may be dropped)."""
+    first try), and whether repeated answers may be dropped: no clause with
+    loose variables has been tried yet."""
     compiled = kb.compiled.get("solver")
     if compiled is None:
         index: ArgIndex[Clause] = ArgIndex()
-        dedup = True
         for c in kb.clauses.values():
             index.add(c.head, c)
-            if dedup and c.body and loose_vars(c):
-                dedup = False
-        compiled = kb.compiled["solver"] = (index, {}, dedup)
+        compiled = kb.compiled["solver"] = (index, {}, True)
     return compiled
 
 
@@ -264,8 +263,18 @@ def _fill(t, values: list):
     return t
 
 
-def _leaf(cells: list, test: _Test, b: int) -> BuiltinLeaf:
-    return BuiltinLeaf(Builtin(test.op, _value(cells, test.lhs, b), _value(cells, test.rhs, b)))
+def _tree(cells: list, node: "_Node", values: list, args: tuple, children) -> ProofTree:
+    """node's clause application as a ProofTree, given its slot values, its
+    conclusion's arguments and its children (a _Test becomes a leaf)."""
+    template, base = node.template, node.base
+    clause = template.clause
+    conclusion = Pred(clause.head.symbol, args) if values else clause.head
+    proofs = []
+    for c in children:
+        if type(c) is _Test:
+            c = BuiltinLeaf(Builtin(c.op, _value(cells, c.lhs, base), _value(cells, c.rhs, base)))
+        proofs.append(c)
+    return ProofTree(clause.name, MappingProxyType(dict(zip(template.keys, values))), conclusion, tuple(proofs))
 
 
 def _occurs(cells: list, j: int, t: _Struct, b: int) -> bool:
@@ -349,10 +358,9 @@ class _Node:
     children[i] is the _Node proving body atom i, the shared ProofTree of
     the ground fact that proves it, or the _Test of a comparison that held.
     When deduplicating, it is instead the ProofTree of the finished clause
-    application proving it, and a _Test becomes its leaf when node
-    finishes. A slot is only current once its premise is solved on the
-    present branch; backtracking leaves older entries behind. `call` is the
-    choice point of the call that node proves (None at the root).
+    application proving it. A slot is only current once its premise is
+    solved on the present branch; backtracking leaves older entries behind.
+    `call` is the choice point of the call that node proves (None at the root).
     """
 
     __slots__ = ("template", "base", "tick", "children", "call")
@@ -386,8 +394,8 @@ class _Search:
     def run(self, budget: int):
         """Yield once per derivation of the goal, with the store holding its bindings.
 
-        On a range-restricted KB, a derivation whose finished clause
-        application repeats an answer its call gave before is dropped there.
+        While deduplicating, a derivation whose finished clause application
+        repeats an answer its call gave before is dropped there.
         """
         cells, trail = self.cells, self.trail
         candidates = self.index.candidates
@@ -452,8 +460,10 @@ class _Search:
                     template = templates.get(clause.name)
                     if template is None:
                         template = templates[clause.name] = _Template(clause)
-                        if dedup and template.keys and not template.body:
-                            self._give_up_dedup()
+                        if dedup and template.keys and loose_vars(clause):
+                            # the gate's one site: this KB now keeps every derivation
+                            self.kb.compiled["solver"] = (self.index, templates, False)
+                            raise _Restart
                     cells.extend(template.blank)
                     head = template.head
                     if len(head) != len(call.args):
@@ -485,7 +495,7 @@ class _Search:
     def _complete(self, node: "_Node") -> bool:
         """Put node's ProofTree in its parent, unless node's call has given that answer before.
 
-        Only on a range-restricted KB, where every slot is ground by now.
+        Only while deduplicating, when every slot is ground by now.
         A cell past node's frame belongs to a finished descendant, whose
         value `known` holds; a cell at or below the frame may have been
         filled by a frame since cut away, so its value is read afresh.
@@ -503,9 +513,7 @@ class _Search:
                 t = _value(cells, t, b)
             known[j] = t
             values.append(t)
-        clause = template.clause
-        conclusion = clause.head
-        args = conclusion.args
+        args = template.clause.head.args
         if values:
             args = tuple([values[a] if type(a) is int else _fill(a, values) for a in template.head])
         cp = node.call
@@ -516,26 +524,8 @@ class _Search:
         answers.add(args)  # one hash, where `in` and add would take two
         if len(answers) == seen:
             return False
-        if values:
-            conclusion = Pred(conclusion.symbol, args)
-        children = node.children
-        for i, c in enumerate(children):
-            if type(c) is _Test:
-                children[i] = _leaf(cells, c, base)
-        # shared by every later derivation through this one, so read-only
-        instantiation = MappingProxyType(dict(zip(template.keys, values)))
-        cp[5].children[cp[4]] = ProofTree(clause.name, instantiation, conclusion, tuple(children))
+        cp[5].children[cp[4]] = _tree(cells, node, values, args, node.children)
         return True
-
-    def _give_up_dedup(self):
-        """Mark the KB as one whose search keeps every derivation, and restart this query.
-
-        A fact with variables (which the elaborator never makes) can leave a
-        finished clause application non-ground.
-        """
-        index, templates, _ = self.kb.compiled["solver"]
-        self.kb.compiled["solver"] = (index, templates, False)
-        raise _Restart
 
     def _freeze(self) -> Optional[ProofTree]:
         """The current derivation as a ground ProofTree, or None if a variable is unbound."""
@@ -543,12 +533,7 @@ class _Search:
         top = self.root.children[0]
         if type(top) is ProofTree:
             return top  # a ground fact, or built when the goal's clause application finished
-        order = []
-        todo = [top]
-        while todo:
-            node = todo.pop()
-            order.append(node)
-            todo.extend([c for c in node.children if type(c) is _Node])
+        order = self._nodes()  # order[0] is top
         built: Dict[int, ProofTree] = {}
         known: Dict[int, object] = {}  # cell -> its value, for every frame frozen so far
         for node in reversed(order):  # every node after its children
@@ -569,20 +554,19 @@ class _Search:
                     return None
                 known[j] = t
                 values.append(t)
-            children = []
-            for c in node.children:
-                if type(c) is _Node:
-                    c = built[id(c)]
-                elif type(c) is _Test:
-                    c = _leaf(cells, c, base)
-                children.append(c)
-            clause = template.clause
-            conclusion = clause.head
-            if values:
-                args = [values[a] if type(a) is int else _fill(a, values) for a in template.head]
-                conclusion = Pred(conclusion.symbol, tuple(args))
-            built[id(node)] = ProofTree(clause.name, dict(zip(template.keys, values)), conclusion, tuple(children))
+            args = tuple([_fill(a, values) for a in template.head])
+            children = [built[id(c)] if type(c) is _Node else c for c in node.children]
+            built[id(node)] = _tree(cells, node, values, args, children)
         return built[id(order[0])]
+
+    def _nodes(self) -> List[_Node]:
+        """Every _Node below the root, each before its children."""
+        nodes, todo = [], [self.root]
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            todo.extend([c for c in node.children if type(c) is _Node])
+        return nodes[1:]
 
     def _names(self) -> dict:
         """The variable each cell stands for: x#k for clause variable x of the k-th try.
@@ -591,13 +575,8 @@ class _Search:
         cover a cell, the later try is current: a frame is only ever
         allocated past every cell in use.
         """
-        nodes, todo = [], [self.root]
-        while todo:
-            node = todo.pop()
-            nodes.append(node)
-            todo.extend(c for c in node.children if type(c) is _Node)
         names = dict(enumerate(self.query_keys))
-        for node in sorted(nodes[1:], key=lambda n: n.tick):
+        for node in sorted(self._nodes(), key=lambda n: n.tick):
             for k, key in enumerate(node.template.keys):
                 names[node.base + k] = Var(f"{key.name}#{node.tick}")
         return names

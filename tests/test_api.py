@@ -40,8 +40,10 @@ def test_every_exported_name_resolves():
 def test_no_module_imports_a_name_it_does_not_use():
     """Each name a module under src/ldlog imports is used there or listed in its __all__.
 
-    An import statement marked `# noqa: F401` is kept on purpose and exempt.
+    `# noqa: F401` exempts only the names that the traced benchmark run
+    (bench/run.py) patches in a module that does not call them.
     """
+    exempt = {("solver.py", "unify_atoms"), ("oracle.py", "unify_atoms")}
     unused = []
     for path in sorted(Path(ldlog.__file__).resolve().parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -57,10 +59,11 @@ def test_no_module_imports_a_name_it_does_not_use():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
                 continue
-            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
-                continue
+            noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
             for alias in node.names:
                 name = (alias.asname or alias.name).partition(".")[0]
-                if name not in used and name not in exported:
+                if noqa and (path.name, name) not in exempt:
+                    unused.append(f"{path.name}:{node.lineno}: {name} is not exempt from F401")
+                elif not noqa and name not in used and name not in exported:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []

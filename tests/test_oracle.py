@@ -179,6 +179,37 @@ class TestFixpointCache:
         assert saturate(kb) is fixpoint
 
 
+class TestSemiNaiveCost:
+    """A round skips each plan with a premise over earlier rounds whose symbol had no fact then."""
+
+    @staticmethod
+    def wide_rule(n):
+        """q copies an e chain of n edges in round 1; r joins s(0) and n q premises along it."""
+        xs = [f"x{i}" for i in range(n + 1)]
+        premises = ", ".join(f"q({a}, {b})" for a, b in zip(xs, xs[1:]))
+        edges = "\n".join(f"e{i}: e({i}, {i + 1})." for i in range(n))
+        return f"c: q(x, y) :- e(x, y).\nf: s(0).\n{edges}\nr: p(x0, x{n}) :- s(x0), {premises}."
+
+    def unify_calls(self, monkeypatch, n):
+        calls = 0
+        real = oracle._unify
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_unify", counted)
+        kb, _ = compile_text(self.wide_rule(n))
+        assert Pred("p", (IntLit(0), IntLit(n))) in saturate(kb)
+        return calls
+
+    def test_wide_rule_over_a_derived_symbol(self, monkeypatch):
+        # without the skip, each of r's n plans scans all n new q facts before
+        # a q premise over round 0, where q has no facts, rejects each: 3n² calls
+        assert self.unify_calls(monkeypatch, 200) <= 2.5 * self.unify_calls(monkeypatch, 100)
+
+
 class TestRangeRestriction:
     def test_head_variable_not_in_body(self):
         kb, _ = compile_text('f: q("a").\nr: p(x, y) :- q(x).')

@@ -627,6 +627,17 @@ class TestSharedFacts:
             check_proof(kb, sol.proof)
         assert shared.instantiation == {Var("x"): a, Var("y"): b} and shared.conclusion == Pred("path", (a, b))
 
+    def test_certificates_are_read_only_where_every_derivation_is_kept(self):
+        # rects.ldl's rule has variables in no predicate premise, so its search
+        # keeps every derivation and builds its certificates once each is complete
+        kb, queries = compile_text((PROGRAMS / "rects.ldl").read_text())
+        sols = [sol for q in queries for sol in solve(kb, q, SolverConfig(solution_limit=None))]
+        assert sols and kb.compiled["solver"][2] is False
+        for sol in sols:
+            assert sol.proof.instantiation[Var("ax1")] == IntLit(50)
+            with pytest.raises(TypeError):
+                sol.proof.instantiation[Var("ax1")] = IntLit(0)
+
 
 GOLDENS = [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")]
 

@@ -414,6 +414,31 @@ p1("c2", "c0").
         for q in queries:
             assert self.assert_same(kb, q, SolverConfig(solution_limit=None))
 
+    def test_loose_rule_first_tried_mid_query(self, monkeypatch):
+        # reach("a", "d") is found through "b", then dropped as a repeat through
+        # "c", before late("f") first tries u, whose y no premise binds: the
+        # query starts again, keeping every derivation, and so does no later one
+        kb, queries = compile_text(
+            'e("a", "b").\ne("a", "c").\ne("b", "d").\ne("c", "d").\ne("a", "g").\ne("g", "f").\n'
+            "r1: reach(x, y) :- e(x, y).\nr2: reach(x, y) :- e(x, z), reach(z, y).\n"
+            'l1: late(x) :- e(x, "h").\nu: late("f") :- (1 > y).\nt: top(w) :- reach("a", w), late(w).\n'
+            "q: top(m?)?"
+        )
+        runs = []
+        real = solver._solve
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_solve", counted)
+        cfg = SolverConfig(max_depth=6, solution_limit=None)
+        for restarts in (1, 0):
+            runs.clear()
+            got = self.assert_same(kb, queries[0], cfg)
+            assert got == (FlounderedBuiltin, "comparison never became ground: 1 > y#30")
+            assert len(runs) == 1 + restarts
+
     @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
     def test_programs(self, main, lib):
         lib_text = (PROGRAMS / lib).read_text() if lib else None
