@@ -1,13 +1,14 @@
 """Forward-chaining fixpoint evaluation, used as a testing oracle.
 
-Semi-naive bottom-up saturation (Bancilhon & Ramakrishnan 1986). Round 0
-joins every rule against the facts. Each later round joins a rule
-once per predicate premise whose symbol gained facts in the round before:
-that premise ranges over those new facts only, the premises before it over
-facts of still earlier rounds, and the premises after it over all facts,
-so each match of a rule body is found in exactly one round. Facts sit in
-an `ldlog.index.ArgIndex`; a lookup takes the shortest list among the
-arguments that earlier premises made ground.
+Semi-naive bottom-up saturation (Bancilhon & Ramakrishnan 1986). A join
+is named by a rule and the position of its delta premise. Round 0 joins
+every rule against the facts, with no delta premise. Each later round
+joins a rule once per predicate premise whose symbol gained facts in the
+round before: that premise ranges over those new facts only, the premises
+before it over facts of still earlier rounds, and the premises after it
+over all facts, so each match of a rule body is found in exactly one
+round. Facts sit in an `ldlog.index.ArgIndex`; a lookup takes the
+shortest list among the arguments that earlier premises made ground.
 
 Joins share the solver's matcher: each rule is compiled into an
 `ldlog.solver` slot template, a premise is unified with a candidate fact's
@@ -56,6 +57,8 @@ from .unify import unify_atoms  # noqa: F401
 
 # An index entry: the round a fact was derived in, and the fact.
 _Entry = Tuple[int, Pred]
+# A rule compiled for joins: its template, its premises and its comparisons, in body order.
+_Rule = Tuple[_Template, List[_Call], List[_Test]]
 
 
 class UnsafeRule(LdlogError):
@@ -96,32 +99,33 @@ def _saturate(kb: KnowledgeBase) -> _Fixpoint:
         loose = loose_vars(c)
         if loose:
             raise UnsafeRule(c.name, loose)
-    plans = [_Plan.of(_Template(c), None) for c in rules]  # premises in body order
+    compiled: List[_Rule] = []
+    premises: Dict[str, List[Tuple[_Rule, int]]] = {}  # symbol -> (rule, position) of each premise on it
+    for c in rules:
+        template = _Template(c)
+        calls = [a for _, a in template.body if type(a) is _Call]
+        rule = (template, calls, [a for _, a in template.body if type(a) is _Test])
+        compiled.append(rule)
+        for i, call in enumerate(calls):
+            premises.setdefault(call.symbol, []).append((rule, i))
     facts: Set[Pred] = set()
     index: ArgIndex[_Entry] = ArgIndex()
     _add_round(index, facts, [c.head for c in kb.clauses.values() if not c.body], 0)
     new: Dict[Pred, None] = {}  # an ordered set: the next round's facts, in derivation order
-    for plan in plans:
-        _join(plan, index, facts, {}, 0, new)
-    # premise symbol -> the plans that a round with new facts on it runs, built
-    # when the symbol first gains facts (a rule of n premises has n such plans)
-    triggered: Dict[str, List[_Plan]] = {}
+    for rule in compiled:
+        _join(rule, None, index, facts, {}, 0, new)
     rnd = 0
     while new:
         rnd += 1
         delta = _add_round(index, facts, new, rnd)
         new = {}
         for symbol in delta:
-            if symbol not in triggered:
-                triggered[symbol] = [
-                    _Plan.of(plan.template, i) for plan in plans for i, (call, _) in enumerate(plan.calls) if call.symbol == symbol
-                ]
-            for plan in triggered[symbol]:
+            for rule, first in premises.get(symbol, ()):
                 # a premise over earlier rounds matches nothing if its symbol had no
                 # fact then; a symbol's list is in round order, so its first entry decides
-                olds = (index.candidates(call.symbol, ()) for call, scope in plan.calls if scope == _OLD)
+                olds = (index.candidates(call.symbol, ()) for call in rule[1][:first])
                 if all(entries and entries[0][0] < rnd for entries in olds):
-                    _join(plan, index, facts, delta, rnd, new)
+                    _join(rule, first, index, facts, delta, rnd, new)
     return _Fixpoint(frozenset(facts), index)
 
 
@@ -138,39 +142,24 @@ def _add_round(index: ArgIndex[_Entry], facts: Set[Pred], new, rnd: int) -> Dict
     return added
 
 
-_DELTA, _OLD, _ALL = "delta", "old", "all"
-
-
-class _Plan(NamedTuple):
-    """One join of a rule body: premises in match order, then comparisons in body order."""
-
-    template: _Template
-    calls: List[Tuple[_Call, str]]  # each premise with the facts it ranges over: _DELTA, _OLD or _ALL
-    tests: List[_Test]
-
-    @staticmethod
-    def of(template: _Template, first: Optional[int]) -> "_Plan":
-        """All premises over all facts, or premise `first` over the delta first."""
-        premises = [a for _, a in template.body if type(a) is _Call]
-        calls = [(a, _ALL if first is None or i > first else _OLD) for i, a in enumerate(premises) if i != first]
-        if first is not None:
-            calls.insert(0, (premises[first], _DELTA))
-        return _Plan(template, calls, [a for _, a in template.body if type(a) is _Test])
-
-
 def _join(
-    plan: _Plan,
+    rule: _Rule,
+    first: Optional[int],
     index: ArgIndex[_Entry],
     facts: Set[Pred],
     delta: Dict[str, List[_Entry]],
     rnd: int,
     new: Dict[Pred, None],
 ) -> None:
-    """Add to `new` every unknown head instance the plan derives in round rnd.
+    """Add to `new` every unknown head instance the rule derives in round rnd.
 
-    Comparisons are evaluated once every premise has matched, up to the first false one.
+    Premise `first` ranges over the delta (the facts of round rnd) and is
+    matched first; the others follow in body order, those before it over
+    earlier rounds and those after it over all facts. In round 0 `first` is
+    None and every premise ranges over all facts. Comparisons are evaluated
+    once every premise has matched, up to the first false one.
     """
-    template, calls, tests = plan
+    template, calls, tests = rule
     symbol = template.clause.head.symbol
     cells = list(template.blank)  # the rule's one frame, at base 0
     trail: List[int] = []
@@ -179,15 +168,18 @@ def _join(
     # length before its match, its arguments and their count, and the round
     # its candidates must precede
     stack: List[Tuple[Iterator[_Entry], int, tuple, int, int]] = []
-    k = 0  # the premise to open next
+    k = 0  # the premise to open next, counted in match order
     while True:
         if k < len(calls):
-            call, scope = calls[k]
-            if scope == _DELTA:
-                entries = delta.get(call.symbol, [])
+            if first is None or k > first:
+                i, limit = k, rnd + 1  # over all facts
+            elif k:
+                i, limit = k - 1, rnd  # before the delta premise: over earlier rounds
             else:
-                entries = index.candidates(call.symbol, _ground_args(cells, call, 0))
-            stack.append((iter(entries), len(trail), call.args, len(call.args), rnd if scope == _OLD else rnd + 1))
+                i, limit = first, rnd + 1  # the delta premise
+            call = calls[i]
+            entries = delta[call.symbol] if i == first else index.candidates(call.symbol, _ground_args(cells, call, 0))
+            stack.append((iter(entries), len(trail), call.args, len(call.args), limit))
         else:
             for t in tests:
                 if not eval_builtin(Builtin(t.op, _value(cells, t.lhs, 0), _value(cells, t.rhs, 0))):

@@ -215,6 +215,17 @@ class TestOracleMode:
         assert out.count("\n") == 3  # q0 once, q1 twice
         assert len(calls) == 1
 
+    def test_oracle_mixed_type_comparison_exits_2(self, capsys, tmp_path):
+        # the fixpoint has no per-query outcome, so a comparison's type error is an input error
+        f = tmp_path / "mix.ldl"
+        f.write_text('f: p(1).\nr: s(x) :- p(x), (x > "a").\nq: s(m?)?\n')
+        code, out, err = run(capsys, "run", str(f), "--oracle")
+        assert (code, out) == (2, "")
+        assert err == 'ldlog: comparison on mixed or structured operands: 1 > "a"\n'
+        code, out, err = run(capsys, "run", str(f))
+        assert (code, err) == (1, "")
+        assert out == 'q: s(m?)  error: comparison on mixed or structured operands: 1 > "a"\n'
+
     def test_no_queries_skips_the_fixpoint(self, capsys, tmp_path):
         # r is not range-restricted, so saturating would exit 2
         f = tmp_path / "unsafe.ldl"

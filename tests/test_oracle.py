@@ -1,7 +1,9 @@
 """Forward-chaining fixpoint: saturation, safety check, and answer sets."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -180,7 +182,8 @@ class TestFixpointCache:
 
 
 class TestSemiNaiveCost:
-    """A round skips each plan with a premise over earlier rounds whose symbol had no fact then."""
+    """A round skips each join with a premise over earlier rounds whose symbol had no fact then,
+    and a join is named by its delta premise's position, not built as a copy of the rule body."""
 
     @staticmethod
     def wide_rule(n):
@@ -208,6 +211,21 @@ class TestSemiNaiveCost:
         # without the skip, each of r's n plans scans all n new q facts before
         # a q premise over round 0, where q has no facts, rejects each: 3n² calls
         assert self.unify_calls(monkeypatch, 200) <= 2.5 * self.unify_calls(monkeypatch, 100)
+
+    def saturate_peak(self, n):
+        kb, _ = compile_text(self.wide_rule(n))
+        gc.collect()  # a full collection empties the free lists, so every allocation is traced
+        tracemalloc.start()
+        try:
+            assert Pred("p", (IntLit(0), IntLit(n))) in saturate(kb)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_plan_memory_is_linear_in_body_length(self):
+        # r has n premises over q, each one the delta premise of a join in round 1;
+        # a join that copied r's body per delta premise would hold n² premises
+        assert self.saturate_peak(400) <= 2.5 * self.saturate_peak(200)
 
 
 class TestRangeRestriction:
