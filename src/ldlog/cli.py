@@ -219,7 +219,3 @@ def _run_oracle(kb, queries: List[Query], args) -> int:
         entries.append(entry)
     print(format_report(entries), end="")
     return 1 if any_failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,7 @@ shortest list among the arguments that earlier premises made ground.
 
 Joins share the solver's matcher: each rule is compiled into an
 `ldlog.solver` slot template, a premise is unified with a candidate fact's
-arguments by the solver's `_unify` in one frame of cells, and the trail is
+arguments by one `_unify` call in one frame of cells, and the trail is
 undone before the next candidate. The join walks the premises with an
 explicit stack, so Python's recursion limit does not bound a rule body's
 length.
@@ -165,9 +165,9 @@ def _join(
     trail: List[int] = []
     # depth-first over the premises with an explicit stack: for each premise
     # matched so far, or just opened, its remaining candidates, the trail
-    # length before its match, its arguments and their count, and the round
-    # its candidates must precede
-    stack: List[Tuple[Iterator[_Entry], int, tuple, int, int]] = []
+    # length before its match, its arguments, and the round its candidates
+    # must precede
+    stack: List[Tuple[Iterator[_Entry], int, tuple, int]] = []
     k = 0  # the premise to open next, counted in match order
     while True:
         if k < len(calls):
@@ -179,7 +179,7 @@ def _join(
                 i, limit = first, rnd + 1  # the delta premise
             call = calls[i]
             entries = delta[call.symbol] if i == first else index.candidates(call.symbol, _ground_args(cells, call, 0))
-            stack.append((iter(entries), len(trail), call.args, len(call.args), limit))
+            stack.append((iter(entries), len(trail), call.args, limit))
         else:
             for t in tests:
                 if not eval_builtin(Builtin(t.op, _value(cells, t.lhs, 0), _value(cells, t.rhs, 0))):
@@ -193,7 +193,7 @@ def _join(
         # trail to its mark before each candidate, which also undoes every
         # binding made after it by premises closed since
         while stack:
-            candidates, mark, args, n, limit = stack[-1]
+            candidates, mark, args, limit = stack[-1]
             matched = False
             for born, fact in candidates:
                 if len(trail) > mark:
@@ -202,13 +202,9 @@ def _join(
                     del trail[mark:]
                 if born >= limit:
                     break
-                if len(fact.args) == n:
-                    for a, f in zip(args, fact.args):
-                        if not _unify(cells, trail, a, 0, f, 0):
-                            break
-                    else:
-                        matched = True
-                        break
+                if _unify(cells, trail, args, 0, fact.args, 0):
+                    matched = True
+                    break
             if matched:
                 k = len(stack)
                 break

@@ -33,11 +33,13 @@ their order, their certificates and every error stay as without it.
   turns the KB's flag off for good, and the query starts again without it,
   since dropping derivations would renumber the clause tries that name a
   floundered variable.
-- Certificates. `_tree` builds each clause application's ProofTree, with a
-  read-only instantiation. When deduplicating, it runs as the application
-  finishes, on its children's finished trees, and later derivations
-  through it share the tree. Otherwise `_freeze` runs it once a derivation
-  of the goal is complete: a finished application may still be non-ground.
+- Certificates. A comparison that holds gets its BuiltinLeaf as it is
+  evaluated. `_tree` builds each clause application's ProofTree, with a
+  read-only instantiation, from the values `_slot_values` reads and its
+  children's certificates. When deduplicating, it runs as the application
+  finishes, and later derivations through it share the tree. Otherwise
+  `_freeze` runs it once a derivation of the goal is complete: a finished
+  application may still be non-ground.
 
 The machine follows the WAM's split between compiled clauses and a
 binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
@@ -263,18 +265,40 @@ def _fill(t, values: list):
     return t
 
 
-def _tree(cells: list, node: "_Node", values: list, args: tuple, children) -> ProofTree:
-    """node's clause application as a ProofTree, given its slot values, its
-    conclusion's arguments and its children (a _Test becomes a leaf)."""
-    template, base = node.template, node.base
+def _slot_values(cells: list, known: dict, node: "_Node") -> Optional[list]:
+    """The value of each slot of node's frame, also written to `known`; None if one is unbound.
+
+    `known` must hold every cell past node's frame, all from later tries:
+    `_complete` reads node once its descendants have finished, `_freeze` reads
+    the latest try first. A cell at or below the frame is read afresh: `known`
+    may hold a stale value there, written by a frame since cut away.
+    """
+    base = node.base
+    end = base + len(node.template.keys)
+    values = []
+    for j in range(base, end):
+        cell = cells[j]
+        if cell is None:
+            return None
+        t, b = cell  # a ground term t is the value as it is
+        if type(t) is int:
+            k = b + t
+            t = known[k] if k >= end else _value(cells, t, b)
+        elif type(t) is _Struct:
+            t = _value(cells, t, b)
+        if t is None:
+            return None
+        known[j] = t
+        values.append(t)
+    return values
+
+
+def _tree(template: _Template, values: list, args: tuple, children) -> ProofTree:
+    """A clause application as a ProofTree, given its slot values, its
+    conclusion's arguments and its children's certificates."""
     clause = template.clause
     conclusion = Pred(clause.head.symbol, args) if values else clause.head
-    proofs = []
-    for c in children:
-        if type(c) is _Test:
-            c = BuiltinLeaf(Builtin(c.op, _value(cells, c.lhs, base), _value(cells, c.rhs, base)))
-        proofs.append(c)
-    return ProofTree(clause.name, MappingProxyType(dict(zip(template.keys, values))), conclusion, tuple(proofs))
+    return ProofTree(clause.name, MappingProxyType(dict(zip(template.keys, values))), conclusion, tuple(children))
 
 
 def _occurs(cells: list, j: int, t: _Struct, b: int) -> bool:
@@ -297,54 +321,61 @@ def _occurs(cells: list, j: int, t: _Struct, b: int) -> bool:
     return False
 
 
-def _unify(cells: list, trail: list, t1, b1: int, t2, b2: int) -> bool:
-    """Bind cells so that t1 (goal side, frame b1) equals t2 (head side, frame b2)."""
-    stack = None
-    while True:
-        while type(t1) is int:
-            v = cells[b1 + t1]
-            if v is None:
-                break
-            t1, b1 = v
-        while type(t2) is int:
-            v = cells[b2 + t2]
-            if v is None:
-                break
-            t2, b2 = v
-        if type(t1) is int:
-            j = b1 + t1
-            if type(t2) is int:
-                if b2 + t2 != j:
-                    cells[j] = (t2, b2)
+def _unify(cells: list, trail: list, args1: tuple, b1: int, args2: tuple, b2: int) -> bool:
+    """Bind cells so that args1 (goal side, frame b1) equals args2 (head side, frame b2).
+
+    False if their lengths differ. Arguments go left to right, each to its end
+    before the next; bindings made before a failure stay on the trail.
+    """
+    if len(args1) != len(args2):
+        return False
+    stack: list = []  # empty again after each argument
+    for t1, t2 in zip(args1, args2):
+        s1, s2 = b1, b2
+        while True:
+            while type(t1) is int:
+                v = cells[s1 + t1]
+                if v is None:
+                    break
+                t1, s1 = v
+            while type(t2) is int:
+                v = cells[s2 + t2]
+                if v is None:
+                    break
+                t2, s2 = v
+            if type(t1) is int:
+                j = s1 + t1
+                if type(t2) is int:
+                    if s2 + t2 != j:
+                        cells[j] = (t2, s2)
+                        trail.append(j)
+                elif type(t2) is _Struct and _occurs(cells, j, t2, s2):
+                    return False
+                else:
+                    cells[j] = (t2, s2)
                     trail.append(j)
-            elif type(t2) is _Struct and _occurs(cells, j, t2, b2):
-                return False
-            else:
-                cells[j] = (t2, b2)
+            elif type(t2) is int:
+                j = s2 + t2
+                if type(t1) is _Struct and _occurs(cells, j, t1, s1):
+                    return False
+                cells[j] = (t1, s1)
                 trail.append(j)
-        elif type(t2) is int:
-            j = b2 + t2
-            if type(t1) is _Struct and _occurs(cells, j, t1, b1):
+            elif type(t1) is _Struct or type(t2) is _Struct:
+                if (
+                    (type(t1) is not _Struct and type(t1) is not App)
+                    or (type(t2) is not _Struct and type(t2) is not App)
+                    or t1.constructor != t2.constructor
+                    or len(t1.args) != len(t2.args)
+                ):
+                    return False
+                # popped last first: a constructor's arguments right to left, as in unify
+                stack.extend(zip(t1.args, repeat(s1), t2.args, repeat(s2)))
+            elif t1 != t2:
                 return False
-            cells[j] = (t1, b1)
-            trail.append(j)
-        elif type(t1) is _Struct or type(t2) is _Struct:
-            if (
-                (type(t1) is not _Struct and type(t1) is not App)
-                or (type(t2) is not _Struct and type(t2) is not App)
-                or t1.constructor != t2.constructor
-                or len(t1.args) != len(t2.args)
-            ):
-                return False
-            if stack is None:
-                stack = []
-            # popped last first: a constructor's arguments right to left, as in unify
-            stack.extend(zip(t1.args, repeat(b1), t2.args, repeat(b2)))
-        elif t1 != t2:
-            return False
-        if not stack:
-            return True
-        t1, b1, t2, b2 = stack.pop()
+            if not stack:
+                break
+            t1, s1, t2, s2 = stack.pop()
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +387,8 @@ class _Node:
     """A clause application of the current derivation.
 
     children[i] is the _Node proving body atom i, the shared ProofTree of
-    the ground fact that proves it, or the _Test of a comparison that held.
+    the ground fact that proves it, or the BuiltinLeaf of a comparison that
+    held, made as it was evaluated.
     When deduplicating, it is instead the ProofTree of the finished clause
     application proving it. A slot is only current once its premise is
     solved on the present branch; backtracking leaves older entries behind.
@@ -432,8 +464,9 @@ class _Search:
                             names = self._names()
                             now = Builtin(item.op, _value(cells, item.lhs, base, names), _value(cells, item.rhs, base, names))
                             raise FlounderedBuiltin(now)
-                        if eval_builtin(Builtin(item.op, lhs, rhs)):
-                            node.children[idx] = item
+                        now = Builtin(item.op, lhs, rhs)
+                        if eval_builtin(now):
+                            node.children[idx] = BuiltinLeaf(now)
                             cont = (rest, node, base, budget, up)
                             continue
                     elif budget >= 1:
@@ -465,13 +498,7 @@ class _Search:
                             self.kb.compiled["solver"] = (self.index, templates, False)
                             raise _Restart
                     cells.extend(template.blank)
-                    head = template.head
-                    if len(head) != len(call.args):
-                        continue
-                    for g, h in zip(call.args, head):
-                        if not _unify(cells, trail, g, gbase, h, top):
-                            break
-                    else:
+                    if _unify(cells, trail, call.args, gbase, template.head, top):
                         break
                 else:
                     choices.pop()
@@ -496,23 +523,9 @@ class _Search:
         """Put node's ProofTree in its parent, unless node's call has given that answer before.
 
         Only while deduplicating, when every slot is ground by now.
-        A cell past node's frame belongs to a finished descendant, whose
-        value `known` holds; a cell at or below the frame may have been
-        filled by a frame since cut away, so its value is read afresh.
         """
-        cells, known = self.cells, self.known
-        template, base = node.template, node.base
-        end = base + len(template.keys)
-        values = []
-        for j in range(base, end):
-            t, b = cells[j]  # a ground term t is the value as it is
-            if type(t) is int:
-                k = b + t
-                t = known[k] if k >= end else _value(cells, t, b)
-            elif type(t) is _Struct:
-                t = _value(cells, t, b)
-            known[j] = t
-            values.append(t)
+        template = node.template
+        values = _slot_values(self.cells, self.known, node)
         args = template.clause.head.args
         if values:
             args = tuple([values[a] if type(a) is int else _fill(a, values) for a in template.head])
@@ -524,49 +537,35 @@ class _Search:
         answers.add(args)  # one hash, where `in` and add would take two
         if len(answers) == seen:
             return False
-        cp[5].children[cp[4]] = _tree(cells, node, values, args, node.children)
+        cp[5].children[cp[4]] = _tree(template, values, args, node.children)
         return True
 
     def _freeze(self) -> Optional[ProofTree]:
         """The current derivation as a ground ProofTree, or None if a variable is unbound."""
-        cells = self.cells
         top = self.root.children[0]
         if type(top) is ProofTree:
             return top  # a ground fact, or built when the goal's clause application finished
-        order = self._nodes()  # order[0] is top
         built: Dict[int, ProofTree] = {}
         known: Dict[int, object] = {}  # cell -> its value, for every frame frozen so far
-        for node in reversed(order):  # every node after its children
-            template, base = node.template, node.base
-            values = []
-            for j in range(base, base + len(template.keys)):
-                cell = cells[j]
-                if cell is None:
-                    return None
-                t, b = cell  # a ground term t is the value as it is
-                if type(t) is int:
-                    # bound to another cell, often of a child's frame, frozen already
-                    v = known.get(b + t)
-                    t = _value(cells, t, b) if v is None else v
-                elif type(t) is _Struct:
-                    t = _value(cells, t, b)
-                if t is None:
-                    return None
-                known[j] = t
-                values.append(t)
-            args = tuple([_fill(a, values) for a in template.head])
+        # the latest try first: each frame after every frame past it (a later
+        # sibling's, say), each node after its children
+        for node in reversed(self._nodes()):
+            values = _slot_values(self.cells, known, node)
+            if values is None:
+                return None
+            args = tuple([_fill(a, values) for a in node.template.head])
             children = [built[id(c)] if type(c) is _Node else c for c in node.children]
-            built[id(node)] = _tree(cells, node, values, args, children)
-        return built[id(order[0])]
+            built[id(node)] = _tree(node.template, values, args, children)
+        return built[id(top)]
 
     def _nodes(self) -> List[_Node]:
-        """Every _Node below the root, each before its children."""
+        """Every _Node below the root, in the order of their clause tries."""
         nodes, todo = [], [self.root]
         while todo:
             node = todo.pop()
             nodes.append(node)
             todo.extend([c for c in node.children if type(c) is _Node])
-        return nodes[1:]
+        return sorted(nodes[1:], key=lambda n: n.tick)
 
     def _names(self) -> dict:
         """The variable each cell stands for: x#k for clause variable x of the k-th try.
@@ -576,7 +575,7 @@ class _Search:
         allocated past every cell in use.
         """
         names = dict(enumerate(self.query_keys))
-        for node in sorted(self._nodes(), key=lambda n: n.tick):
+        for node in self._nodes():
             for k, key in enumerate(node.template.keys):
                 names[node.base + k] = Var(f"{key.name}#{node.tick}")
         return names

@@ -1,5 +1,6 @@
 """Command-line behavior: report format, flags, and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -146,6 +147,21 @@ class TestJsonAndCheck:
         assert code == 0
         assert "check: 2 proofs verified.\n" in err
         assert all(json.loads(line) for line in out.splitlines())
+
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        # every root certificate names a clause the knowledge base lacks
+        real = cli.solve
+
+        def forged(kb, q, cfg):
+            return [dataclasses.replace(s, proof=dataclasses.replace(s.proof, clause_name="nope")) for s in real(kb, q, cfg)]
+
+        monkeypatch.setattr(cli, "solve", forged)
+        code, out, err = run(capsys, "run", REACH, "--check")
+        assert code == 3
+        assert "check failed: q0: UnknownClause at root: nope\n" in err
+        assert "proofs verified" not in err
+        # the report is still printed
+        assert out == 'q0: path("a", "c")  proof: nope (r1 f1) f2\nq1: path("b", "c")  [m? := "c"]  proof: nope f2\n'
 
     def test_json_renders_each_proof_once(self, capsys, monkeypatch):
         # the report is not printed under --json, so only serialize_proof renders

@@ -138,6 +138,11 @@ class TestStructsAndDefs:
         with pytest.raises(ArityMismatch):
             compile_text("struct P(x, y).\nf: at(P(1)).")
 
+    def test_struct_name_without_arguments_rejected(self):
+        with pytest.raises(ArityMismatch) as err:
+            compile_text("struct P(x).\nf: p(P).")
+        assert (err.value.symbol, err.value.expected, err.value.got) == ("P", 1, 0)
+
     def test_constant_used_with_args_rejected(self):
         with pytest.raises(ArityMismatch):
             compile_text("f: p(sin).\ng: q(sin(1)).")
@@ -232,6 +237,18 @@ class TestUse:
     def test_imported_arity_conflict(self):
         with pytest.raises(ArityMismatch):
             elaborate(parse_program("f: drv(sin, cos, tan).\nuse hasDerivAt_sin."), self.lib())
+
+    def test_imported_constructor_arity_conflict(self):
+        lib = elaborate_library(parse_program("t: q(F(1))."))
+        with pytest.raises(ArityMismatch) as err:
+            elaborate(parse_program("f: p(F(1, 2)).\nuse t."), lib)
+        assert (err.value.symbol, err.value.expected, err.value.got) == ("F", 2, 1)
+
+    def test_import_declares_constants_of_its_comparisons(self):
+        lib = elaborate_library(parse_program("f: n(zero).\nr: ok(x) :- n(x), (x != zero)."))
+        kb, queries = elaborate(parse_program("use r.\nq: ok(zero)?"), lib)
+        assert kb.constructors["zero"].arity == 0
+        assert queries[0].goal == Pred("ok", (App("zero"),))
 
     def test_imported_constructor_vs_def_conflict(self):
         with pytest.raises(DuplicateName):

@@ -13,6 +13,7 @@ from ldlog.proof import BuiltinLeaf, ProofTree, check_proof, render_proof
 from ldlog.solver import FlounderedBuiltin, SolverConfig, solve
 from ldlog.oracle import oracle_answers, saturate
 from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, Var, atom_text, term_text
+from ldlog.unify import BuiltinNotUnifiable
 from support import (
     compile_text,
     diamond_ladder,
@@ -158,6 +159,11 @@ class TestBuiltins:
         kb, queries = compile_text(text)
         with pytest.raises(TypeMismatch):
             solve(kb, queries[0])
+
+    def test_comparison_goal_rejected(self):
+        kb, _ = compile_text(REACH)
+        with pytest.raises(BuiltinNotUnifiable):
+            solve(kb, Query("q", Builtin("gt", IntLit(3), IntLit(1)), {}))
 
 
 class TestClauseHandling:
@@ -413,6 +419,15 @@ p1("c2", "c0").
         kb = dataclasses.replace(kb, clauses={**kb.clauses, "loose": loose})
         for q in queries:
             assert self.assert_same(kb, q, SolverConfig(solution_limit=None))
+
+    def test_slot_bound_into_a_later_siblings_frame(self):
+        # pz's z is loose, so the search keeps every derivation and freezes the
+        # certificate once it is complete: z is bound to w, a cell of the frame
+        # of the clause proving the next premise, q(y)
+        kb, queries = compile_text("f: e(1).\npz: p(z) :- e(1).\nqw: q(w) :- e(w).\nr: a(y) :- p(y), q(y).\nqa: a(m?)?")
+        (sol,) = self.assert_same(kb, queries[0], SolverConfig(solution_limit=None))
+        assert render_proof(sol.proof) == "r (pz f) (qw f)"
+        check_proof(kb, sol.proof)
 
     def test_loose_rule_first_tried_mid_query(self, monkeypatch):
         # reach("a", "d") is found through "b", then dropped as a repeat through

@@ -1,6 +1,11 @@
 """Substitution operations and term utilities."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,8 @@ from ldlog.terms import (
 )
 from ldlog.parser import Application, FactStmt, StrAst, parse_program, render_term
 from support import random_ground_term, random_term
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 A, B, C = StrLit("a"), StrLit("b"), StrLit("c")
@@ -177,3 +184,22 @@ class TestQuoteString:
             value = random_string(rng)
             text = f"f: p({render_term(StrAst(value))})."
             assert parse_program(text) == [FactStmt("f", Application("p", (StrAst(value),)))], text
+
+
+class TestPickling:
+    def test_variables_loaded_from_another_hash_seed_hash_afresh(self):
+        # each variable caches its hash, which string hashing makes differ between processes
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys\n"
+            "from ldlog.terms import Meta, Var\n"
+            "sys.stdout.buffer.write(pickle.dumps((Var('x'), Meta(0, 'a?'), hash('x'))))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+        var, meta, their_hash = pickle.loads(proc.stdout)
+        assert their_hash != hash("x")  # the child really hashed strings differently
+        for loaded, fresh in ((var, Var("x")), (meta, Meta(0, "a?"))):
+            assert loaded == fresh
+            assert hash(loaded) == hash(fresh)
+            assert {fresh: "found"}[loaded] == "found"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ldlog.terms import App, Builtin, IntLit, Meta, Pred, StrLit, Var, apply_subst, free_vars
-from ldlog.unify import BuiltinNotUnifiable, match_one_way, unify, unify_atoms
+from ldlog.unify import BuiltinNotUnifiable, match_atoms, match_one_way, unify, unify_atoms
 from support import ground_unifiers, random_term
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -116,6 +116,12 @@ class TestMatchOneWay:
     def test_ground_pattern_is_equality(self):
         assert match_one_way(App("f", (A,)), App("f", (A,))) == {}
         assert match_one_way(App("f", (A,)), App("f", (B,))) is None
+
+    def test_builtin_rejected_by_match_atoms(self):
+        with pytest.raises(BuiltinNotUnifiable):
+            match_atoms(Builtin("lt", X, Y), Pred("p", ()))
+        with pytest.raises(BuiltinNotUnifiable):
+            match_atoms(Pred("p", ()), Builtin("lt", A, B))
 
 
 class TestProperties:
