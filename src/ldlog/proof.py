@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import List, Mapping, Tuple, Union
 
 from .errors import LdlogError
 from .terms import (
@@ -247,7 +247,10 @@ def serialize_proof(proof: ProofTree, q: Query) -> str:
     The `tree` is written as text by an explicit stack, so Python's
     recursion limit does not bound the proof's height. Its bytes are those
     `json.dumps` gives for the nested document (a node is `{"clause",
-    "conclusion", "children"}`, a builtin leaf `{"builtin"}`).
+    "conclusion", "children"}`, a builtin leaf `{"builtin"}`). Each
+    conclusion is written with `atom_text`; a literal keeps its text once
+    made, and the elaborator makes equal literals of a program one object,
+    so each distinct literal of a program is quoted once.
     """
     bindings = proof_bindings(proof, q)
     by_id = sorted(bindings.items(), key=lambda kv: kv[0].id)
@@ -267,7 +270,6 @@ def serialize_proof(proof: ProofTree, q: Query) -> str:
 
 def _write_tree(proof: ProofNode, out: List[str]) -> None:
     """Append proof's `tree` document to out, one piece per node."""
-    texts: Dict[int, str] = {}  # id of a term -> its text
     stack = [enumerate((proof,))]
     while stack:
         for i, node in stack[-1]:
@@ -276,7 +278,7 @@ def _write_tree(proof: ProofNode, out: List[str]) -> None:
             if isinstance(node, BuiltinLeaf):
                 out.append(f'{{"builtin": {_json_str(atom_text(node.atom))}}}')
                 continue
-            conclusion = _json_str(_atom_text(node.conclusion, texts))
+            conclusion = _json_str(atom_text(node.conclusion))
             out.append(f'{{"clause": {_json_str(node.clause_name)}, "conclusion": {conclusion}, "children": [')
             if node.children:
                 stack.append(enumerate(node.children))
@@ -286,16 +288,3 @@ def _write_tree(proof: ProofNode, out: List[str]) -> None:
             stack.pop()
             if stack:
                 out.append("]}")
-
-
-def _atom_text(atom, texts: Dict[int, str]) -> str:
-    """atom_text(atom), with each argument's text kept in texts by the term's id."""
-    if type(atom) is not Pred:
-        return atom_text(atom)
-    args = []
-    for t in atom.args:
-        text = texts.get(id(t))
-        if text is None:
-            text = texts[id(t)] = term_text(t)
-        args.append(text)
-    return f"{atom.symbol}({', '.join(args)})"

@@ -370,7 +370,7 @@ def _unify(cells: list, trail: list, args1: tuple, b1: int, args2: tuple, b2: in
                     return False
                 # popped last first: a constructor's arguments right to left, as in unify
                 stack.extend(zip(t1.args, repeat(s1), t2.args, repeat(s2)))
-            elif t1 != t2:
+            elif t1 is not t2 and t1 != t2:
                 return False
             if not stack:
                 break

@@ -5,6 +5,13 @@ same way: Var (from rule statements) and Meta (query placeholders, carrying
 a numeric id and the surface name they came from). Substitutions are plain
 dicts from Var/Meta keys to terms and are kept idempotent by the operations
 that build them.
+
+Literals and variables compute their hash once, and a literal keeps its
+text once `term_text` has made it. The elaborator interns literals and rule
+variables per program, so equal ones of one program are one object, and
+the evaluators and the checker compare by identity before they compare by
+value. Equality stays by value: a term built by hand equals its interned
+twin, hashes like it and prints like it.
 """
 
 from __future__ import annotations
@@ -26,12 +33,38 @@ class IntLit:
 
     value: int
 
+    _text = None  # its concrete syntax, set by term_text on first use
+
+    # The generated hash's value, computed once: every index bucket and answer
+    # set hashes its terms. Pickling rebuilds it, as string hashes vary by
+    # process, and leaves the text out.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return IntLit, (self.value,)
+
 
 @dataclass(frozen=True)
 class StrLit:
     """String literal."""
 
     value: str
+
+    _text = None  # as in IntLit
+
+    # as in IntLit
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return StrLit, (self.value,)
 
 
 @dataclass(frozen=True)
@@ -40,8 +73,7 @@ class Var:
 
     name: str
 
-    # The generated hash's value, computed once: every instantiation lookup
-    # hashes its key. Pickling rebuilds it, as string hashes vary by process.
+    # as in IntLit: every instantiation lookup hashes its key
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.name,)))
 
@@ -59,7 +91,7 @@ class Meta:
     id: int
     source_name: str
 
-    # as in Var
+    # as in IntLit
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.id, self.source_name)))
 
@@ -278,22 +310,25 @@ def quote_string(value: str) -> str:
 
 
 def term_text(t: Term) -> str:
-    """Concrete syntax of a term."""
-    if isinstance(t, IntLit):
-        return str(t.value)
-    if isinstance(t, StrLit):
-        return quote_string(t.value)
+    """Concrete syntax of a term; a literal keeps its text once computed."""
+    kind = type(t)
+    if kind is StrLit or kind is IntLit:
+        text = t._text
+        if text is None:
+            text = quote_string(t.value) if kind is StrLit else str(t.value)
+            object.__setattr__(t, "_text", text)
+        return text
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Meta):
         return t.source_name
     if not t.args:
         return t.constructor
-    return f"{t.constructor}({', '.join(term_text(a) for a in t.args)})"
+    return f"{t.constructor}({', '.join(map(term_text, t.args))})"
 
 
 def atom_text(a: Atom) -> str:
     """Concrete syntax of an atom."""
     if isinstance(a, Pred):
-        return f"{a.symbol}({', '.join(term_text(t) for t in a.args)})"
+        return f"{a.symbol}({', '.join(map(term_text, a.args))})"
     return f"{term_text(a.lhs)} {OP_TEXT[a.op]} {term_text(a.rhs)}"

@@ -102,12 +102,13 @@ def _match(bindings: Substitution, stack: list) -> Optional[Substitution]:
         p, t = stack.pop()
         if isinstance(p, (Var, Meta)):
             if p in bindings:
-                if bindings[p] != t:
+                bound = bindings[p]
+                if bound is not t and bound != t:
                     return None
             else:
                 bindings[p] = t
         elif isinstance(p, App) and isinstance(t, App) and p.constructor == t.constructor and len(p.args) == len(t.args):
             stack.extend(zip(p.args, t.args))
-        elif p != t:
+        elif p is not t and p != t:
             return None
     return bindings

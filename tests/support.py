@@ -542,6 +542,29 @@ def random_term_program(rng: random.Random, strings: Tuple[str, ...] = ('"a"',))
     return "\n".join(lines) + "\n"
 
 
+UNARY_PREDICATES = ("p0", "p1", "p2", "p3")
+
+
+def random_unary_program(rng: random.Random) -> str:
+    """Facts and rules over the four unary UNARY_PREDICATES and the integers 1 and 2.
+
+    Each predicate has a fact with even odds. Each of three to five rules
+    has one of three shapes: a head variable that no premise binds,
+    p(x) :- q(y); a copy, p(x) :- q(x); or a join of two premises on one
+    variable, p(x) :- q(x), r(x). Loose heads make the search keep every
+    derivation. A join whose first premise is proved through a loose head
+    binds that head's variable into the frame of the clause that proves the
+    second premise, a later sibling, whose frame `_freeze` must read first.
+    """
+    lines = [f"{p}({rng.randint(1, 2)})." for p in UNARY_PREDICATES if rng.random() < 0.5]
+    for _ in range(rng.randint(3, 5)):
+        x, y = rng.sample("xyz", 2)
+        p, q, r = (rng.choice(UNARY_PREDICATES) for _ in range(3))
+        lines.append(rng.choice((f"{p}({x}) :- {q}({y}).", f"{p}({x}) :- {q}({x}).", f"{p}({x}) :- {q}({x}), {r}({x}).")))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
 def shuffled_safe_programs(rng: random.Random, count: int = 200):
     """(text, kb, queries) for `count` shuffled random_safe_programs.
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ldlog import proof as proof_module
+from ldlog import terms as terms_module
 from ldlog.proof import (
     BuiltinLeaf,
     CheckError,
@@ -24,6 +25,7 @@ from ldlog.solver import SolverConfig, solve
 from ldlog.terms import App, Builtin, IntLit, Meta, Pred, Query, StrLit, Var
 from support import (
     compile_text,
+    diamond_ladder,
     enumeration_bound,
     random_safe_program,
     random_term_program,
@@ -714,3 +716,94 @@ def features(proof):
                 if not t.value.isascii():
                     out.add("non-ASCII")
     return out
+
+
+def leaves(kb):
+    """Every literal and rule variable object in kb's clauses, by id."""
+    out, todo = {}, []
+    for clause in kb.clauses.values():
+        for atom in (clause.head,) + clause.body:
+            todo.extend(atom.args if isinstance(atom, Pred) else (atom.lhs, atom.rhs))
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo.extend(t.args)
+        else:
+            out[id(t)] = t
+    return out
+
+
+class TestInterning:
+    """Equal literals and rule variables of one program are one object; the
+    checker accepts and rejects the same certificates without that."""
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_checker_does_not_depend_on_shared_objects(self, left):
+        text = diamond_ladder(4, left)
+        kb_a, queries = compile_text(text)
+        kb_b, _ = compile_text(text)
+        assert not leaves(kb_a).keys() & leaves(kb_b).keys()
+        other = StrLit("a2")
+        checked = 0
+        for q in queries:
+            for sol in solve(kb_a, q, SolverConfig(max_depth=9, solution_limit=None)):
+                check_proof(kb_b, sol.proof)
+                checked += 1
+                root = sol.proof
+                head = dataclasses.replace(root, conclusion=Pred("path", (root.conclusion.args[0], other)))
+                child = root.children[0]
+                premise = dataclasses.replace(
+                    root, children=(dataclasses.replace(child, conclusion=Pred(child.conclusion.symbol, (other, other))),) + root.children[1:]
+                )
+                for forged in (head, premise):
+                    if forged.conclusion == root.conclusion and forged.children == root.children:
+                        continue  # the answer already names "a2"
+                    want = reason_of(kb_a, forged)
+                    got = reason_of(kb_b, forged)
+                    assert (got.reason, got.path, str(got)) == (want.reason, want.path, str(want))
+                    assert got.reason in (CheckReason.HEAD_MISMATCH, CheckReason.PREMISE_MISMATCH)
+        assert checked == 30
+
+    def test_equal_literals_of_one_program_are_one_object(self):
+        kb, queries = compile_text(diamond_ladder(2))
+        by_value = {}
+        for t in leaves(kb).values():
+            assert by_value.setdefault((type(t), t), t) is t
+        assert by_value[(StrLit, StrLit("r0"))] is queries[0].goal.args[0]
+        r1, r2 = kb.clauses["r1"], kb.clauses["r2"]
+        assert r1.head.args[0] is r1.body[0].args[0] and r1.head.args[0] is r2.head.args[0]
+
+    CHAIN_NODES = 32
+
+    def chain(self):
+        """A right-recursive chain of CHAIN_NODES nodes, each edge weighted, and every answer of path("n0", m?)."""
+        n = self.CHAIN_NODES
+        lines = [f'edge("n{i}", "n{i + 1}", {i}).' for i in range(n - 1)]
+        lines += [
+            "r1: path(x, y) :- edge(x, y, w), (w >= 0).",
+            "r2: path(x, z) :- edge(x, y, w), (w >= 0), path(y, z).",
+            'q: path("n0", m?)?',
+        ]
+        kb, (q,) = compile_text("\n".join(lines))
+        sols = solve(kb, q, SolverConfig(max_depth=n, solution_limit=None))
+        assert len(sols) == n - 1
+        return kb, q, sols
+
+    def test_serializer_quotes_each_string_literal_once(self, monkeypatch):
+        kb, q, sols = self.chain()
+        quoted = []
+        real = terms_module.quote_string
+        monkeypatch.setattr(terms_module, "quote_string", lambda value: quoted.append(value) or real(value))
+        for sol in sols:
+            serialize_proof(sol.proof, q)
+        assert len(quoted) == len(set(quoted)) == self.CHAIN_NODES
+
+    def test_checker_compares_no_literal_by_value(self, monkeypatch):
+        kb, q, sols = self.chain()
+        compared = []
+        for cls in (StrLit, IntLit):
+            real = cls.__eq__
+            monkeypatch.setattr(cls, "__eq__", lambda a, b, real=real: compared.append(a) or real(a, b))
+        for sol in sols:
+            check_proof(kb, sol.proof)
+        assert compared == []

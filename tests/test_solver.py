@@ -15,11 +15,13 @@ from ldlog.oracle import oracle_answers, saturate
 from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, Var, atom_text, term_text
 from ldlog.unify import BuiltinNotUnifiable
 from support import (
+    UNARY_PREDICATES,
     compile_text,
     diamond_ladder,
     enumeration_bound,
     random_safe_program,
     random_term_program,
+    random_unary_program,
     reference_solve,
     shuffled_safe_programs,
 )
@@ -373,6 +375,17 @@ class TestAgainstReference:
                     got = self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=limit), text)
                     seen.add(got[0] if isinstance(got, tuple) else bool(got))
         assert seen == {True, False, FlounderedBuiltin, TypeMismatch}
+
+    def test_random_unary_programs(self):
+        # the stream that binds slots into later siblings' frames: see random_unary_program
+        rng = random.Random(116)
+        for _ in range(300):
+            text = random_unary_program(rng)
+            kb, _ = compile_text(text)
+            for symbol in UNARY_PREDICATES:
+                q = Query("probe", Pred(symbol, (Meta(0, "m?"),)), {"m?": 0})
+                for depth in (2, 3, 4):
+                    self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=None), text)
 
     @pytest.mark.parametrize("left", [True, False])
     def test_diamond_ladders(self, left):

@@ -1,5 +1,6 @@
 """Substitution operations and term utilities."""
 
+import dataclasses
 import os
 import pickle
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ldlog import terms
 from ldlog.terms import (
     App,
     Builtin,
@@ -188,18 +190,49 @@ class TestQuoteString:
 
 class TestPickling:
     def test_variables_loaded_from_another_hash_seed_hash_afresh(self):
-        # each variable caches its hash, which string hashing makes differ between processes
+        # each variable and literal caches its hash, which string hashing makes
+        # differ between processes; the literals' texts are made before pickling
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         code = (
             "import pickle, sys\n"
-            "from ldlog.terms import Meta, Var\n"
-            "sys.stdout.buffer.write(pickle.dumps((Var('x'), Meta(0, 'a?'), hash('x'))))\n"
+            "from ldlog.terms import IntLit, Meta, StrLit, Var, term_text\n"
+            "lits = (StrLit('x'), IntLit(7))\n"
+            "[term_text(t) for t in lits]\n"
+            "sys.stdout.buffer.write(pickle.dumps((Var('x'), Meta(0, 'a?')) + lits + (hash('x'),)))\n"
         )
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
-        var, meta, their_hash = pickle.loads(proc.stdout)
+        var, meta, string, integer, their_hash = pickle.loads(proc.stdout)
         assert their_hash != hash("x")  # the child really hashed strings differently
-        for loaded, fresh in ((var, Var("x")), (meta, Meta(0, "a?"))):
+        pairs = ((var, Var("x")), (meta, Meta(0, "a?")), (string, StrLit("x")), (integer, IntLit(7)))
+        for loaded, fresh in pairs:
             assert loaded == fresh
             assert hash(loaded) == hash(fresh)
             assert {fresh: "found"}[loaded] == "found"
+        assert "_text" not in vars(string) and "_text" not in vars(integer)
+        assert (term_text(string), term_text(integer)) == ('"x"', "7")
+
+
+class TestLiterals:
+    @pytest.mark.parametrize("value", ["", "x", 'a "b"\n', 0, 7, -(2**63)])
+    def test_hash_is_the_generated_one(self, value):
+        # the value a generated dataclass hash gives, so set and dict orders do not move
+        lit = StrLit(value) if isinstance(value, str) else IntLit(value)
+        assert hash(lit) == hash((value,))
+
+    def test_equality_repr_and_fields_stay_by_value(self):
+        for lit, twin, other in ((StrLit("x"), StrLit("x"), StrLit("y")), (IntLit(7), IntLit(7), IntLit(8))):
+            term_text(lit)  # a kept text is no field
+            assert lit == twin and lit is not twin and lit != other
+            assert repr(lit) == repr(twin)
+            assert [f.name for f in dataclasses.fields(lit)] == ["value"]
+        assert StrLit("7") != IntLit(7) and StrLit("x") != Var("x")
+
+    def test_text_is_made_once_per_literal(self, monkeypatch):
+        calls = []
+        real = terms.quote_string
+        monkeypatch.setattr(terms, "quote_string", lambda v: calls.append(v) or real(v))
+        lit = StrLit('a"b')
+        assert [term_text(lit), term_text(lit), atom_text(Pred("p", (lit, lit)))] == ['"a\\"b"'] * 2 + ['p("a\\"b", "a\\"b")']
+        assert calls == ['a"b']
+        assert term_text(StrLit('a"b')) == '"a\\"b"' and len(calls) == 2  # an equal literal made apart has its own
