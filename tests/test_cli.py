@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ldlog import cli, oracle, proof
 from ldlog.cli import ReportEntry, format_report, main
 
@@ -14,6 +16,9 @@ REACH = str(PROGRAMS / "reach.ldl")
 RECTS = str(PROGRAMS / "rects.ldl")
 DERIV = str(PROGRAMS / "deriv.ldl")
 DERIVS_LIB = str(PROGRAMS / "lib" / "derivs.ldl")
+# stdout, stderr and exit code of `ldlog run` on each golden program under
+# seven flag sets, recorded once; argv paths are relative to the repository root
+TRANSCRIPTS = json.loads((Path(__file__).resolve().parent / "cli_transcripts.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -61,6 +66,12 @@ class TestGoldenRuns:
         code, out, _ = run(capsys, "run", str(f))
         assert code == 0
         assert out == "no queries.\n"
+
+
+@pytest.mark.parametrize("t", TRANSCRIPTS, ids=lambda t: " ".join(t["argv"][1:]))
+def test_golden_transcript(t, capsys, monkeypatch):
+    monkeypatch.chdir(PROGRAMS.parent)
+    assert run(capsys, *t["argv"]) == (t["exit"], t["stdout"], t["stderr"])
 
 
 class TestFailureOutcomes:
