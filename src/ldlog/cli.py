@@ -8,6 +8,11 @@ Exit codes: 0 all queries solved, 1 some query unprovable or floundered,
 3 a solver-produced proof failed re-checking under --check, 4 internal
 error (an unexpected exception, such as RecursionError, reported in one
 line).
+
+Output is written query by query: each query's report lines, or its --json
+documents, are printed and flushed when that query ends, and the exit code
+is decided after the last. After an internal error the lines of the queries
+already answered stay printed.
 """
 
 from __future__ import annotations
@@ -140,33 +145,29 @@ def run_command(args) -> int:
         print(f"ldlog: {exc}", file=sys.stderr)
         return 2
 
+    if not queries and not args.json:
+        print(format_report([]), end="")
     if args.oracle:
         return _run_oracle(kb, queries, args)
     return _run_solver(kb, queries, cfg, args)
 
 
 def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
-    entries: List[ReportEntry] = []
     any_failed = False
     check_failed = False
     checked = 0
-    json_lines: List[str] = []
     for q in queries:
         goal_text = atom_text(q.goal)
+        solutions = []
         try:
             solutions = solve(kb, q, cfg)
         except FlounderedBuiltin as exc:
-            entries.append(ReportEntry(q.name, goal_text, "floundered", detail=atom_text(exc.atom)))
-            any_failed = True
-            continue
+            entry = ReportEntry(q.name, goal_text, "floundered", detail=atom_text(exc.atom))
         except LdlogError as exc:
-            entries.append(ReportEntry(q.name, goal_text, "error", detail=str(exc)))
-            any_failed = True
-            continue
-        if not solutions:
-            entries.append(ReportEntry(q.name, goal_text, "unprovable", depth_note=f"depth {cfg.max_depth}"))
-            any_failed = True
-            continue
+            entry = ReportEntry(q.name, goal_text, "error", detail=str(exc))
+        else:
+            entry = ReportEntry(q.name, goal_text, "solved" if solutions else "unprovable", depth_note=f"depth {cfg.max_depth}")
+        any_failed = any_failed or not solutions
         if args.check:
             for sol in solutions:
                 try:
@@ -175,20 +176,14 @@ def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
                 except CheckError as exc:
                     print(f"check failed: {q.name}: {exc}", file=sys.stderr)
                     check_failed = True
-        if args.json:
-            json_lines.extend(serialize_proof(sol.proof, q) for sol in solutions)
-            continue  # the report is not printed
-        entry = ReportEntry(q.name, goal_text, "solved")
-        for sol in solutions:
-            instance = atom_text(apply_subst_atom(q.goal, sol.bindings))
-            entry.solutions.append((instance, _bindings_text(q, sol.bindings), render_proof(sol.proof)))
-        entries.append(entry)
+        if args.json:  # the documents replace the report
+            text = "".join(serialize_proof(sol.proof, q) + "\n" for sol in solutions)
+        else:
+            for sol in solutions:
+                entry.solutions.append((atom_text(sol.proof.conclusion), _bindings_text(q, sol.bindings), render_proof(sol.proof)))
+            text = format_report([entry])
+        print(text, end="", flush=True)
 
-    if args.json:
-        for line in json_lines:
-            print(line)
-    else:
-        print(format_report(entries), end="")
     if args.check and not check_failed:
         print(f"check: {checked} proofs verified.", file=sys.stderr)
     if check_failed:
@@ -197,25 +192,16 @@ def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
 
 
 def _run_oracle(kb, queries: List[Query], args) -> int:
-    entries: List[ReportEntry] = []
     any_failed = False
     for q in queries:
-        goal_text = atom_text(q.goal)
         try:
             answers = oracle_answers(kb, q.goal)  # the KB's first query saturates, the rest reuse its fixpoint
         except LdlogError as exc:
             print(f"ldlog: {exc}", file=sys.stderr)
             return 2
-        if not answers:
-            entries.append(ReportEntry(q.name, goal_text, "unprovable", depth_note="oracle"))
-            any_failed = True
-            continue
-        if not args.all:
-            answers = answers[:1]
-        entry = ReportEntry(q.name, goal_text, "solved")
-        for bindings in answers:
-            instance = atom_text(apply_subst_atom(q.goal, bindings))
-            entry.solutions.append((instance, _bindings_text(q, bindings), None))
-        entries.append(entry)
-    print(format_report(entries), end="")
+        any_failed = any_failed or not answers
+        entry = ReportEntry(q.name, atom_text(q.goal), "solved" if answers else "unprovable", depth_note="oracle")
+        for bindings in answers if args.all else answers[:1]:
+            entry.solutions.append((atom_text(apply_subst_atom(q.goal, bindings)), _bindings_text(q, bindings), None))
+        print(format_report([entry]), end="", flush=True)
     return 1 if any_failed else 0

@@ -31,9 +31,6 @@ from .terms import (
     IntLit,
     KnowledgeBase,
     Meta,
-    ORIGIN_IMPORTED,
-    ORIGIN_FACT,
-    ORIGIN_RULE,
     Pred,
     Query,
     StrLit,
@@ -269,14 +266,14 @@ def _elaborate(statements, library, library_mode):
             atom = rewrite_atom(stmt.atom, fact_ctx)
             if isinstance(atom, Builtin):
                 raise BuiltinNotAllowed("a fact")
-            clauses[name] = Clause(name, atom, (), ORIGIN_FACT)
+            clauses[name] = Clause(name, atom)
         elif isinstance(stmt, ast.RuleStmt):
             name = rule_ctx.statement_name = claim_name(stmt.label, "rule")
             head = rewrite_atom(stmt.head, rule_ctx)
             if isinstance(head, Builtin):
                 raise BuiltinNotAllowed("a rule head")
             body = tuple([rewrite_atom(a, rule_ctx) for a in stmt.body])
-            clauses[name] = Clause(name, head, body, ORIGIN_RULE)
+            clauses[name] = Clause(name, head, body)
         elif isinstance(stmt, ast.QueryStmt):
             if library_mode:
                 raise InvalidLibraryStatement("query")
@@ -319,7 +316,7 @@ def _import_clause(kb, clauses, name, library, pred_arities, clause_names):
     for atom in (clause.head,) + clause.body:
         _merge_atom_decls(kb, atom, library, pred_arities)
     clause_names.add(name)
-    clauses[name] = replace(clause, origin=ORIGIN_IMPORTED)
+    clauses[name] = clause
 
 
 def _merge_atom_decls(kb, atom: Atom, library, pred_arities):

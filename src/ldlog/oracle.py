@@ -18,7 +18,8 @@ explicit stack, so Python's recursion limit does not bound a rule body's
 length.
 
 Rules must be range-restricted (every head or comparison variable occurs
-in some predicate premise), which guarantees every derived atom is ground.
+in some predicate premise) and facts ground, which guarantees every derived
+atom is ground.
 It does not make the fixpoint finite: a recursive rule that wraps a premise
 variable in a constructor, such as `s: nat(f(x)) :- nat(x).`, derives ever
 deeper terms, and `saturate` then runs until Python's recursion limit stops
@@ -44,6 +45,7 @@ from .terms import (
     Pred,
     Substitution,
     atom_free_vars,
+    atom_is_ground,
     eval_builtin,
     is_ground,
     loose_vars,
@@ -62,7 +64,7 @@ _Rule = Tuple[_Template, List[_Call], List[_Test]]
 
 
 class UnsafeRule(LdlogError):
-    """A rule variable occurs only in its head or in comparisons."""
+    """A clause variable occurs only in its head or in comparisons."""
 
     def __init__(self, name: str, variables):
         names = sorted(v.name for v in variables)
@@ -94,11 +96,12 @@ def _fixpoint(kb: KnowledgeBase) -> _Fixpoint:
 
 
 def _saturate(kb: KnowledgeBase) -> _Fixpoint:
+    for c in kb.clauses.values():
+        if c.body or not atom_is_ground(c.head):  # a fact's variables occur in no premise
+            loose = loose_vars(c)
+            if loose:
+                raise UnsafeRule(c.name, loose)
     rules = [c for c in kb.clauses.values() if c.body]
-    for c in rules:
-        loose = loose_vars(c)
-        if loose:
-            raise UnsafeRule(c.name, loose)
     compiled: List[_Rule] = []
     premises: Dict[str, List[Tuple[_Rule, int]]] = {}  # symbol -> (rule, position) of each premise on it
     for c in rules:

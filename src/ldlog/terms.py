@@ -147,11 +147,6 @@ class Builtin:
 
 Atom = Union[Pred, Builtin]
 
-ORIGIN_FACT = "fact"
-ORIGIN_RULE = "rule"
-ORIGIN_IMPORTED = "imported"
-
-
 @dataclass(frozen=True)
 class Clause:
     """Named Horn clause: head holds if every body atom holds."""
@@ -159,7 +154,6 @@ class Clause:
     name: str
     head: Pred
     body: tuple = ()
-    origin: str = ORIGIN_FACT
 
 
 @dataclass

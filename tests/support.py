@@ -76,9 +76,9 @@ def naive_saturate(kb) -> Set[Pred]:
     `ldlog.oracle.saturate` must return the same set and raise in the same
     cases.
     """
-    rules = [c for c in kb.clauses.values() if c.body]
-    for c in rules:
+    for c in kb.clauses.values():
         _check_safe(c)
+    rules = [c for c in kb.clauses.values() if c.body]
     derived: Set[Pred] = {c.head for c in kb.clauses.values() if not c.body}
     while True:
         snapshot = list(derived)
@@ -298,7 +298,7 @@ def _ref_rename(c: Clause, tick: int):
     renaming: Substitution = {Var(name): fresh for name, fresh in varmap.items()}
     head = apply_subst_atom(c.head, renaming)
     body = tuple(apply_subst_atom(a, renaming) for a in c.body)
-    return Clause(c.name, head, body, c.origin), varmap
+    return Clause(c.name, head, body), varmap
 
 
 def _ref_goal(goal: Pred, s: Substitution, budget: int, index, ticks):

@@ -414,6 +414,49 @@ class TestInternalErrors:
         assert "Traceback" not in err
 
 
+class TestPerQueryOutput:
+    @staticmethod
+    def printed_before_each_query(capsys, monkeypatch):
+        """The stdout written since the previous query, taken as each query starts."""
+        real = cli.solve
+        printed = []
+
+        def watched(kb, q, cfg):
+            printed.append(capsys.readouterr().out)
+            return real(kb, q, cfg)
+
+        monkeypatch.setattr(cli, "solve", watched)
+        return printed
+
+    def test_query_lines_printed_before_the_next_query_runs(self, capsys, monkeypatch):
+        printed = self.printed_before_each_query(capsys, monkeypatch)
+        code, out, _ = run(capsys, "run", REACH)
+        assert code == 0
+        assert printed == ["", 'q0: path("a", "c")  proof: r2 (r1 f1) f2\n']
+        assert out == 'q1: path("b", "c")  [m? := "c"]  proof: r1 f2\n'
+
+    def test_internal_error_keeps_answered_queries(self, capsys, monkeypatch):
+        real = cli.solve
+
+        def second_breaks(kb, q, cfg):
+            if q.name == "q1":
+                raise RuntimeError("injected failure")
+            return real(kb, q, cfg)
+
+        monkeypatch.setattr(cli, "solve", second_breaks)
+        code, out, err = run(capsys, "run", REACH)
+        assert (code, out) == (4, 'q0: path("a", "c")  proof: r2 (r1 f1) f2\n')
+        assert err == "ldlog: internal error: RuntimeError: injected failure\n"
+
+    def test_json_documents_printed_per_query(self, capsys, monkeypatch):
+        printed = self.printed_before_each_query(capsys, monkeypatch)
+        code, out, _ = run(capsys, "run", REACH, "--json", "--all")
+        assert code == 0
+        assert [len(chunk.splitlines()) for chunk in printed + [out]] == [0, 1, 2]
+        assert json.loads(printed[1])["query"] == "q0"
+        assert {json.loads(line)["query"] for line in out.splitlines()} == {"q1"}
+
+
 class TestLibraries:
     def test_multiple_lib_flags_merge(self, capsys, tmp_path):
         lib1 = tmp_path / "one.ldl"

@@ -13,7 +13,7 @@ from pathlib import Path
 from ldlog import oracle
 from ldlog.errors import LdlogError
 from ldlog.oracle import UnsafeRule, oracle_answers, saturate
-from ldlog.terms import App, Builtin, Clause, IntLit, Meta, Pred, StrLit, TypeMismatch, atom_text, term_text
+from ldlog.terms import App, Builtin, Clause, IntLit, Meta, Pred, StrLit, TypeMismatch, Var, atom_text, term_text
 from ldlog.unify import BuiltinNotUnifiable
 from support import (
     compile_text,
@@ -432,6 +432,16 @@ class TestAgainstNaiveReference:
     def test_unsafe_comparison_variable(self):
         kb, _ = compile_text('f: q(1).\nr: p(x) :- q(x), (y < 3).')
         self.assert_same_error(kb, UnsafeRule)
+
+    def test_fact_with_variables(self):
+        # the elaborator never makes one; its x occurs in no premise
+        kb, queries = compile_text("f1: e(1).\nr: top(w) :- p(w), e(w).\nqp: p(m?)?\nqt: top(m?)?")
+        kb = dataclasses.replace(kb, clauses={**kb.clauses, "loose": Clause("loose", Pred("p", (Var("x"),)))})
+        self.assert_same_error(kb, UnsafeRule)
+        for q in queries:
+            with pytest.raises(UnsafeRule, match="'loose'"):
+                oracle_answers(kb, q.goal)
+        assert "oracle" not in kb.compiled
 
     def test_type_mismatch_on_a_derived_fact(self):
         text = """

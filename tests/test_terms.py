@@ -126,13 +126,13 @@ class TestEvalBuiltin:
         assert eval_builtin(Builtin("eq", A, A))
         assert eval_builtin(Builtin("ne", A, B))
         assert not eval_builtin(Builtin("eq", A, B))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(TypeMismatch, match="ordered comparison on strings"):
             eval_builtin(Builtin("lt", A, B))
 
     def test_mixed_types_rejected(self):
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(TypeMismatch, match="mixed or structured operands"):
             eval_builtin(Builtin("eq", IntLit(1), A))
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(TypeMismatch, match="mixed or structured operands"):
             eval_builtin(Builtin("ge", App("f", ()), IntLit(0)))
 
     def test_non_ground_rejected(self):
