@@ -21,11 +21,14 @@ rounds before any given one form a prefix of every list.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterable, List, Tuple, TypeVar
+from types import MappingProxyType
+from typing import Dict, Generic, Iterable, List, Mapping, Tuple, TypeVar
 
 from .terms import Pred, Term, is_ground
 
 T = TypeVar("T")
+
+_NO_TABLES: Mapping[int, "_Table"] = MappingProxyType({})
 
 
 class _Table(Generic[T]):
@@ -69,8 +72,9 @@ class ArgIndex(Generic[T]):
         value at one of those positions, or with too few arguments.
         """
         best = self._items.get(symbol, [])
+        tables = self._tables.get(symbol, _NO_TABLES)
         for pos, value in keys:
-            table = self._table(symbol, pos)
+            table = tables.get(pos) or self._table(symbol, pos)  # built on the first lookup at pos
             entries = table.buckets.get(value, table.loose)
             if len(entries) < len(best):
                 best = entries

@@ -40,6 +40,7 @@ from .solver import _Call, _ground_args, _Template, _Test, _unify, _value
 from .terms import (
     Atom,
     Builtin,
+    Clause,
     KnowledgeBase,
     Meta,
     Pred,
@@ -64,13 +65,18 @@ _Rule = Tuple[_Template, List[_Call], List[_Test]]
 
 
 class UnsafeRule(LdlogError):
-    """A clause variable occurs only in its head or in comparisons."""
+    """A clause variable occurs only in its head or in comparisons: for a fact, anywhere."""
 
-    def __init__(self, name: str, variables):
+    def __init__(self, clause: Clause, variables):
         names = sorted(v.name for v in variables)
-        verb = "occurs" if len(names) == 1 else "occur"
-        super().__init__(f"rule '{name}' is not range-restricted: {', '.join(names)} never {verb} in a predicate premise")
-        self.name = name
+        listed = ", ".join(names)
+        if clause.body:
+            verb = "occurs" if len(names) == 1 else "occur"
+            message = f"rule '{clause.name}' is not range-restricted: {listed} never {verb} in a predicate premise"
+        else:
+            message = f"fact '{clause.name}' is not ground: {listed}"
+        super().__init__(message)
+        self.name = clause.name
 
 
 class _Fixpoint(NamedTuple):
@@ -100,7 +106,7 @@ def _saturate(kb: KnowledgeBase) -> _Fixpoint:
         if c.body or not atom_is_ground(c.head):  # a fact's variables occur in no premise
             loose = loose_vars(c)
             if loose:
-                raise UnsafeRule(c.name, loose)
+                raise UnsafeRule(c, loose)
     rules = [c for c in kb.clauses.values() if c.body]
     compiled: List[_Rule] = []
     premises: Dict[str, List[Tuple[_Rule, int]]] = {}  # symbol -> (rule, position) of each premise on it

@@ -41,6 +41,41 @@ their order, their certificates and every error stay as without it.
   `_freeze` runs it once a derivation of the goal is complete: a finished
   application may still be non-ground.
 
+Completed calls (the completed-table half of tabling). While repeated
+answers are dropped, a KB also keeps the table of every tabled call that
+has finished, and a later call of the same variant, in the same query or
+any later query on the KB, replays that table instead of searching again.
+A lemma proved for one query serves the next, as a lemma does in Lean.
+
+- Stored. A call is tabled if every clause of its predicate is a rule and
+  each argument is ground or an unbound cell that no other argument is,
+  unless a call of its variant (the symbol, the arity and the ground
+  arguments) is still open, as in left recursion. A mark under its choice
+  point tells when it has finished: backtracking reaches the mark only
+  once the search above it is exhausted. Its table holds the ProofTree of
+  each answer, whose conclusion gives the answer's arguments, in the order
+  the call gave them (as positions in a list of the query's tabled
+  answers). A call left open by a solution limit, an error or a restart
+  is not stored.
+- Budget range. With B the call's budget, L the lowest budget of any call
+  with candidates inside it, and `cut` whether a call inside it had
+  candidates at budget 0, the table replays at a budget B' if B' ≥ B - L + 1
+  and, when `cut`, B' ≤ B. Shifting every budget inside by B' - B leaves
+  each call with candidates at budget 1 or more and each cut call cut, so
+  the search inside is the same. A replay passes the table's L, shifted,
+  and its `cut` on to the call around it. Calls in a continuation run
+  while the call is open and count for it too; their budgets are at least
+  B, so they only narrow its range.
+- Replay. Each answer is a fact-like candidate: one `_unify` binds the
+  call's free cells to its conclusion's arguments, its shared ProofTree
+  proves the call, and the continuation runs.
+- Exact. Under the gate, a call's answers, their order and their
+  certificates depend only on the KB, the variant and the budget range:
+  the search inside a call never sees its continuation's bindings, which
+  backtracking undoes, and every derivation it gives is ground. So every
+  answer, order, certificate and error stays as without tables. Tables
+  last as long as the gate: the restart that turns it off drops them.
+
 The machine follows the WAM's split between compiled clauses and a
 binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
 Reconstruction", 1991):
@@ -60,8 +95,8 @@ Reconstruction", 1991):
   Nothing recurses per proof level, so only the depth budget limits proof
   height.
 - Per knowledge base. The head index and the templates are built on a
-  KB's first `solve` and kept in `kb.compiled`; a KB's clauses never
-  change, so every later query reuses them.
+  KB's first `solve` and kept in `kb.compiled`, with the completed calls'
+  tables; a KB's clauses never change, so every later query reuses them.
 
 `ldlog.oracle.saturate` joins rule bodies on these templates, with `_unify`
 and `_ground_args`.
@@ -205,16 +240,21 @@ class _Template:
         self.fact = None if slots or clause.body else ProofTree(clause.name, _NO_BINDINGS, clause.head)
 
 
-def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool]:
+def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool, frozenset, dict]:
     """kb's head index, its templates by clause name (each made on its clause's
-    first try), and whether repeated answers may be dropped: no clause with
-    loose variables has been tried yet."""
+    first try), whether repeated answers may be dropped (no clause with loose
+    variables has been tried yet), the symbols whose every clause is a rule,
+    and the tables of finished calls by variant: each the lowest budget it
+    replays at, the highest (None: no limit), the `_Search.proven` list of
+    the query that stored it and the positions of its answers there."""
     compiled = kb.compiled.get("solver")
     if compiled is None:
         index: ArgIndex[Clause] = ArgIndex()
         for c in kb.clauses.values():
             index.add(c.head, c)
-        compiled = kb.compiled["solver"] = (index, {}, True)
+        facts = {c.head.symbol for c in kb.clauses.values() if not c.body}
+        rule_only = frozenset(c.head.symbol for c in kb.clauses.values() if c.head.symbol not in facts)
+        compiled = kb.compiled["solver"] = (index, {}, True, rule_only, {})
     return compiled
 
 
@@ -254,6 +294,34 @@ def _ground_args(cells: list, call: _Call, b: int) -> list:
                 continue
         keys.append((pos, a))
     return keys
+
+
+def _tabled_args(cells: list, call: _Call, b: int) -> Tuple[list, Optional[tuple]]:
+    """call's `_ground_args`, and its table key: its symbol, its arity and
+    those ground arguments, if every other argument is an unbound cell that
+    no other argument is (else None)."""
+    keys = []
+    free: list = []
+    variant = True
+    for pos, a in enumerate(call.args):
+        s = b
+        while type(a) is int:
+            v = cells[s + a]
+            if v is None:
+                break
+            a, s = v
+        if type(a) is int:
+            if s + a in free:
+                variant = False
+            free.append(s + a)
+            continue
+        if type(a) is _Struct:
+            a = _value(cells, a, s)
+            if a is None:
+                variant = False
+                continue
+        keys.append((pos, a))
+    return keys, (call.symbol, len(call.args), tuple(keys)) if variant else None
 
 
 def _fill(t, values: list):
@@ -405,6 +473,31 @@ class _Node:
         self.call = call
 
 
+class _Record:
+    """A tabled call that has not finished: what its table will hold.
+
+    While it is the innermost one, the search tracks the lowest budget of a
+    call with candidates inside it and whether a call inside it had
+    candidates at budget 0; `up_low` and `up_cut` keep those of the record
+    `up` around it, as they stood when this call began.
+    """
+
+    __slots__ = ("variant", "budget", "answers", "up", "up_low", "up_cut")
+
+    def __init__(self, variant: tuple, budget: int, up: Optional["_Record"], up_low: int, up_cut: bool):
+        self.variant = variant
+        self.budget = budget
+        self.answers: List[int] = []  # positions in `_Search.proven`, in delivery order
+        self.up = up
+        self.up_low = up_low
+        self.up_cut = up_cut
+
+
+# The choice point under a tabled call's: it has no candidates, and
+# backtracking to it means the call has finished.
+_MARK = ((), 0, None, 0, 0, None, 0, None, 0, 0, None, None)
+
+
 class _Restart(Exception):
     """The query must run again, on a search that keeps every derivation."""
 
@@ -415,7 +508,13 @@ class _Search:
     def __init__(self, kb: KnowledgeBase, goal: Pred):
         slots: dict = {}
         self.kb = kb
-        self.index, self.templates, self.dedup = _compiled(kb)
+        self.index, self.templates, self.dedup, self.rule_only, self.tables = _compiled(kb)
+        # the ProofTree of each answer of a tabled call, in the order they are
+        # built. Tables hold positions here, not the trees: a full garbage
+        # collection then reaches the trees about in their order in memory.
+        # Lists of trees per call made the collections during a 385-node
+        # chain query about twice as slow (Python 3.11).
+        self.proven: List[ProofTree] = []
         self.known: Dict[int, object] = {}  # cell -> its value, written when its clause application finishes
         self.goal = _Call(goal, slots)
         self.query_keys = tuple(slots)  # the query frame sits at base 0
@@ -433,6 +532,9 @@ class _Search:
         candidates = self.index.candidates
         templates = self.templates
         dedup = self.dedup
+        tables = self.tables
+        tabled = self.rule_only if dedup else ()
+        opened = set()  # the variants of the tabled calls not finished yet
         # a continuation is (items, node, base, budget, next): the unsolved
         # (index, premise) pairs of node's body, its frame, the budget for
         # their subgoals, and the continuation of node's parent
@@ -440,8 +542,13 @@ class _Search:
         # a choice point is [candidates, next position, call, call's frame,
         # call's index, node, budget for the body, continuation, trail mark,
         # store length, the arguments of the conclusions the call's finished
-        # clause applications gave (a set made by the first, when deduplicating)]
+        # clause applications gave (a set made by the first, when deduplicating),
+        # the call's _Record if it is tabled]; a replayed table's choice point
+        # has its positions for candidates, None for the budget and its
+        # `proven` list in place of the set
         choices: list = []
+        rec: Optional[_Record] = None  # the innermost tabled call not finished yet
+        low, cut = budget, False  # rec's lowest budget of a call with candidates, and a cut at budget 0
         tick = 0
         while True:
             if cont is not None:
@@ -470,18 +577,60 @@ class _Search:
                             cont = (rest, node, base, budget, up)
                             continue
                     elif budget >= 1:
-                        found = candidates(item.symbol, _ground_args(cells, item, base))
-                        if found:
-                            after = (rest, node, base, budget, up)
-                            choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells), None])
+                        if item.symbol not in tabled:
+                            found = candidates(item.symbol, _ground_args(cells, item, base))
+                            if found:
+                                if budget < low:
+                                    low = budget
+                                after = (rest, node, base, budget, up)
+                                choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells), None, None])
+                        else:
+                            keys, variant = _tabled_args(cells, item, base)
+                            table = tables.get(variant) if variant is not None else None
+                            if table is not None and table[0] <= budget and (table[1] is None or budget <= table[1]):
+                                found, body, proven, variant = table[3], None, table[2], None  # replayed, so not tabled again
+                                if budget - table[0] + 1 < low:
+                                    low = budget - table[0] + 1
+                                if table[1] is not None:
+                                    cut = True
+                            else:
+                                found, body, proven = candidates(item.symbol, keys), budget - 1, None
+                            if found:
+                                if budget < low:
+                                    low = budget
+                                after = (rest, node, base, budget, up)
+                                record = None
+                                if variant is not None and variant not in opened:
+                                    opened.add(variant)
+                                    rec = record = _Record(variant, budget, rec, low, cut)
+                                    low, cut = budget, False
+                                    choices.append(_MARK)
+                                choices.append([found, 0, item, base, idx, node, body, after, len(trail), len(cells), proven, record])
+                    elif not cut and rec is not None and candidates(item.symbol, _ground_args(cells, item, base)):
+                        cut = True
                     cont = None
             else:
                 yield
             # backtrack: resume the newest choice point with its next candidate
             while choices:
                 cp = choices[-1]
-                found, i, call, gbase, idx, node, budget, after, mark, top, _ = cp
+                found, i, call, gbase, idx, node, budget, after, mark, top, proven, _ = cp
                 n = len(found)
+                if budget is None:  # each answer of a finished call's table proves the call as a fact does
+                    for j in trail[mark:]:
+                        cells[j] = None
+                    del trail[mark:]
+                    del cells[top:]
+                    tree = proven[found[i]]
+                    if i + 1 < n:
+                        cp[1] = i + 1
+                    else:
+                        choices.pop()
+                    # binds the call's free cells: the conclusion is an instance of the call
+                    _unify(cells, trail, call.args, gbase, tree.conclusion.args, 0)
+                    node.children[idx] = tree
+                    cont = after
+                    break
                 while i < n:
                     for j in trail[mark:]:
                         cells[j] = None
@@ -494,14 +643,19 @@ class _Search:
                     if template is None:
                         template = templates[clause.name] = _Template(clause)
                         if dedup and template.keys and loose_vars(clause):
-                            # the gate's one site: this KB now keeps every derivation
-                            self.kb.compiled["solver"] = (self.index, templates, False)
+                            # the gate's one site: this KB now keeps every derivation, and no table
+                            self.kb.compiled["solver"] = (self.index, templates, False, self.rule_only, {})
                             raise _Restart
                     cells.extend(template.blank)
                     if _unify(cells, trail, call.args, gbase, template.head, top):
                         break
                 else:
                     choices.pop()
+                    if not n:  # a _MARK: the innermost tabled call has finished
+                        tables[rec.variant] = (rec.budget - low + 1, rec.budget if cut else None, self.proven, tuple(rec.answers))
+                        opened.discard(rec.variant)
+                        low, cut = min(low, rec.up_low), cut or rec.up_cut
+                        rec = rec.up
                     continue
                 if i < n:
                     cp[1] = i
@@ -520,7 +674,8 @@ class _Search:
                 return
 
     def _complete(self, node: "_Node") -> bool:
-        """Put node's ProofTree in its parent, unless node's call has given that answer before.
+        """Put node's ProofTree in its parent, and among its call's answers if
+        the call is tabled, unless node's call has given that answer before.
 
         Only while deduplicating, when every slot is ground by now.
         """
@@ -537,7 +692,10 @@ class _Search:
         answers.add(args)  # one hash, where `in` and add would take two
         if len(answers) == seen:
             return False
-        cp[5].children[cp[4]] = _tree(template, values, args, node.children)
+        tree = cp[5].children[cp[4]] = _tree(template, values, args, node.children)
+        if cp[11] is not None:
+            cp[11].answers.append(len(self.proven))
+            self.proven.append(tree)
         return True
 
     def _freeze(self) -> Optional[ProofTree]:

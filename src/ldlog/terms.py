@@ -179,10 +179,11 @@ class KnowledgeBase:
 
     `clauses` is a read-only copy of the mapping the KB was built from, so
     what an evaluator derives from it never goes stale: `compiled` keeps
-    those forms, built on first use (`solve`'s head index and clause
-    templates under "solver", `saturate`'s fixpoint and its fact index
-    under "oracle"). A KB with other clauses is a new KB,
-    `dataclasses.replace(kb, clauses=...)`, with an empty `compiled`.
+    those forms, built on first use (`solve`'s head index, clause
+    templates and completed calls' tables under "solver", `saturate`'s
+    fixpoint and its fact index under "oracle"). A KB with other clauses
+    is a new KB, `dataclasses.replace(kb, clauses=...)`, with an empty
+    `compiled`.
     """
 
     clauses: Mapping[str, Clause] = field(default_factory=dict)

@@ -107,7 +107,7 @@ def _check_safe(c) -> None:
         else:
             in_premises |= free_vars(App(a.symbol, a.args))
     if elsewhere - in_premises:
-        raise UnsafeRule(c.name, elsewhere - in_premises)
+        raise UnsafeRule(c, elsewhere - in_premises)
 
 
 def _body_matches(body, facts: List[Pred]) -> Iterator[Substitution]:

@@ -265,6 +265,15 @@ class TestRangeRestriction:
             saturate(kb)
         assert str(err.value) == "rule 'r' is not range-restricted: w, y, z never occur in a predicate premise"
 
+    @pytest.mark.parametrize("args, listed", [((Var("x"),), "x"), ((Var("y"), StrLit("a"), Var("x")), "x, y")])
+    def test_fact_with_variables_is_named_as_a_fact(self, args, listed):
+        kb, _ = compile_text('f: q("a").')
+        kb = dataclasses.replace(kb, clauses={**kb.clauses, "loose": Clause("loose", Pred("p", args))})
+        for evaluate in (saturate, naive_saturate):
+            with pytest.raises(UnsafeRule) as err:
+                evaluate(kb)
+            assert str(err.value) == f"fact 'loose' is not ground: {listed}"
+
     def test_safe_program_passes(self):
         kb, _ = compile_text(REACH)
         saturate(kb)

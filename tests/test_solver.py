@@ -496,3 +496,124 @@ p1("c2", "c0").
         kb, queries = compile_text(text)
         got = self.assert_same(kb, queries[0], SolverConfig(solution_limit=None))
         assert got[0] is want if isinstance(got, tuple) else len(got) == want
+
+
+def chain_queries(nodes, count):
+    """path("n<pos>", m?) at count evenly spaced positions of a chain of nodes, the first and last included."""
+    positions = [round(i * (nodes - 1) / (count - 1)) for i in range(count)]
+    return [Query(f"q{pos}", Pred("path", (StrLit(f"n{pos}"), Meta(0, "m?"))), {"m?": 0}) for pos in positions]
+
+
+def chain_text(nodes, recursive_first=False):
+    """Right-recursive reachability over the chain n0 -> n1 -> ... -> n<nodes - 1>."""
+    rules = ["r1: path(x, y) :- edge(x, y).", "r2: path(x, y) :- edge(x, z), path(z, y)."]
+    if recursive_first:
+        rules.reverse()
+    return "\n".join(rules + [f'edge("n{i}", "n{i + 1}").' for i in range(nodes - 1)])
+
+
+class TestCompletedTables:
+    """A KB keeps each finished call's answers and certificates for later calls of its variant.
+
+    Each query must still return what it returns on a KB of its own.
+    """
+
+    def test_chain_proves_each_lemma_once(self, monkeypatch):
+        # 16 queries on a 32-node chain derive 31 * 32 / 2 = 496 distinct path
+        # facts; solved on a KB each, they build 2,792 certificate nodes
+        calls = 0
+        real = solver._tree
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        cfg = SolverConfig(max_depth=32, solution_limit=None)
+        queries = chain_queries(32, 16)
+        shuffled = random.Random(117).sample(queries, len(queries))
+        # from n0 first, the deepest query reaches n31 at budget 1, where edge("n31", y) is cut but has no candidates
+        for order in (queries, queries[::-1], shuffled):
+            kb, _ = compile_text(chain_text(32))
+            calls = 0
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_tree", counted)
+                got = [solve(kb, q, cfg) for q in order]
+            assert calls == 496
+            assert got == [solve(compile_text(chain_text(32))[0], q, cfg) for q in order]
+            assert [len(sols) for sols in got] == [31 - int(q.name[1:]) for q in order]
+
+    def assert_each_as_alone(self, text, runs):
+        """Solve each (goal, depth, limit) of runs on one KB, as on a KB of its own and as reference_solve does."""
+        kb, _ = compile_text(text)
+        results = []
+        for goal, depth, limit in runs:
+            q = Query("probe", goal, {"m?": 0})
+            cfg = SolverConfig(max_depth=depth, solution_limit=limit)
+            got = outcome(solve, kb, q, cfg)
+            assert got == outcome(solve, compile_text(text)[0], q, cfg), (atom_text(goal), depth, limit)
+            assert got == outcome(reference_solve, kb, q, cfg), (atom_text(goal), depth, limit)
+            results.append(got if isinstance(got, tuple) else [term_text(s.bindings[Meta(0, "m?")]) for s in got])
+        return results
+
+    def test_call_cut_at_budget_zero_is_not_replayed_deeper(self):
+        # at depth 2, p's call finishes with no answer because e(x) is cut at
+        # budget 0; with one more level, e's fact proves it
+        text = 'f: e("a").\nr2: q(x) :- e(x).\nr1: p(x) :- q(x).\nrt: t(x) :- p(x).'
+        p, t = (Pred(s, (Meta(0, "m?"),)) for s in "pt")
+        runs = [(p, 2, None), (p, 3, None), (t, 3, None), (p, 3, None), (t, 4, None), (t, 3, 1)]
+        assert self.assert_each_as_alone(text, runs) == [[], ['"a"'], [], ['"a"'], ['"a"'], []]
+
+    def test_call_is_not_replayed_below_its_lowest_budget(self):
+        # p's call at budget 5 reaches e at budget 3: it replays at budget 3 and up
+        text = 'f: e("a").\nr2: q(x) :- e(x).\nr1: p(x) :- q(x).'
+        p = Pred("p", (Meta(0, "m?"),))
+        runs = [(p, 5, None), (p, 2, None), (p, 3, 1), (p, 9, None)]
+        assert self.assert_each_as_alone(text, runs) == [['"a"'], [], ['"a"'], ['"a"']]
+
+    def test_query_stopped_by_its_limit_tables_no_open_call(self):
+        # path("n0", m?) stops at its first answer, n7, before any call but
+        # path("n7", m?)'s has finished
+        goal = Pred("path", (StrLit("n0"), Meta(0, "m?")))
+        got = self.assert_each_as_alone(chain_text(8, recursive_first=True), [(goal, 8, 1), (goal, 8, None), (goal, 8, 2)])
+        assert got == [['"n7"'], [f'"n{i}"' for i in range(7, 0, -1)], ['"n7"', '"n6"']]
+
+    def test_query_that_raises_tables_no_open_call(self):
+        text = 'f: num(1).\ng: num("s").\nr: big(x) :- num(x), (x > 0).\nt: top(x) :- big(x).'
+        top = Pred("top", (Meta(0, "m?"),))
+        got = self.assert_each_as_alone(text, [(top, 3, None), (top, 3, 1), (top, 3, None)])
+        assert got == [(TypeMismatch, got[0][1]), ["1"], (TypeMismatch, got[0][1])]
+
+    def test_queries_reuse_one_kb(self):
+        # depths shallow to deep, then deep to shallow, each query at a seeded
+        # solution limit: every one must return what it does on a KB of its own
+        rng = random.Random(117)
+        cases = []
+        while len(cases) < 30:
+            text, preds, consts = random_safe_program(rng)
+            kb, _ = compile_text(text)
+            facts = {c.head.symbol for c in kb.clauses.values() if not c.body}
+            if enumeration_bound(kb, 4) > 2_000 or not any(c.head.symbol not in facts for c in kb.clauses.values()):
+                continue  # no predicate defined by rules alone, so no call to table
+            goals = [Pred(p, (first, Meta(1, "b?"))) for p in preds for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"')))]
+            cases.append((text, goals, 4))
+        for _ in range(30):
+            cases.append((random_unary_program(rng), [Pred(p, (Meta(0, "m?"),)) for p in UNARY_PREDICATES], 4))
+        for rungs in (2, 3):
+            for left in (True, False):
+                goals = [Pred("path", (StrLit(f"r{s}"), Meta(0, "m?"))) for s in range(rungs + 1)]
+                cases.append((diamond_ladder(rungs, left), goals + [Pred("path", (Meta(0, "a?"), Meta(1, "b?")))], 2 * rungs + 1))
+        tabled = 0
+        for text, goals, deepest in cases:
+            kb, _ = compile_text(text)
+            for depth in list(range(1, deepest + 1)) + list(range(deepest, 0, -1)):
+                for goal in rng.sample(goals, len(goals)):
+                    q = Query("probe", goal, {"a?": 0, "b?": 1, "m?": 0})
+                    cfg = SolverConfig(max_depth=depth, solution_limit=rng.choice((None, 1, 2)))
+                    got = outcome(solve, kb, q, cfg)
+                    assert got == outcome(reference_solve, kb, q, cfg), f"{text}\n{atom_text(goal)} {cfg}"
+                    assert got == outcome(solve, compile_text(text)[0], q, cfg), f"{text}\n{atom_text(goal)} {cfg}"
+            tabled += bool(kb.compiled["solver"][-1])
+        # every safe program and ladder keeps tables; a unary program's first
+        # loose rule turns the gate off, and its KB drops them
+        assert tabled >= 34
