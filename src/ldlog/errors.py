@@ -13,3 +13,7 @@ class SourceError(LdlogError):
         self.line = line
         self.column = column
         self.message = message
+
+
+class BuiltinNotUnifiable(LdlogError):
+    """Comparison atoms are evaluated, never unified."""

@@ -19,7 +19,7 @@ length.
 
 Rules must be range-restricted (every head or comparison variable occurs
 in some predicate premise) and facts ground, which guarantees every derived
-atom is ground.
+atom is ground; `saturate` raises UnsafeRule on `kb.loose_clause` otherwise.
 It does not make the fixpoint finite: a recursive rule that wraps a premise
 variable in a constructor, such as `s: nat(f(x)) :- nat(x).`, derives ever
 deeper terms, and `saturate` then runs until Python's recursion limit stops
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .errors import LdlogError
+from .errors import BuiltinNotUnifiable, LdlogError
 from .index import ArgIndex
 from .solver import _Call, _ground_args, _Template, _Test, _unify, _value
 from .terms import (
@@ -46,13 +46,12 @@ from .terms import (
     Pred,
     Substitution,
     atom_free_vars,
-    atom_is_ground,
     eval_builtin,
     is_ground,
     loose_vars,
     term_text,
 )
-from .unify import BuiltinNotUnifiable, match_atoms
+from .unify import match_atoms
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
 # `ldlog.oracle.unify_atoms`, so it must stay importable from this module.
@@ -102,11 +101,8 @@ def _fixpoint(kb: KnowledgeBase) -> _Fixpoint:
 
 
 def _saturate(kb: KnowledgeBase) -> _Fixpoint:
-    for c in kb.clauses.values():
-        if c.body or not atom_is_ground(c.head):  # a fact's variables occur in no premise
-            loose = loose_vars(c)
-            if loose:
-                raise UnsafeRule(c, loose)
+    if kb.loose_clause is not None:
+        raise UnsafeRule(kb.loose_clause, loose_vars(kb.loose_clause))
     rules = [c for c in kb.clauses.values() if c.body]
     compiled: List[_Rule] = []
     premises: Dict[str, List[Tuple[_Rule, int]]] = {}  # symbol -> (rule, position) of each premise on it

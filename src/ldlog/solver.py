@@ -26,13 +26,11 @@ with answers times depth rather than with proof shapes, and solutions,
 their order, their certificates and every error stay as without it.
 
 - Gate. This needs every finished clause application to be ground and no
-  comparison to flounder, which holds while every clause tried is
-  range-restricted (`ldlog.terms.loose_vars`, the check `saturate` makes;
-  the elaborator makes every fact ground): only a tried clause can finish
-  non-ground or flounder. The first try of a clause with loose variables
-  turns the KB's flag off for good, and the query starts again without it,
-  since dropping derivations would renumber the clause tries that name a
-  floundered variable.
+  comparison to flounder, which holds when every clause of the KB is
+  range-restricted: `kb.loose_clause` is None, the check `saturate` makes
+  (the elaborator makes every fact ground). A KB with a loose clause keeps
+  every derivation on every query, since dropping derivations would
+  renumber the clause tries that name a floundered variable.
 - Certificates. A comparison that holds gets its BuiltinLeaf as it is
   evaluated. `_tree` builds each clause application's ProofTree, with a
   read-only instantiation, from the values `_slot_values` reads and its
@@ -55,8 +53,8 @@ A lemma proved for one query serves the next, as a lemma does in Lean.
   once the search above it is exhausted. Its table holds the ProofTree of
   each answer, whose conclusion gives the answer's arguments, in the order
   the call gave them (as positions in a list of the query's tabled
-  answers). A call left open by a solution limit, an error or a restart
-  is not stored.
+  answers). A call left open by a solution limit or an error is not
+  stored.
 - Budget range. With B the call's budget, L the lowest budget of any call
   with candidates inside it, and `cut` whether a call inside it had
   candidates at budget 0, the table replays at a budget B' if B' ≥ B - L + 1
@@ -73,8 +71,7 @@ A lemma proved for one query serves the next, as a lemma does in Lean.
   certificates depend only on the KB, the variant and the budget range:
   the search inside a call never sees its continuation's bindings, which
   backtracking undoes, and every derivation it gives is ground. So every
-  answer, order, certificate and error stays as without tables. Tables
-  last as long as the gate: the restart that turns it off drops them.
+  answer, order, certificate and error stays as without tables.
 
 The machine follows the WAM's split between compiled clauses and a
 binding store (Ait-Kaci, "Warren's Abstract Machine: A Tutorial
@@ -116,7 +113,7 @@ from itertools import repeat
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
-from .errors import LdlogError
+from .errors import BuiltinNotUnifiable, LdlogError
 from .index import ArgIndex
 from .proof import BuiltinLeaf, ProofTree
 from .terms import (
@@ -132,9 +129,7 @@ from .terms import (
     atom_text,
     eval_builtin,
     is_ground,
-    loose_vars,
 )
-from .unify import BuiltinNotUnifiable
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
 # `ldlog.solver.unify_atoms`, so it must stay importable from this module.
@@ -242,11 +237,11 @@ class _Template:
 
 def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool, frozenset, dict]:
     """kb's head index, its templates by clause name (each made on its clause's
-    first try), whether repeated answers may be dropped (no clause with loose
-    variables has been tried yet), the symbols whose every clause is a rule,
-    and the tables of finished calls by variant: each the lowest budget it
-    replays at, the highest (None: no limit), the `_Search.proven` list of
-    the query that stored it and the positions of its answers there."""
+    first try), whether repeated answers may be dropped (kb has no loose
+    clause), the symbols whose every clause is a rule, and the tables of
+    finished calls by variant: each the lowest budget it replays at, the
+    highest (None: no limit), the `_Search.proven` list of the query that
+    stored it and the positions of its answers there."""
     compiled = kb.compiled.get("solver")
     if compiled is None:
         index: ArgIndex[Clause] = ArgIndex()
@@ -254,7 +249,7 @@ def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool, 
             index.add(c.head, c)
         facts = {c.head.symbol for c in kb.clauses.values() if not c.body}
         rule_only = frozenset(c.head.symbol for c in kb.clauses.values() if c.head.symbol not in facts)
-        compiled = kb.compiled["solver"] = (index, {}, True, rule_only, {})
+        compiled = kb.compiled["solver"] = (index, {}, kb.loose_clause is None, rule_only, {})
     return compiled
 
 
@@ -498,16 +493,11 @@ class _Record:
 _MARK = ((), 0, None, 0, 0, None, 0, None, 0, 0, None, None)
 
 
-class _Restart(Exception):
-    """The query must run again, on a search that keeps every derivation."""
-
-
 class _Search:
     """One query's run: the store, the trail and the derivation being built."""
 
     def __init__(self, kb: KnowledgeBase, goal: Pred):
         slots: dict = {}
-        self.kb = kb
         self.index, self.templates, self.dedup, self.rule_only, self.tables = _compiled(kb)
         # the ProofTree of each answer of a tabled call, in the order they are
         # built. Tables hold positions here, not the trees: a full garbage
@@ -642,10 +632,6 @@ class _Search:
                     template = templates.get(clause.name)
                     if template is None:
                         template = templates[clause.name] = _Template(clause)
-                        if dedup and template.keys and loose_vars(clause):
-                            # the gate's one site: this KB now keeps every derivation, and no table
-                            self.kb.compiled["solver"] = (self.index, templates, False, self.rule_only, {})
-                            raise _Restart
                     cells.extend(template.blank)
                     if _unify(cells, trail, call.args, gbase, template.head, top):
                         break
@@ -744,13 +730,6 @@ def solve(kb: KnowledgeBase, q: Query, cfg: Optional[SolverConfig] = None) -> Li
     cfg = cfg or SolverConfig()
     if isinstance(q.goal, Builtin):
         raise BuiltinNotUnifiable("a comparison cannot be a query goal")
-    try:
-        return _solve(kb, q, cfg)
-    except _Restart:
-        return _solve(kb, q, cfg)
-
-
-def _solve(kb: KnowledgeBase, q: Query, cfg: SolverConfig) -> List[Solution]:
     search = _Search(kb, q.goal)
     metas = sorted((k for k in search.query_keys if isinstance(k, Meta)), key=lambda m: m.id)
     slots = [search.query_keys.index(m) for m in metas]

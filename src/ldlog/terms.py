@@ -184,15 +184,35 @@ class KnowledgeBase:
     fixpoint and its fact index under "oracle"). A KB with other clauses
     is a new KB, `dataclasses.replace(kb, clauses=...)`, with an empty
     `compiled`.
+
+    `loose_clause`, derived from `clauses`, is the first clause with a
+    variable in no predicate premise (`loose_vars`), or None: `saturate`
+    refuses a KB that has one, and `solve` keeps every derivation on it.
     """
 
     clauses: Mapping[str, Clause] = field(default_factory=dict)
     constructors: Dict[str, Constructor] = field(default_factory=dict)
     defs: Dict[str, Term] = field(default_factory=dict)
+    loose_clause: Optional[Clause] = field(default=None, init=False, repr=False, compare=False)
     compiled: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", MappingProxyType(dict(self.clauses)))
+        clauses = MappingProxyType(dict(self.clauses))
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "loose_clause", _first_loose(clauses.values()))
+
+
+def _first_loose(clauses) -> Optional[Clause]:
+    """The first of clauses with a variable in no predicate premise, or None."""
+    for c in clauses:
+        if c.body:
+            if loose_vars(c):
+                return c
+        else:  # loose unless ground; literal arguments, most terms, are read without a call
+            for t in c.head.args:
+                if type(t) is not StrLit and type(t) is not IntLit and not is_ground(t):
+                    return c
+    return None
 
 
 class NonGroundBuiltin(LdlogError):

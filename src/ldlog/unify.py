@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import LdlogError
+from .errors import BuiltinNotUnifiable
 from .terms import (
     App,
     Atom,
@@ -23,10 +23,6 @@ from .terms import (
     free_vars,
     Var,
 )
-
-
-class BuiltinNotUnifiable(LdlogError):
-    """Comparison atoms are evaluated, never unified."""
 
 
 def unify(t1: Term, t2: Term, s: Optional[Substitution] = None) -> Optional[Substitution]:

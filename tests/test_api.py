@@ -67,3 +67,25 @@ def test_no_module_imports_a_name_it_does_not_use():
                 elif not noqa and name not in used and name not in exported:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_runtime_imports_from_the_reference_matcher_are_pinned():
+    """The names each runtime module imports from `ldlog.unify`, the reference matcher.
+
+    `unify_atoms` is imported (`# noqa: F401`) only for the traced benchmark
+    run to patch; `match_atoms` still serves `oracle_answers` and
+    `proof_bindings`. A new runtime dependency on `ldlog.unify` fails here.
+    """
+    allowed = {"oracle.py": {"unify_atoms", "match_atoms"}, "proof.py": {"match_atoms"}, "solver.py": {"unify_atoms"}}
+    imported = {}
+    for path in sorted(Path(ldlog.__file__).resolve().parent.glob("*.py")):
+        if path.name == "unify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("unify", 1), ("ldlog.unify", 0)):
+                imported.setdefault(path.name, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import) and any(a.name == "ldlog.unify" for a in node.names):
+                imported.setdefault(path.name, set()).add("ldlog.unify")
+            elif isinstance(node, ast.ImportFrom) and node.module in (None, "ldlog") and any(a.name == "unify" for a in node.names):
+                imported.setdefault(path.name, set()).add("unify")
+    assert imported == allowed

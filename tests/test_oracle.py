@@ -274,8 +274,17 @@ class TestRangeRestriction:
                 evaluate(kb)
             assert str(err.value) == f"fact 'loose' is not ground: {listed}"
 
+    def test_names_the_kbs_loose_clause(self):
+        # two loose clauses: the error names the first in declaration order, the KB's loose_clause
+        kb, _ = compile_text('f: q("a").\nu: w(z) :- (z > 1).\nr: p(x, y) :- q(x).')
+        with pytest.raises(UnsafeRule) as err:
+            saturate(kb)
+        assert err.value.name == kb.loose_clause.name == "u"
+        assert str(err.value) == "rule 'u' is not range-restricted: z never occurs in a predicate premise"
+
     def test_safe_program_passes(self):
         kb, _ = compile_text(REACH)
+        assert kb.loose_clause is None
         saturate(kb)
 
 

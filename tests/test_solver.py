@@ -423,8 +423,8 @@ p1("c2", "c0").
                 check_proof(kb, sol.proof)
 
     def test_fact_with_variables(self):
-        # the elaborator never makes one: the first query that tries it starts
-        # again on a search that keeps every derivation
+        # the elaborator never makes one: it is the KB's loose clause, so every
+        # query keeps every derivation
         kb, queries = compile_text(
             'f1: e(1).\nf2: e(2).\nr: top(w) :- p(w), e(w).\nq0: e(m?)?\nq1: top(m?)?\nq2: top(m?)?'
         )
@@ -443,9 +443,9 @@ p1("c2", "c0").
         check_proof(kb, sol.proof)
 
     def test_loose_rule_first_tried_mid_query(self, monkeypatch):
-        # reach("a", "d") is found through "b", then dropped as a repeat through
-        # "c", before late("f") first tries u, whose y no premise binds: the
-        # query starts again, keeping every derivation, and so does no later one
+        # reach("a", "d") is found through "b" and again through "c" before
+        # late("f") first tries u, whose y no premise binds: u makes the KB keep
+        # every derivation from its first query, so each query is one search
         kb, queries = compile_text(
             'e("a", "b").\ne("a", "c").\ne("b", "d").\ne("c", "d").\ne("a", "g").\ne("g", "f").\n'
             "r1: reach(x, y) :- e(x, y).\nr2: reach(x, y) :- e(x, z), reach(z, y).\n"
@@ -453,19 +453,45 @@ p1("c2", "c0").
             "q: top(m?)?"
         )
         runs = []
-        real = solver._solve
+        real = solver._Search.run
 
-        def counted(*args):
-            runs.append(args)
-            return real(*args)
+        def counted(search, budget):
+            runs.append(budget)
+            return real(search, budget)
 
-        monkeypatch.setattr(solver, "_solve", counted)
+        monkeypatch.setattr(solver._Search, "run", counted)
         cfg = SolverConfig(max_depth=6, solution_limit=None)
-        for restarts in (1, 0):
+        assert kb.loose_clause is kb.clauses["u"]
+        for _ in range(2):
             runs.clear()
             got = self.assert_same(kb, queries[0], cfg)
             assert got == (FlounderedBuiltin, "comparison never became ground: 1 > y#30")
-            assert len(runs) == 1 + restarts
+            assert runs == [6]
+
+    # the reachability closure beside a rects-style rule, whose head variables
+    # occur only in comparisons
+    MIXED = (
+        'e("a", "b").\ne("a", "c").\ne("b", "d").\ne("c", "d").\n'
+        "r1: reach(x, y) :- e(x, y).\nr2: reach(x, y) :- e(x, z), reach(z, y).\n"
+        "box: inbox(x, y) :- (x >= 0), (x <= 9), (y >= 0), (y <= 9).\n"
+        'l1: late(x) :- e(x, "h").\nu: late("d") :- inbox(v, 1).\nt: top(w) :- reach("a", w), late(w).\n'
+        'q0: reach("a", m?)?\nq1: inbox(1, 2)?\nq2: inbox(m?, 2)?\nq3: top(m?)?\nq4: reach(m?, "d")?'
+    )
+
+    def test_loose_query_first_or_last_on_a_mixed_program(self):
+        cfg = SolverConfig(max_depth=6, solution_limit=None)
+        results = []
+        for first_or_last in ((2, 3, 0, 1, 4), (0, 4, 1, 3, 2)):
+            kb, queries = compile_text(self.MIXED)
+            assert kb.loose_clause is kb.clauses["box"]
+            assert solver._compiled(kb)[2] is False  # the gate is off before any query
+            results.append({i: self.assert_same(kb, queries[i], cfg) for i in first_or_last})
+        assert results[0] == results[1]
+        got = results[0]
+        assert [term_text(s.bindings[Meta(0, "m?")]) for s in got[0]] == ['"b"', '"c"', '"d"']
+        assert len(got[1]) == 1 and render_proof(got[1][0].proof) == "box (1 >= 0) (1 <= 9) (2 >= 0) (2 <= 9)"
+        assert got[2] == (FlounderedBuiltin, "comparison never became ground: x#1 >= 0")
+        assert got[3] == (FlounderedBuiltin, "comparison never became ground: x#13 >= 0")
 
     @pytest.mark.parametrize("main, lib", [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")])
     def test_programs(self, main, lib):
@@ -613,7 +639,9 @@ class TestCompletedTables:
                     got = outcome(solve, kb, q, cfg)
                     assert got == outcome(reference_solve, kb, q, cfg), f"{text}\n{atom_text(goal)} {cfg}"
                     assert got == outcome(solve, compile_text(text)[0], q, cfg), f"{text}\n{atom_text(goal)} {cfg}"
+            # a KB keeps tables only if it has no loose clause
+            assert not kb.compiled["solver"][-1] or kb.loose_clause is None
             tabled += bool(kb.compiled["solver"][-1])
-        # every safe program and ladder keeps tables; a unary program's first
-        # loose rule turns the gate off, and its KB drops them
+        # every safe program and ladder keeps tables; a unary program with a
+        # loose rule keeps every derivation, and no table
         assert tabled >= 34

@@ -14,7 +14,9 @@ from ldlog import terms
 from ldlog.terms import (
     App,
     Builtin,
+    Clause,
     IntLit,
+    KnowledgeBase,
     Meta,
     NonGroundBuiltin,
     Pred,
@@ -29,11 +31,12 @@ from ldlog.terms import (
     eval_builtin,
     free_vars,
     is_ground,
+    loose_vars,
     quote_string,
     term_text,
 )
 from ldlog.parser import Application, FactStmt, StrAst, parse_program, render_term
-from support import random_ground_term, random_term
+from support import compile_text, random_ground_term, random_term
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -236,3 +239,42 @@ class TestLiterals:
         assert [term_text(lit), term_text(lit), atom_text(Pred("p", (lit, lit)))] == ['"a\\"b"'] * 2 + ['p("a\\"b", "a\\"b")']
         assert calls == ['a"b']
         assert term_text(StrLit('a"b')) == '"a\\"b"' and len(calls) == 2  # an equal literal made apart has its own
+
+
+class TestLooseClause:
+    """A KB names its first clause with a variable in no predicate premise, or None."""
+
+    TEXT = 'f: q("a").\nr: p(x) :- q(x).\nu: w(x, y) :- q(x), (y > 1).\nv: s(z) :- (z > 1).'
+
+    def test_first_loose_clause_in_declaration_order(self):
+        kb, _ = compile_text(self.TEXT)
+        assert kb.loose_clause is kb.clauses["u"]
+        assert loose_vars(kb.loose_clause) == {Y}
+        assert compile_text('f: q("a").\nr: p(x) :- q(x).')[0].loose_clause is None
+
+    @pytest.mark.parametrize(
+        "args, loose",
+        [((A, IntLit(1), App("f", (B,)), App("nil")), False), ((A, App("f", (B, X))), True), ((Y, A), True)],
+    )
+    def test_a_fact_is_loose_unless_ground(self, args, loose):
+        fact = Clause("f", Pred("p", args))
+        kb = KnowledgeBase({"g": Clause("g", Pred("q", (A,))), "f": fact})
+        assert kb.loose_clause is (fact if loose else None)
+
+    def test_replace_recomputes_it(self):
+        kb, _ = compile_text(self.TEXT)
+        safe = dataclasses.replace(kb, clauses={n: c for n, c in kb.clauses.items() if n not in ("u", "v")})
+        assert safe.loose_clause is None
+        assert dataclasses.replace(safe, clauses={**safe.clauses}).loose_clause is None
+        loose = Clause("loose", Pred("p", (X,)))  # built through the API: the elaborator makes every fact ground
+        assert dataclasses.replace(safe, clauses={**safe.clauses, "loose": loose}).loose_clause is loose
+        assert dataclasses.replace(kb, clauses={"v": kb.clauses["v"], **kb.clauses}).loose_clause is kb.clauses["v"]
+
+    def test_equality_and_repr_leave_it_out(self):
+        kb, _ = compile_text(self.TEXT)
+        twin = dataclasses.replace(kb)
+        assert twin == kb and twin.loose_clause is kb.loose_clause
+        assert repr(kb) == f"KnowledgeBase(clauses={kb.clauses!r}, constructors={kb.constructors!r}, defs={kb.defs!r})"
+        assert [f.name for f in dataclasses.fields(kb) if f.compare] == ["clauses", "constructors", "defs"]
+        with pytest.raises(ValueError):
+            dataclasses.replace(kb, loose_clause=None)  # derived, not a parameter
