@@ -7,7 +7,8 @@ Exit codes: 0 all queries solved, 1 some query unprovable or floundered,
 2 unreadable or non-UTF-8 files and lexing/parsing/elaboration errors,
 3 a solver-produced proof failed re-checking under --check, 4 internal
 error (an unexpected exception, such as RecursionError, reported in one
-line).
+line). A closed stdout (a reader such as `head` that stops early) ends the
+run with exit 1 and no message.
 
 Output is written query by query: each query's report lines, or its --json
 documents, are printed and flushed when that query ends, and the exit code
@@ -18,6 +19,7 @@ already answered stay printed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,6 +92,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run_command(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone: stop without a message. Output still
+        # buffered goes to os.devnull, so the interpreter's last flush cannot
+        # fail again, and the exit code is 1, as Python's own is on EPIPE
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no descriptor: a stand-in stream, or a closed one
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except Exception as exc:  # RecursionError included: no traceback, and never the "unprovable" code
         print(f"ldlog: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

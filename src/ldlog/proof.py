@@ -185,7 +185,7 @@ def _instantiates(pattern, s: Substitution, atom) -> bool:
 
 def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List[list]) -> None:
     """A comparison premise needs a true leaf equal to its instance under s."""
-    if not isinstance(child, BuiltinLeaf):
+    if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
     # truth first, so a falsified leaf reports BuiltinFalse rather
     # than a mismatch against the instantiated premise

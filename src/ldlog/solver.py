@@ -48,13 +48,13 @@ A lemma proved for one query serves the next, as a lemma does in Lean.
 - Stored. A call is tabled if every clause of its predicate is a rule and
   each argument is ground or an unbound cell that no other argument is,
   unless a call of its variant (the symbol, the arity and the ground
-  arguments) is still open, as in left recursion. A mark under its choice
-  point tells when it has finished: backtracking reaches the mark only
-  once the search above it is exhausted. Its table holds the ProofTree of
-  each answer, whose conclusion gives the answer's arguments, in the order
-  the call gave them (as positions in a list of the query's tabled
-  answers). A call left open by a solution limit or an error is not
-  stored.
+  arguments) is still open, as in left recursion. Its record sits on the
+  choice stack right under its choice point, so backtracking pops it, and
+  stores its table, once the search above it is exhausted. The table holds
+  the ProofTree of each answer, whose conclusion gives the answer's
+  arguments, in the order the call gave them (as positions in a list of
+  the query's tabled answers). A call left open by a solution limit or an
+  error is not stored.
 - Budget range. With B the call's budget, L the lowest budget of any call
   with candidates inside it, and `cut` whether a call inside it had
   candidates at budget 0, the table replays at a budget B' if B' ≥ B - L + 1
@@ -65,8 +65,9 @@ A lemma proved for one query serves the next, as a lemma does in Lean.
   while the call is open and count for it too; their budgets are at least
   B, so they only narrow its range.
 - Replay. Each answer is a fact-like candidate: one `_unify` binds the
-  call's free cells to its conclusion's arguments, its shared ProofTree
-  proves the call, and the continuation runs.
+  call's free cells to its conclusion's arguments, and from there it takes
+  the path of a matched ground fact: its shared ProofTree proves the call,
+  and the continuation runs.
 - Exact. Under the gate, a call's answers, their order and their
   certificates depend only on the KB, the variant and the budget range:
   the search inside a call never sees its continuation's bindings, which
@@ -473,24 +474,18 @@ class _Record:
 
     While it is the innermost one, the search tracks the lowest budget of a
     call with candidates inside it and whether a call inside it had
-    candidates at budget 0; `up_low` and `up_cut` keep those of the record
-    `up` around it, as they stood when this call began.
+    candidates at budget 0; `up_low` and `up_cut` keep those of the search
+    around it, as they stood when this call began.
     """
 
-    __slots__ = ("variant", "budget", "answers", "up", "up_low", "up_cut")
+    __slots__ = ("variant", "budget", "answers", "up_low", "up_cut")
 
-    def __init__(self, variant: tuple, budget: int, up: Optional["_Record"], up_low: int, up_cut: bool):
+    def __init__(self, variant: tuple, budget: int, up_low: int, up_cut: bool):
         self.variant = variant
         self.budget = budget
         self.answers: List[int] = []  # positions in `_Search.proven`, in delivery order
-        self.up = up
         self.up_low = up_low
         self.up_cut = up_cut
-
-
-# The choice point under a tabled call's: it has no candidates, and
-# backtracking to it means the call has finished.
-_MARK = ((), 0, None, 0, 0, None, 0, None, 0, 0, None, None)
 
 
 class _Search:
@@ -535,10 +530,11 @@ class _Search:
         # clause applications gave (a set made by the first, when deduplicating),
         # the call's _Record if it is tabled]; a replayed table's choice point
         # has its positions for candidates, None for the budget and its
-        # `proven` list in place of the set
+        # `proven` list in place of the set. A tabled call's _Record sits right
+        # under its choice point; popping it stores the call's table. A table's
+        # answer, once bound, takes the path of a matched ground fact.
         choices: list = []
-        rec: Optional[_Record] = None  # the innermost tabled call not finished yet
-        low, cut = budget, False  # rec's lowest budget of a call with candidates, and a cut at budget 0
+        low, cut = budget, False  # for the innermost _Record: the lowest budget with candidates, a cut at 0
         tick = 0
         while True:
             if cont is not None:
@@ -567,13 +563,9 @@ class _Search:
                             cont = (rest, node, base, budget, up)
                             continue
                     elif budget >= 1:
+                        body, proven, variant = budget - 1, None, None
                         if item.symbol not in tabled:
                             found = candidates(item.symbol, _ground_args(cells, item, base))
-                            if found:
-                                if budget < low:
-                                    low = budget
-                                after = (rest, node, base, budget, up)
-                                choices.append([found, 0, item, base, idx, node, budget - 1, after, len(trail), len(cells), None, None])
                         else:
                             keys, variant = _tabled_args(cells, item, base)
                             table = tables.get(variant) if variant is not None else None
@@ -584,19 +576,19 @@ class _Search:
                                 if table[1] is not None:
                                     cut = True
                             else:
-                                found, body, proven = candidates(item.symbol, keys), budget - 1, None
-                            if found:
-                                if budget < low:
-                                    low = budget
-                                after = (rest, node, base, budget, up)
-                                record = None
-                                if variant is not None and variant not in opened:
-                                    opened.add(variant)
-                                    rec = record = _Record(variant, budget, rec, low, cut)
-                                    low, cut = budget, False
-                                    choices.append(_MARK)
-                                choices.append([found, 0, item, base, idx, node, body, after, len(trail), len(cells), proven, record])
-                    elif not cut and rec is not None and candidates(item.symbol, _ground_args(cells, item, base)):
+                                found = candidates(item.symbol, keys)
+                        if found:
+                            if budget < low:
+                                low = budget
+                            record = None
+                            if variant is not None and variant not in opened:
+                                opened.add(variant)
+                                record = _Record(variant, budget, low, cut)
+                                low, cut = budget, False
+                                choices.append(record)
+                            after = (rest, node, base, budget, up)
+                            choices.append([found, 0, item, base, idx, node, body, after, len(trail), len(cells), proven, record])
+                    elif not cut and opened and candidates(item.symbol, _ground_args(cells, item, base)):
                         cut = True
                     cont = None
             else:
@@ -604,6 +596,12 @@ class _Search:
             # backtrack: resume the newest choice point with its next candidate
             while choices:
                 cp = choices[-1]
+                if type(cp) is _Record:  # the search above it is exhausted: its call has finished
+                    choices.pop()
+                    tables[cp.variant] = (cp.budget - low + 1, cp.budget if cut else None, self.proven, tuple(cp.answers))
+                    opened.discard(cp.variant)
+                    low, cut = min(low, cp.up_low), cut or cp.up_cut
+                    continue
                 found, i, call, gbase, idx, node, budget, after, mark, top, proven, _ = cp
                 n = len(found)
                 if budget is None:  # each answer of a finished call's table proves the call as a fact does
@@ -611,44 +609,35 @@ class _Search:
                         cells[j] = None
                     del trail[mark:]
                     del cells[top:]
-                    tree = proven[found[i]]
-                    if i + 1 < n:
-                        cp[1] = i + 1
+                    fact = proven[found[i]]
+                    i += 1
+                    # binds the call's free cells: the conclusion is an instance of the call
+                    _unify(cells, trail, call.args, gbase, fact.conclusion.args, 0)
+                else:
+                    while i < n:
+                        for j in trail[mark:]:
+                            cells[j] = None
+                        del trail[mark:]
+                        del cells[top:]
+                        clause = found[i]
+                        i += 1
+                        tick += 1
+                        template = templates.get(clause.name)
+                        if template is None:
+                            template = templates[clause.name] = _Template(clause)
+                        cells.extend(template.blank)
+                        if _unify(cells, trail, call.args, gbase, template.head, top):
+                            break
                     else:
                         choices.pop()
-                    # binds the call's free cells: the conclusion is an instance of the call
-                    _unify(cells, trail, call.args, gbase, tree.conclusion.args, 0)
-                    node.children[idx] = tree
-                    cont = after
-                    break
-                while i < n:
-                    for j in trail[mark:]:
-                        cells[j] = None
-                    del trail[mark:]
-                    del cells[top:]
-                    clause = found[i]
-                    i += 1
-                    tick += 1
-                    template = templates.get(clause.name)
-                    if template is None:
-                        template = templates[clause.name] = _Template(clause)
-                    cells.extend(template.blank)
-                    if _unify(cells, trail, call.args, gbase, template.head, top):
-                        break
-                else:
-                    choices.pop()
-                    if not n:  # a _MARK: the innermost tabled call has finished
-                        tables[rec.variant] = (rec.budget - low + 1, rec.budget if cut else None, self.proven, tuple(rec.answers))
-                        opened.discard(rec.variant)
-                        low, cut = min(low, rec.up_low), cut or rec.up_cut
-                        rec = rec.up
-                    continue
+                        continue
+                    fact = template.fact
                 if i < n:
                     cp[1] = i
                 else:
                     choices.pop()  # the last candidate: nothing left to resume
-                if template.fact is not None:
-                    node.children[idx] = template.fact
+                if fact is not None:
+                    node.children[idx] = fact
                     cont = after
                     break
                 child = _Node(template, top, tick, len(template.body), cp)

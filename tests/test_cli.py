@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +413,40 @@ class TestInternalErrors:
         assert (code, out) == (4, "")
         assert err == "ldlog: internal error: RuntimeError: injected failure\n"
         assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that stops early (`ldlog run ... | head`) is no internal error."""
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    def test_closed_stdout_exits_1_without_a_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", self.ClosedPipe())
+        code = main(["run", REACH, "--json", "--all"])
+        monkeypatch.undo()
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_stdout_descriptor_points_at_devnull_afterwards(self, capsys, monkeypatch):
+        # a real pipe whose reader has gone: the next flush must not raise again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w", encoding="utf-8")
+        try:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["run", REACH])
+            monkeypatch.undo()
+            assert code == 1
+            assert capsys.readouterr().err == ""
+            stdout.write("after the reader left\n")
+            stdout.flush()
+        finally:
+            stdout.close()
 
 
 class TestPerQueryOutput:

@@ -192,6 +192,23 @@ class TestMutations:
         assert err.reason is CheckReason.NON_GROUND_CONCLUSION
         assert err.path == (0,)
 
+    def test_leaf_holding_a_predicate_is_premise_mismatch(self):
+        # the leaf's type is right but its atom is not a comparison
+        kb, _, proof = proof_of(RECTS, "q0")
+        leaf = BuiltinLeaf(Pred("overlap", (IntLit(1), IntLit(2))))
+        bad = dataclasses.replace(proof, children=proof.children[:2] + (leaf,) + proof.children[3:])
+        err = reason_of(kb, bad)
+        assert err.reason is CheckReason.PREMISE_MISMATCH
+        assert err.path == (2,)
+        assert err.detail == "comparison premise needs a builtin leaf"
+
+    def test_builtin_conclusion_is_head_mismatch(self):
+        kb, _, proof = proof_of(REACH, "q0")
+        bad = dataclasses.replace(proof, conclusion=Builtin("eq", IntLit(1), IntLit(1)))
+        err = reason_of(kb, bad)
+        assert err.reason is CheckReason.HEAD_MISMATCH
+        assert err.path == ()
+
     def test_subproof_where_leaf_expected(self):
         kb, _, proof = proof_of(RECTS, "q0")
         stray = ProofTree("overlap", {}, Pred("overlap"), ())
