@@ -12,7 +12,8 @@ run with exit 1 and no message.
 
 Output is written query by query: each query's report lines, or its --json
 documents, are printed and flushed when that query ends, and the exit code
-is decided after the last. After an internal error the lines of the queries
+is decided after the last. Under --json a floundered or failing query's
+report line goes to stderr. After an internal error the lines of the queries
 already answered stay printed.
 """
 
@@ -192,6 +193,8 @@ def _run_solver(kb, queries: List[Query], cfg: SolverConfig, args) -> int:
                     check_failed = True
         if args.json:  # the documents replace the report
             text = "".join(serialize_proof(sol.proof, q) + "\n" for sol in solutions)
+            if entry.status in ("floundered", "error"):  # its line, on stderr: stdout holds JSON only
+                print(format_report([entry]), end="", file=sys.stderr)
         else:
             for sol in solutions:
                 entry.solutions.append((atom_text(sol.proof.conclusion), _bindings_text(q, sol.bindings), render_proof(sol.proof)))

@@ -239,10 +239,17 @@ def _elaborate(statements, library, library_mode):
     counters = {"fact": 0, "rule": 0, "query": 0}
     meta_ids = itertools.count(0)
     clause_names = set()
+    # every name the file writes itself, as a label or in a `use`: no generated name takes one
+    written = {getattr(stmt, "label", None) for stmt in statements}
+    written.update(name for stmt in statements if isinstance(stmt, ast.UseStmt) for name in stmt.names)
 
     def claim_name(label: Optional[str], kind: str) -> str:
         counters[kind] += 1
-        name = label if label is not None else fresh_name(kind, counters[kind])
+        name = label
+        if name is None:
+            name = fresh_name(kind, counters[kind])
+            while name in written:
+                name += "_"
         if name in clause_names:
             raise DuplicateName(name, "statement name")
         clause_names.add(name)

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, T
 
 from .errors import BuiltinNotUnifiable, LdlogError
 from .index import ArgIndex
-from .solver import _Call, _ground_args, _Template, _Test, _unify, _value
+from .solver import _Call, _call_keys, _Template, _Test, _unify, _value
 from .terms import (
     Atom,
     Builtin,
@@ -183,7 +183,7 @@ def _join(
             else:
                 i, limit = first, rnd + 1  # the delta premise
             call = calls[i]
-            entries = delta[call.symbol] if i == first else index.candidates(call.symbol, _ground_args(cells, call, 0))
+            entries = delta[call.symbol] if i == first else index.candidates(call.symbol, _call_keys(cells, call, 0)[0])
             stack.append((iter(entries), len(trail), call.args, limit))
         else:
             for t in tests:

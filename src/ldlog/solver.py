@@ -48,13 +48,13 @@ A lemma proved for one query serves the next, as a lemma does in Lean.
 - Stored. A call is tabled if every clause of its predicate is a rule and
   each argument is ground or an unbound cell that no other argument is,
   unless a call of its variant (the symbol, the arity and the ground
-  arguments) is still open, as in left recursion. Its record sits on the
-  choice stack right under its choice point, so backtracking pops it, and
-  stores its table, once the search above it is exhausted. The table holds
-  the ProofTree of each answer, whose conclusion gives the answer's
-  arguments, in the order the call gave them (as positions in a list of
-  the query's tabled answers). A call left open by a solution limit or an
-  error is not stored.
+  arguments) is still open, as in left recursion. Its choice point stays
+  on the choice stack after its last candidate is taken, so backtracking
+  pops it, and stores its table, once the search above it is exhausted.
+  The table holds the ProofTree of each answer, whose conclusion gives the
+  answer's arguments, in the order the call gave them: the positions in a
+  list of the query's tabled answers that the call's own answers map each
+  to. A call left open by a solution limit or an error is not stored.
 - Budget range. With B the call's budget, L the lowest budget of any call
   with candidates inside it, and `cut` whether a call inside it had
   candidates at budget 0, the table replays at a budget B' if B' ≥ B - L + 1
@@ -97,7 +97,7 @@ Reconstruction", 1991):
   tables; a KB's clauses never change, so every later query reuses them.
 
 `ldlog.oracle.saturate` joins rule bodies on these templates, with `_unify`
-and `_ground_args`.
+and the index keys of `_call_keys`.
 
 Unification agrees with `ldlog.unify.unify_atoms`: the occurs check is on,
 arguments are unified left to right (a constructor's own arguments right
@@ -242,7 +242,7 @@ def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool, 
     clause), the symbols whose every clause is a rule, and the tables of
     finished calls by variant: each the lowest budget it replays at, the
     highest (None: no limit), the `_Search.proven` list of the query that
-    stored it and the positions of its answers there."""
+    stored it and the positions of its answers there, in the call's order."""
     compiled = kb.compiled.get("solver")
     if compiled is None:
         index: ArgIndex[Clause] = ArgIndex()
@@ -280,22 +280,11 @@ def _value(cells: list, t, b: int, names: Optional[dict] = None):
     return t
 
 
-def _ground_args(cells: list, call: _Call, b: int) -> list:
-    """(position, value) for each argument of call that is ground in the frame at b: an index key."""
-    keys = []
-    for pos, a in enumerate(call.args):
-        if type(a) is int or type(a) is _Struct:
-            a = _value(cells, a, b)
-            if a is None:
-                continue
-        keys.append((pos, a))
-    return keys
-
-
-def _tabled_args(cells: list, call: _Call, b: int) -> Tuple[list, Optional[tuple]]:
-    """call's `_ground_args`, and its table key: its symbol, its arity and
-    those ground arguments, if every other argument is an unbound cell that
-    no other argument is (else None)."""
+def _call_keys(cells: list, call: _Call, b: int, tabled=()) -> Tuple[list, Optional[tuple]]:
+    """(position, value) for each argument of call that is ground in the
+    frame at b, its index keys; and its variant, the key of its table: its
+    symbol, its arity and those keys, if the symbol is in tabled and every
+    other argument is an unbound cell that no other argument is (else None)."""
     keys = []
     free: list = []
     variant = True
@@ -317,7 +306,7 @@ def _tabled_args(cells: list, call: _Call, b: int) -> Tuple[list, Optional[tuple
                 variant = False
                 continue
         keys.append((pos, a))
-    return keys, (call.symbol, len(call.args), tuple(keys)) if variant else None
+    return keys, (call.symbol, len(call.args), tuple(keys)) if variant and call.symbol in tabled else None
 
 
 def _fill(t, values: list):
@@ -469,25 +458,6 @@ class _Node:
         self.call = call
 
 
-class _Record:
-    """A tabled call that has not finished: what its table will hold.
-
-    While it is the innermost one, the search tracks the lowest budget of a
-    call with candidates inside it and whether a call inside it had
-    candidates at budget 0; `up_low` and `up_cut` keep those of the search
-    around it, as they stood when this call began.
-    """
-
-    __slots__ = ("variant", "budget", "answers", "up_low", "up_cut")
-
-    def __init__(self, variant: tuple, budget: int, up_low: int, up_cut: bool):
-        self.variant = variant
-        self.budget = budget
-        self.answers: List[int] = []  # positions in `_Search.proven`, in delivery order
-        self.up_low = up_low
-        self.up_cut = up_cut
-
-
 class _Search:
     """One query's run: the store, the trail and the derivation being built."""
 
@@ -526,15 +496,19 @@ class _Search:
         cont = (((0, self.goal),), self.root, 0, budget, None)
         # a choice point is [candidates, next position, call, call's frame,
         # call's index, node, budget for the body, continuation, trail mark,
-        # store length, the arguments of the conclusions the call's finished
-        # clause applications gave (a set made by the first, when deduplicating),
-        # the call's _Record if it is tabled]; a replayed table's choice point
-        # has its positions for candidates, None for the budget and its
-        # `proven` list in place of the set. A tabled call's _Record sits right
-        # under its choice point; popping it stores the call's table. A table's
-        # answer, once bound, takes the path of a matched ground fact.
+        # store length, the call's answers, the call's record if it is
+        # tabled]. The answers (a dict made by the first finished clause
+        # application, when deduplicating) map each conclusion's arguments to
+        # the position of its ProofTree in `proven`, read only if the call is
+        # tabled. The record is (variant, low, cut) of the search around the
+        # call, as they stood when it began. A tabled call's choice point stays
+        # after its last candidate is taken: popping it, once the search above
+        # it is exhausted, stores the call's table. A replayed table's choice
+        # point has its positions for candidates, None for the budget and its
+        # `proven` list in place of the answers. A table's answer, once bound,
+        # takes the path of a matched ground fact.
         choices: list = []
-        low, cut = budget, False  # for the innermost _Record: the lowest budget with candidates, a cut at 0
+        low, cut = budget, False  # for the innermost open tabled call: the lowest budget with candidates, a cut at 0
         tick = 0
         while True:
             if cont is not None:
@@ -563,32 +537,27 @@ class _Search:
                             cont = (rest, node, base, budget, up)
                             continue
                     elif budget >= 1:
-                        body, proven, variant = budget - 1, None, None
-                        if item.symbol not in tabled:
-                            found = candidates(item.symbol, _ground_args(cells, item, base))
+                        keys, variant = _call_keys(cells, item, base, tabled)
+                        table = tables.get(variant)
+                        if table is not None and table[0] <= budget and (table[1] is None or budget <= table[1]):
+                            found, body, answers, variant = table[3], None, table[2], None  # replayed, so not tabled again
+                            if budget - table[0] + 1 < low:
+                                low = budget - table[0] + 1
+                            if table[1] is not None:
+                                cut = True
                         else:
-                            keys, variant = _tabled_args(cells, item, base)
-                            table = tables.get(variant) if variant is not None else None
-                            if table is not None and table[0] <= budget and (table[1] is None or budget <= table[1]):
-                                found, body, proven, variant = table[3], None, table[2], None  # replayed, so not tabled again
-                                if budget - table[0] + 1 < low:
-                                    low = budget - table[0] + 1
-                                if table[1] is not None:
-                                    cut = True
-                            else:
-                                found = candidates(item.symbol, keys)
+                            found, body, answers = candidates(item.symbol, keys), budget - 1, None
                         if found:
                             if budget < low:
                                 low = budget
                             record = None
                             if variant is not None and variant not in opened:
                                 opened.add(variant)
-                                record = _Record(variant, budget, low, cut)
+                                record = (variant, low, cut)
                                 low, cut = budget, False
-                                choices.append(record)
                             after = (rest, node, base, budget, up)
-                            choices.append([found, 0, item, base, idx, node, body, after, len(trail), len(cells), proven, record])
-                    elif not cut and opened and candidates(item.symbol, _ground_args(cells, item, base)):
+                            choices.append([found, 0, item, base, idx, node, body, after, len(trail), len(cells), answers, record])
+                    elif not cut and opened and candidates(item.symbol, _call_keys(cells, item, base)[0]):
                         cut = True
                     cont = None
             else:
@@ -596,20 +565,14 @@ class _Search:
             # backtrack: resume the newest choice point with its next candidate
             while choices:
                 cp = choices[-1]
-                if type(cp) is _Record:  # the search above it is exhausted: its call has finished
-                    choices.pop()
-                    tables[cp.variant] = (cp.budget - low + 1, cp.budget if cut else None, self.proven, tuple(cp.answers))
-                    opened.discard(cp.variant)
-                    low, cut = min(low, cp.up_low), cut or cp.up_cut
-                    continue
-                found, i, call, gbase, idx, node, budget, after, mark, top, proven, _ = cp
+                found, i, call, gbase, idx, node, budget, after, mark, top, answers, record = cp
                 n = len(found)
                 if budget is None:  # each answer of a finished call's table proves the call as a fact does
                     for j in trail[mark:]:
                         cells[j] = None
                     del trail[mark:]
                     del cells[top:]
-                    fact = proven[found[i]]
+                    fact = answers[found[i]]
                     i += 1
                     # binds the call's free cells: the conclusion is an instance of the call
                     _unify(cells, trail, call.args, gbase, fact.conclusion.args, 0)
@@ -630,9 +593,15 @@ class _Search:
                             break
                     else:
                         choices.pop()
+                        if record is not None:  # the search above it is exhausted: its call has finished
+                            variant, up_low, up_cut = record
+                            # the call's budget is budget + 1
+                            tables[variant] = (budget + 2 - low, budget + 1 if cut else None, self.proven, tuple(answers.values()) if answers else ())
+                            opened.discard(variant)
+                            low, cut = min(low, up_low), cut or up_cut
                         continue
                     fact = template.fact
-                if i < n:
+                if i < n or record is not None:
                     cp[1] = i
                 else:
                     choices.pop()  # the last candidate: nothing left to resume
@@ -649,8 +618,8 @@ class _Search:
                 return
 
     def _complete(self, node: "_Node") -> bool:
-        """Put node's ProofTree in its parent, and among its call's answers if
-        the call is tabled, unless node's call has given that answer before.
+        """Put node's ProofTree in its parent, and in `proven` if node's call
+        is tabled, unless node's call has given that answer before.
 
         Only while deduplicating, when every slot is ground by now.
         """
@@ -660,16 +629,15 @@ class _Search:
         if values:
             args = tuple([values[a] if type(a) is int else _fill(a, values) for a in template.head])
         cp = node.call
-        answers = cp[10]  # the arguments of each conclusion: the call fixes the symbol
+        answers = cp[10]  # keyed by each conclusion's arguments: the call fixes the symbol
         if answers is None:
-            answers = cp[10] = set()
+            answers = cp[10] = {}
         seen = len(answers)
-        answers.add(args)  # one hash, where `in` and add would take two
+        answers.setdefault(args, len(self.proven))  # one hash, where `in` and a store would take two
         if len(answers) == seen:
             return False
         tree = cp[5].children[cp[4]] = _tree(template, values, args, node.children)
         if cp[11] is not None:
-            cp[11].answers.append(len(self.proven))
             self.proven.append(tree)
         return True
 

@@ -89,3 +89,28 @@ def test_runtime_imports_from_the_reference_matcher_are_pinned():
             elif isinstance(node, ast.ImportFrom) and node.module in (None, "ldlog") and any(a.name == "unify" for a in node.names):
                 imported.setdefault(path.name, set()).add("unify")
     assert imported == allowed
+
+
+def test_private_names_cross_only_the_slot_template_seam():
+    """No module under src/ldlog imports an underscore name from another, or
+    reads one off an imported module, except the slot templates and matcher
+    that `oracle.py` joins rule bodies with. That seam may shrink, not grow."""
+    seam = {("oracle.py", "solver", name) for name in ("_Call", "_call_keys", "_Template", "_Test", "_unify", "_value")}
+    crossing = set()
+    for path in sorted(Path(ldlog.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> the ldlog module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("ldlog")):
+                module = (node.module or "").removeprefix("ldlog").lstrip(".")
+                for a in node.names:
+                    if a.name.startswith("_"):
+                        crossing.add((path.name, module, a.name))
+                    elif not module:  # from . import parser as ast
+                        modules[a.asname or a.name] = a.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                if node.attr.startswith("_") and not node.attr.startswith("__"):
+                    crossing.add((path.name, modules[node.value.id], node.attr))
+    assert crossing <= seam
+    assert ("oracle.py", "solver", "_unify") in crossing  # the walk sees the seam it pins

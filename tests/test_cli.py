@@ -148,6 +148,20 @@ class TestJsonAndCheck:
         assert docs[1]["bindings"] == {"m?": '"c"'}
         assert docs[2]["bindings"] == {"m?": '"d"'}
 
+    def test_json_reports_floundered_and_failing_queries_on_stderr(self, capsys, tmp_path):
+        f = tmp_path / "mixed.ldl"
+        f.write_text(
+            'f: num("a").\ng: num(3).\nr: q(x) :- (x > 1), num(y).\nbig: big(x) :- num(x), (x > 2).\n'
+            "q0: q(m?)?\nq1: num(m?)?\nq2: big(m?)?\nq3: num(4)?\n"
+        )
+        code, out, err = run(capsys, "run", str(f), "--json")
+        assert code == 1
+        assert [json.loads(line)["query"] for line in out.splitlines()] == ["q1"]
+        # the unprovable q3 stays silent
+        lines = err.splitlines()
+        assert lines[0] == "q0: q(m?)  floundered (x#1 > 1)"
+        assert lines[1].startswith("q2: big(m?)  error: ") and len(lines) == 2
+
     def test_check_verifies_proofs(self, capsys):
         code, out, err = run(capsys, "run", REACH, "--check", "--all")
         assert code == 0

@@ -41,6 +41,20 @@ class TestFactsAndRules:
         assert [c.name for c in kb.clauses.values()] == ["_fact_1", "_fact_2", "_rule_1"]
         assert queries[0].name == "_query_1"
 
+    def test_generated_name_is_no_name_the_file_writes(self):
+        # a label before or after the statement whose place-name it is, or a
+        # label of another kind, takes that name; the other statements keep theirs
+        kb, _ = compile_text("_fact_2: p(1).\np(2).\np(3).")
+        assert list(kb.clauses) == ["_fact_2", "_fact_2_", "_fact_3"]
+        kb, _ = compile_text("p(2).\n_fact_1: p(1).\n_fact_1_: p(5).")
+        assert list(kb.clauses) == ["_fact_1__", "_fact_1", "_fact_1_"]
+        kb, queries = compile_text("_rule_1: p(1).\nq(x) :- p(x).\n_rule_2: q(m?)?\nq(m?)?")
+        assert list(kb.clauses) == ["_rule_1", "_rule_1_"]
+        assert [q.name for q in queries] == ["_rule_2", "_query_2"]
+        # a use name: the library's unlabeled fact is named _fact_1 there
+        kb, _ = elaborate(parse_program("d(2).\nuse _fact_1."), elaborate_library(parse_program("d(1).")))
+        assert list(kb.clauses) == ["_fact_1_", "_fact_1"]
+
     def test_fresh_name_shape(self):
         assert fresh_name("fact", 2) == "_fact_2"
         assert fresh_name("query", 1) == "_query_1"

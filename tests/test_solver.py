@@ -597,6 +597,37 @@ class TestCompletedTables:
         runs = [(p, 5, None), (p, 2, None), (p, 3, 1), (p, 9, None)]
         assert self.assert_each_as_alone(text, runs) == [['"a"'], [], ['"a"'], ['"a"']]
 
+    def searched_at(self, monkeypatch, text, first, depths):
+        """Each depth at which p(m?) looks up its clauses, on a KB whose one
+        earlier query was p(m?) at depth first: at the others its table replays."""
+        goal = Query("probe", Pred("p", (Meta(0, "m?"),)), {"m?": 0})
+        lookup = ArgIndex.candidates
+        searched = []
+        for depth in depths:
+            kb, _ = compile_text(text)
+            solve(kb, goal, SolverConfig(max_depth=first, solution_limit=None))
+            symbols = []
+
+            def counted(index, symbol, keys):
+                symbols.append(symbol)
+                return lookup(index, symbol, keys)
+
+            with monkeypatch.context() as m:
+                m.setattr(ArgIndex, "candidates", counted)
+                solve(kb, goal, SolverConfig(max_depth=depth, solution_limit=None))
+            if "p" in symbols:
+                searched.append(depth)
+        return searched
+
+    def test_replay_range(self, monkeypatch):
+        text = 'f: e("a").\nr2: q(x) :- e(x).\nr1: p(x) :- q(x).'
+        # uncut: at depth 5, p's call (B = 5) reaches e at budget 3 (L = 3) and
+        # nothing at budget 0, so it replays at B - L + 1 = 3 and deeper
+        assert self.searched_at(monkeypatch, text, 5, range(1, 10)) == [1, 2]
+        # cut: at depth 2, e's fact is a candidate at budget 0, under q at
+        # budget 1, so L = 1 (as for every cut table) and p replays at B = 2 only
+        assert self.searched_at(monkeypatch, text, 2, range(1, 10)) == [1, 3, 4, 5, 6, 7, 8, 9]
+
     def test_query_stopped_by_its_limit_tables_no_open_call(self):
         # path("n0", m?) stops at its first answer, n7, before any call but
         # path("n7", m?)'s has finished
