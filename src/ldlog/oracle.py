@@ -17,6 +17,12 @@ undone before the next candidate. The join walks the premises with an
 explicit stack, so Python's recursion limit does not bound a rule body's
 length.
 
+Answer lookups share the same matcher: `oracle_answers` compiles its goal
+into one `_Call`, takes its index keys from `_call_keys`, and unifies the
+goal with each candidate fact in a fresh frame of cells. Every fixpoint
+fact is ground, so a successful match binds each goal cell directly to
+`(its subterm of the fact, 0)`, and `cells[j][0]` is slot j's binding.
+
 Rules must be range-restricted (every head or comparison variable occurs
 in some predicate premise) and facts ground, which guarantees every derived
 atom is ground; `saturate` raises UnsafeRule on `kb.loose_clause` otherwise.
@@ -45,13 +51,10 @@ from .terms import (
     Meta,
     Pred,
     Substitution,
-    atom_free_vars,
     eval_builtin,
-    is_ground,
     loose_vars,
     term_text,
 )
-from .unify import match_atoms
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
 # `ldlog.oracle.unify_atoms`, so it must stay importable from this module.
@@ -226,13 +229,17 @@ def oracle_answers(kb: KnowledgeBase, goal: Atom) -> List[Substitution]:
     if isinstance(goal, Builtin):
         raise BuiltinNotUnifiable("a comparison cannot be an oracle goal")
     saturate(kb)  # through the module name, so traced runs see every request for the fixpoint
-    ground = [(pos, arg) for pos, arg in enumerate(goal.args) if is_ground(arg)]
-    metas = sorted((v for v in atom_free_vars(goal) if isinstance(v, Meta)), key=lambda m: m.id)
+    slots: dict = {}  # each goal variable's slot
+    call = _Call(goal, slots)
+    blank = [None] * len(slots)
+    metas = [slots[m] for m in sorted((v for v in slots if isinstance(v, Meta)), key=lambda m: m.id)]
     answers: Dict[tuple, Substitution] = {}
-    for _, fact in _fixpoint(kb).index.candidates(goal.symbol, ground):
-        bindings = match_atoms(goal, fact)
-        if bindings is None:
+    for _, fact in _fixpoint(kb).index.candidates(goal.symbol, _call_keys(blank, call, 0)[0]):
+        cells = blank[:]
+        if not _unify(cells, [], call.args, 0, fact.args, 0):
             continue
-        key = tuple(term_text(bindings[m]) for m in metas)
-        answers.setdefault(key, bindings)
+        # a fact is ground, so each goal cell holds (its subterm of the fact, 0)
+        key = tuple([term_text(cells[j][0]) for j in metas])
+        if key not in answers:
+            answers[key] = {v: cells[j][0] for v, j in slots.items()}
     return [answers[key] for key in sorted(answers)]

@@ -5,6 +5,9 @@ substitution that instantiates the clause, the ground conclusion, and one
 child per body atom (a BuiltinLeaf for comparison premises). check_proof
 re-derives validity from those pieces alone: it never runs unification or
 search, so it stays a small trusted core independent of the solver.
+
+Its import closure is this module, `ldlog.terms` and `ldlog.errors`, which
+`test_the_kernel_imports_only_terms_and_errors` in tests/test_api.py pins.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .terms import (
     eval_builtin,
     term_text,
 )
-from .unify import match_atoms
 
 
 @dataclass(frozen=True)
@@ -234,10 +236,26 @@ def render_proof(node: ProofNode) -> str:
 
 
 def proof_bindings(proof: ProofTree, q: Query) -> Substitution:
-    """Placeholder bindings read off a proof of q's goal."""
-    bindings = match_atoms(q.goal, proof.conclusion)
-    if bindings is None:
-        raise LdlogError(f"proof concludes {atom_text(proof.conclusion)}, not an instance of {atom_text(q.goal)}")
+    """Placeholder bindings read off a proof of q's goal.
+
+    Each goal variable takes the term at its position in the conclusion,
+    read with an explicit stack; `_instantiates` then confirms that the
+    goal under those bindings is the conclusion.
+    """
+    goal, conclusion = q.goal, proof.conclusion
+    bindings: Substitution = {}
+    if type(goal) is Pred and type(conclusion) is Pred:
+        todo = [(goal.args, conclusion.args)]
+        while todo:
+            patterns, terms = todo.pop()
+            for p, t in zip(patterns, terms):
+                kind = type(p)
+                if kind is Var or kind is Meta:
+                    bindings[p] = t
+                elif kind is App and type(t) is App:
+                    todo.append((p.args, t.args))
+    if not _instantiates(goal, bindings, conclusion):
+        raise LdlogError(f"proof concludes {atom_text(conclusion)}, not an instance of {atom_text(goal)}")
     return bindings
 
 

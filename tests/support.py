@@ -33,7 +33,7 @@ from ldlog.parser import (
     UseStmt,
     parse_program,
 )
-from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, ProofTree, proof_bindings, render_proof
+from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, ProofTree, render_proof
 from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
     App,
@@ -219,10 +219,13 @@ def _ref_check(kb, node: ProofTree, path: Tuple[int, ...]) -> None:
 def reference_serialize(proof: ProofTree, q: Query) -> str:
     """`json.dumps` of the nested document: `ldlog.proof.serialize_proof` must give the same bytes.
 
-    The `tree` recurses once per proof level here and again in the JSON
-    encoder, so this caps proof height near 500.
+    The bindings come from the reference matcher, `match_atoms`, not from
+    `ldlog.proof.proof_bindings`, so the differential also checks the
+    bindings that serialize_proof reads. The `tree` recurses once per proof
+    level here and again in the JSON encoder, so this caps proof height near 500.
     """
-    bindings = proof_bindings(proof, q)
+    bindings = match_atoms(q.goal, proof.conclusion)
+    assert bindings is not None, f"{atom_text(proof.conclusion)} is not an instance of {atom_text(q.goal)}"
     by_id = sorted(bindings.items(), key=lambda kv: kv[0].id)
     doc = {
         "query": q.name,

@@ -73,10 +73,11 @@ def test_runtime_imports_from_the_reference_matcher_are_pinned():
     """The names each runtime module imports from `ldlog.unify`, the reference matcher.
 
     `unify_atoms` is imported (`# noqa: F401`) only for the traced benchmark
-    run to patch; `match_atoms` still serves `oracle_answers` and
-    `proof_bindings`. A new runtime dependency on `ldlog.unify` fails here.
+    run to patch; no runtime code calls the reference matcher, which tests
+    compare the slot matcher and `proof_bindings` against. A new runtime
+    dependency on `ldlog.unify` fails here.
     """
-    allowed = {"oracle.py": {"unify_atoms", "match_atoms"}, "proof.py": {"match_atoms"}, "solver.py": {"unify_atoms"}}
+    allowed = {"oracle.py": {"unify_atoms"}, "solver.py": {"unify_atoms"}}
     imported = {}
     for path in sorted(Path(ldlog.__file__).resolve().parent.glob("*.py")):
         if path.name == "unify.py":
@@ -89,6 +90,26 @@ def test_runtime_imports_from_the_reference_matcher_are_pinned():
             elif isinstance(node, ast.ImportFrom) and node.module in (None, "ldlog") and any(a.name == "unify" for a in node.names):
                 imported.setdefault(path.name, set()).add("unify")
     assert imported == allowed
+
+
+def test_the_kernel_imports_only_terms_and_errors():
+    """The checker's import closure, followed through the package imports of
+    `proof.py`, is that module, `terms.py` and `errors.py`: a small trusted
+    base that can be counted. Reaching the search or the front end fails here."""
+    package = Path(ldlog.__file__).resolve().parent
+    closure, todo = set(), ["proof"]
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("ldlog")):
+                module = (node.module or "").removeprefix("ldlog").lstrip(".")
+                todo.extend([module] if module else [a.name for a in node.names])
+    forbidden = {"solver", "index", "oracle", "unify", "cli", "parser", "elaborator"}
+    assert not closure & forbidden, f"the kernel reaches {sorted(closure & forbidden)}"
+    assert {f"{name}.py" for name in closure} == {"proof.py", "terms.py", "errors.py"}
 
 
 def test_private_names_cross_only_the_slot_template_seam():

@@ -261,8 +261,27 @@ class TestBindingsAndSerialization:
     def test_mismatched_proof_rejected(self):
         _, q, proof = proof_of(REACH, "q0")
         other = Query("qx", Pred("path", (StrLit("z"), Meta(0, "m?"))), {"m?": 0})
-        with pytest.raises(Exception):
+        with pytest.raises(LdlogError, match="not an instance of"):
             proof_bindings(proof, other)
+
+    @pytest.mark.parametrize(
+        "goal, conclusion",
+        [
+            (Pred("p", (Meta(0, "m?"), Meta(0, "m?"))), Pred("p", (IntLit(1), IntLit(2)))),
+            (Pred("p", (App("F", (Meta(0, "m?"),)),)), Pred("p", (App("G", (IntLit(1),)),))),
+            (Pred("p", (App("F", (Meta(0, "m?"),)),)), Pred("p", (App("F", (IntLit(1), IntLit(2))),))),
+            (Pred("p", (App("F", (Meta(0, "m?"),)),)), Pred("p", (IntLit(1),))),
+            (Pred("p", (Meta(0, "m?"),)), Pred("p", (IntLit(1), IntLit(2)))),
+            (Pred("p", (Meta(0, "m?"),)), Pred("q", (IntLit(1),))),
+            (Builtin("lt", Meta(0, "m?"), IntLit(2)), Pred("p", (IntLit(1),))),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, goal, conclusion):
+        """The positional read of the bindings never indexes past a mismatched
+        shape: every such proof is rejected as not an instance of the goal."""
+        q = Query("qx", goal, {"m?": 0})
+        with pytest.raises(LdlogError, match="not an instance of"):
+            proof_bindings(ProofTree("f", {}, conclusion), q)
 
     def test_json_document_schema(self):
         text = REACH.replace('q0: path("a", "c")?', 'q0: path("b", m?)?')
