@@ -23,16 +23,16 @@ from .terms import (
     App,
     Builtin,
     Clause,
+    IntLit,
     KnowledgeBase,
     Meta,
-    NonGroundBuiltin,
     Pred,
     Query,
+    StrLit,
     Substitution,
     TypeMismatch,
     Var,
     apply_subst_atom,
-    atom_is_ground,
     atom_text,
     eval_builtin,
     term_text,
@@ -45,15 +45,25 @@ class BuiltinLeaf:
 
     atom: Builtin
 
+    _json = None  # as in ProofTree
+
 
 @dataclass(frozen=True)
 class ProofTree:
-    """One clause application; children prove the instantiated body."""
+    """One clause application; children prove the instantiated body.
+
+    `_json` is not a field: it is the node's own piece of the `tree`
+    document, set by `serialize_proof` the first time it writes the node
+    and reused whenever the solver shares the node across answers. The
+    checker never reads it.
+    """
 
     clause_name: str
     instantiation: Mapping
     conclusion: Pred
     children: tuple = ()
+
+    _json = None  # '{"clause": ..., "conclusion": ..., "children": [' once written
 
 
 ProofNode = Union[ProofTree, BuiltinLeaf]
@@ -124,7 +134,7 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
     clause = kb.clauses.get(node.clause_name)
     if clause is None:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, node.clause_name)
-    if not atom_is_ground(node.conclusion):
+    if not _ground(node.conclusion):
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
     # a ground conclusion that is the head itself is its own instance
     if node.conclusion is not clause.head and not _instantiates(clause.head, node.instantiation, node.conclusion):
@@ -140,6 +150,33 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
             f"'{clause.name}' has {len(clause.body)} premises, proof supplies {len(node.children)}",
         )
     return clause
+
+
+def _ground(atom) -> bool:
+    """Whether atom holds no Var or Meta: `terms.atom_is_ground`'s verdict, by an explicit stack.
+
+    Arguments are visited in the same left-to-right pre-order, so a
+    malformed one fails at the same point, and a conclusion's depth is not
+    bounded by Python's recursion limit. The stack holds the argument
+    iterators of the enclosing constructors.
+    """
+    stack = []
+    args = iter(atom.args) if isinstance(atom, Pred) else iter((atom.lhs, atom.rhs))
+    while True:
+        for t in args:
+            kind = type(t)
+            if kind is StrLit or kind is IntLit:
+                continue
+            if isinstance(t, (Var, Meta)):
+                return False
+            if isinstance(t, App):
+                stack.append(args)
+                args = iter(t.args)
+                break
+        else:
+            if not stack:
+                return True
+            args = stack.pop()
 
 
 def _instantiates(pattern, s: Substitution, atom) -> bool:
@@ -191,10 +228,10 @@ def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
     # truth first, so a falsified leaf reports BuiltinFalse rather
     # than a mismatch against the instantiated premise
+    if not _ground(child.atom):
+        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom))
     try:
         holds = eval_builtin(child.atom)
-    except NonGroundBuiltin:
-        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom)) from None
     except TypeMismatch as exc:
         raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
     if not holds:
@@ -265,10 +302,13 @@ def serialize_proof(proof: ProofTree, q: Query) -> str:
     The `tree` is written as text by an explicit stack, so Python's
     recursion limit does not bound the proof's height. Its bytes are those
     `json.dumps` gives for the nested document (a node is `{"clause",
-    "conclusion", "children"}`, a builtin leaf `{"builtin"}`). Each
-    conclusion is written with `atom_text`; a literal keeps its text once
-    made, and the elaborator makes equal literals of a program one object,
-    so each distinct literal of a program is quoted once.
+    "conclusion", "children"}`, a builtin leaf `{"builtin"}`). A node
+    keeps its own piece of that text after its first write (`ProofTree`),
+    so a subtree the solver shares across answers has each node's
+    conclusion written with `atom_text` once; the checker never reads the
+    piece. A literal keeps its text once made, and the elaborator makes
+    equal literals of a program one object, so each distinct literal of a
+    program is quoted once.
     """
     bindings = proof_bindings(proof, q)
     by_id = sorted(bindings.items(), key=lambda kv: kv[0].id)
@@ -287,17 +327,23 @@ def serialize_proof(proof: ProofTree, q: Query) -> str:
 
 
 def _write_tree(proof: ProofNode, out: List[str]) -> None:
-    """Append proof's `tree` document to out, one piece per node."""
+    """Append proof's `tree` document to out, one piece per node, made on its first write and kept."""
     stack = [enumerate((proof,))]
     while stack:
         for i, node in stack[-1]:
             if i:
                 out.append(", ")
+            piece = node._json
+            if piece is None:
+                if isinstance(node, BuiltinLeaf):
+                    piece = f'{{"builtin": {_json_str(atom_text(node.atom))}}}'
+                else:
+                    conclusion = _json_str(atom_text(node.conclusion))
+                    piece = f'{{"clause": {_json_str(node.clause_name)}, "conclusion": {conclusion}, "children": ['
+                object.__setattr__(node, "_json", piece)
+            out.append(piece)
             if isinstance(node, BuiltinLeaf):
-                out.append(f'{{"builtin": {_json_str(atom_text(node.atom))}}}')
                 continue
-            conclusion = _json_str(atom_text(node.conclusion))
-            out.append(f'{{"clause": {_json_str(node.clause_name)}, "conclusion": {conclusion}, "children": [')
             if node.children:
                 stack.append(enumerate(node.children))
                 break

@@ -445,7 +445,8 @@ class _Node:
     When deduplicating, it is instead the ProofTree of the finished clause
     application proving it. A slot is only current once its premise is
     solved on the present branch; backtracking leaves older entries behind.
-    `call` is the choice point of the call that node proves (None at the root).
+    `call` is the choice point of the call that node proves, kept only
+    while deduplicating (else None, as at the root).
     """
 
     __slots__ = ("template", "base", "tick", "children", "call")
@@ -609,9 +610,10 @@ class _Search:
                     node.children[idx] = fact
                     cont = after
                     break
-                child = _Node(template, top, tick, len(template.body), cp)
-                if not dedup:  # else its ProofTree goes there when it finishes
-                    node.children[idx] = child
+                if dedup:  # its ProofTree goes in node when it finishes
+                    child = _Node(template, top, tick, len(template.body), cp)
+                else:  # node holds child and cp holds node, so child holding cp would make a cycle
+                    child = node.children[idx] = _Node(template, top, tick, len(template.body))
                 cont = (template.body, child, top, budget, after)
                 break
             else:

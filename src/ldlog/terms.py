@@ -303,8 +303,7 @@ def eval_builtin(a: Builtin) -> bool:
     inequality. Anything else is a TypeMismatch.
     """
     lhs, rhs = a.lhs, a.rhs
-    if not (is_ground(lhs) and is_ground(rhs)):
-        raise NonGroundBuiltin(f"comparison on non-ground operands: {atom_text(a)}")
+    # two literals are ground: only other operands need the ground test
     if isinstance(lhs, IntLit) and isinstance(rhs, IntLit):
         return _OP_FUNC[a.op](lhs.value, rhs.value)
     if isinstance(lhs, StrLit) and isinstance(rhs, StrLit):
@@ -313,6 +312,8 @@ def eval_builtin(a: Builtin) -> bool:
         if a.op == "ne":
             return lhs.value != rhs.value
         raise TypeMismatch(f"ordered comparison on strings: {atom_text(a)}")
+    if not (is_ground(lhs) and is_ground(rhs)):
+        raise NonGroundBuiltin(f"comparison on non-ground operands: {atom_text(a)}")
     raise TypeMismatch(f"comparison on mixed or structured operands: {atom_text(a)}")
 
 

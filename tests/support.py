@@ -7,12 +7,15 @@ comparison-free rules, which both evaluation strategies must agree on.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+import ldlog
 from ldlog.elaborator import elaborate, elaborate_library
 from ldlog.index import ArgIndex
 from ldlog.oracle import UnsafeRule
@@ -650,3 +653,25 @@ def enumeration_bound(kb, depth: int) -> int:
         return total
 
     return max((proofs(s, depth) for s in by_symbol), default=0)
+
+
+# ---------------------------------------------------------------------------
+# The checker's import closure (tests/test_api.py pins it; CI counts its lines)
+# ---------------------------------------------------------------------------
+
+
+def kernel_closure() -> List[Path]:
+    """The source files of the ldlog modules that `proof.py` reaches through
+    the package's own imports, itself included, sorted by name."""
+    package = Path(ldlog.__file__).resolve().parent
+    closure, todo = set(), ["proof"]
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("ldlog")):
+                module = (node.module or "").removeprefix("ldlog").lstrip(".")
+                todo.extend([module] if module else [a.name for a in node.names])
+    return sorted(package / f"{name}.py" for name in closure)

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import ldlog
+from support import kernel_closure
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -96,20 +97,10 @@ def test_the_kernel_imports_only_terms_and_errors():
     """The checker's import closure, followed through the package imports of
     `proof.py`, is that module, `terms.py` and `errors.py`: a small trusted
     base that can be counted. Reaching the search or the front end fails here."""
-    package = Path(ldlog.__file__).resolve().parent
-    closure, todo = set(), ["proof"]
-    while todo:
-        name = todo.pop()
-        if name in closure:
-            continue
-        closure.add(name)
-        for node in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("ldlog")):
-                module = (node.module or "").removeprefix("ldlog").lstrip(".")
-                todo.extend([module] if module else [a.name for a in node.names])
+    closure = {path.stem for path in kernel_closure()}
     forbidden = {"solver", "index", "oracle", "unify", "cli", "parser", "elaborator"}
     assert not closure & forbidden, f"the kernel reaches {sorted(closure & forbidden)}"
-    assert {f"{name}.py" for name in closure} == {"proof.py", "terms.py", "errors.py"}
+    assert closure == {"proof", "terms", "errors"}
 
 
 def test_private_names_cross_only_the_slot_template_seam():

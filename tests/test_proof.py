@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import json
 import random
 from pathlib import Path
@@ -338,6 +339,22 @@ class TestDeepProofs:
             tree = f'{{"clause": "h{i}", "conclusion": "p{i}()", "children": [{tree}]}}'
         render = json.dumps(render_proof(proof))
         assert serialize_proof(proof, q) == f'{{"query": "q", "goal": "p2999()", "bindings": {{}}, "render": {render}, "tree": {tree}}}'
+
+    def test_height_1100_constructor_conclusions_check(self):
+        """nat(F(...F(0)...)) at the root nests 1,100 deep, past the recursion
+        limit that `terms.is_ground` would hit: the kernel's own ground test
+        walks it with a stack."""
+        kb, _ = compile_text("z: nat(0).\ns: nat(F(x)) :- nat(x).")
+        x, term = Var("x"), IntLit(0)
+        node = ProofTree("z", {}, Pred("nat", (term,)))
+        for _ in range(1, 1100):
+            node = ProofTree("s", {x: term}, Pred("nat", (App("F", (term,)),)), (node,))
+            term = node.conclusion.args[0]
+        check_proof(kb, node)
+        open_term = Var("y")
+        for _ in range(1100):
+            open_term = App("F", (open_term,))
+        assert proof_module._ground(Pred("nat", (open_term,))) is False
 
     def test_mutation_at_the_bottom_reports_the_full_path(self):
         kb, _, proof = chain_proof(3000)
@@ -754,6 +771,90 @@ def features(proof):
     return out
 
 
+def with_each_leaf_open(atom):
+    """atom once for each of its non-constructor leaves, with that leaf made a Meta."""
+    hole = Meta(99, "hole?")
+
+    def variants(t):
+        if isinstance(t, App) and t.args:
+            for i, arg in enumerate(t.args):
+                for v in variants(arg):
+                    yield App(t.constructor, t.args[:i] + (v,) + t.args[i + 1 :])
+        elif not isinstance(t, App):
+            yield hole
+
+    if isinstance(atom, Builtin):
+        yield from (Builtin(atom.op, v, atom.rhs) for v in variants(atom.lhs))
+        yield from (Builtin(atom.op, atom.lhs, v) for v in variants(atom.rhs))
+        return
+    for i, arg in enumerate(atom.args):
+        for v in variants(arg):
+            yield Pred(atom.symbol, atom.args[:i] + (v,) + atom.args[i + 1 :])
+
+
+class TestKernelGround(TestAgainstReferenceSerializer):
+    """The kernel's `_ground` gives `terms.atom_is_ground`'s verdict on the
+    serializer differential's streams: the goal, every conclusion and leaf,
+    and each of those with one leaf made a placeholder."""
+
+    def assert_same(self, proof, q):
+        atoms, stack = [q.goal], [proof]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, BuiltinLeaf):
+                atoms.append(node.atom)
+            else:
+                atoms.append(node.conclusion)
+                stack.extend(node.children)
+        for atom in atoms:
+            assert proof_module._ground(atom) is terms_module.atom_is_ground(atom)
+            for variant in with_each_leaf_open(atom):
+                assert proof_module._ground(variant) is terms_module.atom_is_ground(variant) is False
+        return super().assert_same(proof, q)
+
+    x = Var("x")
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            Pred("p", [IntLit(1), x]),
+            Pred("p", [IntLit(1), App("f", [StrLit("a")])]),
+            Pred("p", (App("f", [App("g", (Meta(0, "m?"),))]),)),
+            Pred("p", ()),
+            Pred("p", (5, "s", None)),
+            Pred("p", (5, x)),
+            Builtin("lt", IntLit(1), x),
+            Builtin("eq", App("f", (IntLit(1),)), IntLit(2)),
+            Builtin("eq", 1, 2),
+        ],
+        ids=repr,
+    )
+    def test_odd_atoms(self, atom):
+        assert proof_module._ground(atom) is terms_module.atom_is_ground(atom)
+
+    @pytest.mark.parametrize("atom", [Pred("p", (App("f", 5), x)), Pred("p", 5), Builtin("lt", App("f", None), x)], ids=repr)
+    def test_malformed_arguments_fail_at_the_same_point(self, atom):
+        # is_ground meets the bad argument list before the variable after it
+        for ground in (proof_module._ground, terms_module.atom_is_ground):
+            with pytest.raises(TypeError):
+                ground(atom)
+
+
+CHAIN_NODES = 32
+
+
+def weighted_chain(n=CHAIN_NODES):
+    """A right-recursive chain of n nodes, each edge weighted (so every step has a
+    builtin leaf), and the query path("n0", m?)."""
+    lines = [f'edge("n{i}", "n{i + 1}", {i}).' for i in range(n - 1)]
+    lines += [
+        "r1: path(x, y) :- edge(x, y, w), (w >= 0).",
+        "r2: path(x, z) :- edge(x, y, w), (w >= 0), path(y, z).",
+        'q: path("n0", m?)?',
+    ]
+    return "\n".join(lines)
+
+
 def leaves(kb):
     """Every literal and rule variable object in kb's clauses, by id."""
     out, todo = {}, []
@@ -809,20 +910,11 @@ class TestInterning:
         r1, r2 = kb.clauses["r1"], kb.clauses["r2"]
         assert r1.head.args[0] is r1.body[0].args[0] and r1.head.args[0] is r2.head.args[0]
 
-    CHAIN_NODES = 32
-
     def chain(self):
-        """A right-recursive chain of CHAIN_NODES nodes, each edge weighted, and every answer of path("n0", m?)."""
-        n = self.CHAIN_NODES
-        lines = [f'edge("n{i}", "n{i + 1}", {i}).' for i in range(n - 1)]
-        lines += [
-            "r1: path(x, y) :- edge(x, y, w), (w >= 0).",
-            "r2: path(x, z) :- edge(x, y, w), (w >= 0), path(y, z).",
-            'q: path("n0", m?)?',
-        ]
-        kb, (q,) = compile_text("\n".join(lines))
-        sols = solve(kb, q, SolverConfig(max_depth=n, solution_limit=None))
-        assert len(sols) == n - 1
+        """A weighted_chain() and every answer of its query."""
+        kb, (q,) = compile_text(weighted_chain())
+        sols = solve(kb, q, SolverConfig(max_depth=CHAIN_NODES, solution_limit=None))
+        assert len(sols) == CHAIN_NODES - 1
         return kb, q, sols
 
     def test_serializer_quotes_each_string_literal_once(self, monkeypatch):
@@ -832,7 +924,59 @@ class TestInterning:
         monkeypatch.setattr(terms_module, "quote_string", lambda value: quoted.append(value) or real(value))
         for sol in sols:
             serialize_proof(sol.proof, q)
-        assert len(quoted) == len(set(quoted)) == self.CHAIN_NODES
+        assert len(quoted) == len(set(quoted)) == CHAIN_NODES
+
+    def test_serializer_writes_each_conclusion_once(self, monkeypatch):
+        """A node's JSON piece is made on its first write: conclusion texts
+        track distinct nodes, not the nodes answers visit."""
+        kb, q, sols = self.chain()
+        distinct, visits, stack = {}, 0, [sol.proof for sol in sols]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ProofTree):
+                distinct[id(node)] = node
+                visits += 1
+                stack.extend(node.children)
+        assert len(distinct) < visits
+        built = []
+        real = proof_module.atom_text
+        monkeypatch.setattr(proof_module, "atom_text", lambda atom: built.append(atom) or real(atom))
+
+        def conclusions_built():
+            return sorted(id(atom) for atom in built if isinstance(atom, Pred) and atom is not q.goal)
+
+        documents = [serialize_proof(sol.proof, q) for sol in sols]
+        assert conclusions_built() == sorted(id(node.conclusion) for node in distinct.values())
+        built.clear()
+        assert [serialize_proof(sol.proof, q) for sol in sols] == documents
+        assert conclusions_built() == []
+        assert documents == [reference_serialize(sol.proof, q) for sol in sols]
+
+    def test_json_piece_is_not_a_field(self):
+        _, q, sols = self.chain()
+        proof = sols[-1].proof
+        leaf = proof.children[1]
+        assert isinstance(leaf, BuiltinLeaf)
+        before = (repr(proof), repr(leaf), hash(leaf))
+        serialize_proof(proof, q)
+        assert proof._json is not None and leaf._json is not None
+        assert (repr(proof), repr(leaf), hash(leaf)) == before
+        assert [f.name for f in dataclasses.fields(ProofTree)] == ["clause_name", "instantiation", "conclusion", "children"]
+        assert [f.name for f in dataclasses.fields(BuiltinLeaf)] == ["atom"]
+        assert leaf == BuiltinLeaf(leaf.atom)
+        copy = dataclasses.replace(proof)
+        assert copy == proof and copy._json is None
+
+    def test_checker_never_calls_the_recursive_ground_test(self, monkeypatch):
+        kb, _, sols = self.chain()
+
+        def refuse(*args):
+            raise AssertionError("the kernel called terms.is_ground")
+
+        monkeypatch.setattr(terms_module, "is_ground", refuse)
+        monkeypatch.setattr(terms_module, "atom_is_ground", refuse)
+        for sol in sols:
+            check_proof(kb, sol.proof)
 
     def test_checker_compares_no_literal_by_value(self, monkeypatch):
         kb, q, sols = self.chain()
@@ -843,3 +987,35 @@ class TestInterning:
         for sol in sols:
             check_proof(kb, sol.proof)
         assert compared == []
+
+
+class TestNoReferenceCycles:
+    """Solving, checking and serializing leave no cyclic garbage, so the cycle
+    collector has nothing to reclaim; a node's JSON piece holds no cycle either.
+    rects.ldl, whose search keeps every derivation, covers the search nodes
+    that are not deduplicated."""
+
+    def test_collector_finds_nothing(self):
+        everything = SolverConfig(solution_limit=None)
+        runs = [
+            (compile_text((PROGRAMS / main).read_text(), (PROGRAMS / lib).read_text() if lib else None), everything)
+            for main, lib in GOLDENS
+        ]
+        runs.append((compile_text(weighted_chain()), SolverConfig(max_depth=CHAIN_NODES, solution_limit=None)))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            answers = 0
+            for (kb, queries), cfg in runs:
+                for q in queries:
+                    for sol in solve(kb, q, cfg):
+                        check_proof(kb, sol.proof)
+                        serialize_proof(sol.proof, q)
+                        answers += 1
+            found = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert answers > CHAIN_NODES
+        assert found == 0
