@@ -3,13 +3,17 @@ dialect, emitting proof certificates an independent checker can validate,
 with a forward-chaining fixpoint evaluator as a second opinion.
 
 The package exports what a library user needs; every other name is
-importable from its own module (ldlog.terms, ldlog.parser, ...)."""
+importable from its own module (ldlog.terms, ldlog.parser, ...). The
+checker and the certificate types live in ldlog.kernel, the trusted base,
+whose imports reach only ldlog.terms and ldlog.errors; the render and JSON
+output live in ldlog.proof, outside it."""
 
 from .errors import LdlogError, SourceError
 from .parser import parse_program
 from .elaborator import elaborate, elaborate_library
 from .solver import Solution, SolverConfig, solve
-from .proof import CheckError, ProofTree, check_proof, render_proof, serialize_proof
+from .kernel import CheckError, ProofTree, check_proof
+from .proof import render_proof, serialize_proof
 from .oracle import oracle_answers, saturate
 
 __version__ = "0.1.0"

@@ -1,248 +1,23 @@
-"""Proof certificates: clause-application trees and their checker.
+"""Certificate output: the render, the JSON document and its bindings.
 
-A ProofTree records, for one clause application, the clause name, the
-substitution that instantiates the clause, the ground conclusion, and one
-child per body atom (a BuiltinLeaf for comparison premises). check_proof
-re-derives validity from those pieces alone: it never runs unification or
-search, so it stays a small trusted core independent of the solver.
-
-Its import closure is this module, `ldlog.terms` and `ldlog.errors`, which
-`test_the_kernel_imports_only_terms_and_errors` in tests/test_api.py pins.
+Nothing here is trusted. An answer's validity rests on `ldlog.kernel`,
+which defines the certificate types and `check_proof`; this module only
+prints certificates, and the kernel never imports it. `check_proof` and
+`ProofTree` are re-exported because the benchmark (bench/run.py) reads
+them here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import List, Mapping, Tuple, Union
+from typing import List
 
 from .errors import LdlogError
-from .terms import (
-    App,
-    Builtin,
-    Clause,
-    IntLit,
-    KnowledgeBase,
-    Meta,
-    Pred,
-    Query,
-    StrLit,
-    Substitution,
-    TypeMismatch,
-    Var,
-    apply_subst_atom,
-    atom_text,
-    eval_builtin,
-    term_text,
-)
+from .kernel import BuiltinLeaf, ProofNode, ProofTree, check_proof, instantiates
+from .terms import App, Meta, Pred, Query, Substitution, Var, atom_text, term_text
 
-
-@dataclass(frozen=True)
-class BuiltinLeaf:
-    """A ground comparison premise, true by evaluation."""
-
-    atom: Builtin
-
-    _json = None  # as in ProofTree
-
-
-@dataclass(frozen=True)
-class ProofTree:
-    """One clause application; children prove the instantiated body.
-
-    `_json` is not a field: it is the node's own piece of the `tree`
-    document, set by `serialize_proof` the first time it writes the node
-    and reused whenever the solver shares the node across answers. The
-    checker never reads it.
-    """
-
-    clause_name: str
-    instantiation: Mapping
-    conclusion: Pred
-    children: tuple = ()
-
-    _json = None  # '{"clause": ..., "conclusion": ..., "children": [' once written
-
-
-ProofNode = Union[ProofTree, BuiltinLeaf]
-
-
-class CheckReason(Enum):
-    UNKNOWN_CLAUSE = "UnknownClause"
-    HEAD_MISMATCH = "HeadMismatch"
-    PREMISE_MISMATCH = "PremiseMismatch"
-    BUILTIN_FALSE = "BuiltinFalse"
-    NON_GROUND_CONCLUSION = "NonGroundConclusion"
-
-
-class CheckError(LdlogError):
-    """A proof node failed checking; path locates it by child indices."""
-
-    def __init__(self, path: Tuple[int, ...], reason: CheckReason, detail: str = ""):
-        where = "/".join(str(i) for i in path) if path else "root"
-        message = f"{reason.value} at {where}"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-        self.path = tuple(path)
-        self.reason = reason
-        self.detail = detail
-
-
-def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
-    """Validate a certificate against kb's clauses; raises CheckError.
-
-    Nodes are checked in pre-order, children left to right, so the error
-    raised is the first one met in that order. An explicit stack walks the
-    tree, so Python's recursion limit does not bound its height.
-    """
-    # one frame per ProofTree from the root down: [node, its clause, index of its next child]
-    spine: List[list] = []
-    spine.append([proof, _check_node(kb, proof, spine), 0])
-    while spine:
-        frame = spine[-1]
-        node, clause, i = frame
-        if i == len(clause.body):
-            spine.pop()
-            continue
-        frame[2] = i + 1
-        premise, child = clause.body[i], node.children[i]
-        if isinstance(premise, Builtin):
-            _check_leaf(child, premise, node.instantiation, spine)
-        elif not isinstance(child, ProofTree):
-            raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
-        elif not _instantiates(premise, node.instantiation, child.conclusion):
-            want = apply_subst_atom(premise, node.instantiation)
-            raise CheckError(
-                _path(spine),
-                CheckReason.PREMISE_MISMATCH,
-                f"child concludes {atom_text(child.conclusion)}, premise needs {atom_text(want)}",
-            )
-        else:
-            spine.append([child, _check_node(kb, child, spine), 0])
-
-
-def _path(spine: List[list]) -> Tuple[int, ...]:
-    """Child indices from the root to the node being checked."""
-    return tuple(frame[2] - 1 for frame in spine)
-
-
-def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause:
-    """The clause that node applies, once its conclusion, head and premise count check."""
-    clause = kb.clauses.get(node.clause_name)
-    if clause is None:
-        raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, node.clause_name)
-    if not _ground(node.conclusion):
-        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
-    # a ground conclusion that is the head itself is its own instance
-    if node.conclusion is not clause.head and not _instantiates(clause.head, node.instantiation, node.conclusion):
-        raise CheckError(
-            _path(spine),
-            CheckReason.HEAD_MISMATCH,
-            f"instantiated head of '{clause.name}' is not {atom_text(node.conclusion)}",
-        )
-    if len(node.children) != len(clause.body):
-        raise CheckError(
-            _path(spine),
-            CheckReason.PREMISE_MISMATCH,
-            f"'{clause.name}' has {len(clause.body)} premises, proof supplies {len(node.children)}",
-        )
-    return clause
-
-
-def _ground(atom) -> bool:
-    """Whether atom holds no Var or Meta: `terms.atom_is_ground`'s verdict, by an explicit stack.
-
-    Arguments are visited in the same left-to-right pre-order, so a
-    malformed one fails at the same point, and a conclusion's depth is not
-    bounded by Python's recursion limit. The stack holds the argument
-    iterators of the enclosing constructors.
-    """
-    stack = []
-    args = iter(atom.args) if isinstance(atom, Pred) else iter((atom.lhs, atom.rhs))
-    while True:
-        for t in args:
-            kind = type(t)
-            if kind is StrLit or kind is IntLit:
-                continue
-            if isinstance(t, (Var, Meta)):
-                return False
-            if isinstance(t, App):
-                stack.append(args)
-                args = iter(t.args)
-                break
-        else:
-            if not stack:
-                return True
-            args = stack.pop()
-
-
-def _instantiates(pattern, s: Substitution, atom) -> bool:
-    """Whether apply_subst_atom(pattern, s) == atom, decided without building that instance.
-
-    An explicit stack takes the arguments of nested constructors, so the
-    term's depth is not bounded by Python's recursion limit. A variable's
-    binding is compared by identity before equality.
-    """
-    if type(atom) is not type(pattern):
-        return False
-    if type(pattern) is Pred:
-        if atom.symbol != pattern.symbol or type(atom.args) is not tuple or len(atom.args) != len(pattern.args):
-            return False
-        pairs = zip(pattern.args, atom.args)
-    else:
-        if atom.op != pattern.op:
-            return False
-        pairs = ((pattern.lhs, atom.lhs), (pattern.rhs, atom.rhs))
-    todo = None
-    while True:
-        for p, t in pairs:
-            kind = type(p)
-            if kind is Var or kind is Meta:
-                p = s.get(p, p)
-                if p is not t and p != t:
-                    return False
-            elif kind is App and p.args:
-                if (
-                    type(t) is not App
-                    or t.constructor != p.constructor
-                    or type(t.args) is not tuple
-                    or len(t.args) != len(p.args)
-                ):
-                    return False
-                if todo is None:
-                    todo = []
-                todo.append(zip(p.args, t.args))
-            elif p is not t and p != t:
-                return False
-        if not todo:
-            return True
-        pairs = todo.pop()
-
-
-def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List[list]) -> None:
-    """A comparison premise needs a true leaf equal to its instance under s."""
-    if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
-        raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
-    # truth first, so a falsified leaf reports BuiltinFalse rather
-    # than a mismatch against the instantiated premise
-    if not _ground(child.atom):
-        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom))
-    try:
-        holds = eval_builtin(child.atom)
-    except TypeMismatch as exc:
-        raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
-    if not holds:
-        raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(child.atom))
-    if not _instantiates(premise, s, child.atom):
-        want = apply_subst_atom(premise, s)
-        raise CheckError(
-            _path(spine),
-            CheckReason.PREMISE_MISMATCH,
-            f"leaf {atom_text(child.atom)} is not the instantiated premise {atom_text(want)}",
-        )
+__all__ = ["ProofTree", "check_proof", "proof_bindings", "render_proof", "serialize_proof"]
 
 
 def render_proof(node: ProofNode) -> str:
@@ -276,7 +51,7 @@ def proof_bindings(proof: ProofTree, q: Query) -> Substitution:
     """Placeholder bindings read off a proof of q's goal.
 
     Each goal variable takes the term at its position in the conclusion,
-    read with an explicit stack; `_instantiates` then confirms that the
+    read with an explicit stack; `instantiates` then confirms that the
     goal under those bindings is the conclusion.
     """
     goal, conclusion = q.goal, proof.conclusion
@@ -291,7 +66,7 @@ def proof_bindings(proof: ProofTree, q: Query) -> Substitution:
                     bindings[p] = t
                 elif kind is App and type(t) is App:
                     todo.append((p.args, t.args))
-    if not _instantiates(goal, bindings, conclusion):
+    if not instantiates(goal, bindings, conclusion):
         raise LdlogError(f"proof concludes {atom_text(conclusion)}, not an instance of {atom_text(goal)}")
     return bindings
 

@@ -116,7 +116,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import BuiltinNotUnifiable, LdlogError
 from .index import ArgIndex
-from .proof import BuiltinLeaf, ProofTree
+from .kernel import BuiltinLeaf, ProofTree
 from .terms import (
     App,
     Builtin,

@@ -340,7 +340,22 @@ def term_text(t: Term) -> str:
         return t.source_name
     if not t.args:
         return t.constructor
-    return f"{t.constructor}({', '.join(map(term_text, t.args))})"
+    # a stack holds, for each open parenthesis, the arguments still to write,
+    # so Python's recursion limit does not bound the term's depth
+    out, stack, sep = [t.constructor, "("], [iter(t.args)], ""
+    while stack:
+        for a in stack[-1]:
+            if type(a) is App and a.args:
+                out += (sep, a.constructor, "(")
+                stack.append(iter(a.args))
+                sep = ""
+                break
+            out += (sep, term_text(a))
+            sep = ", "
+        else:
+            stack.pop()
+            out.append(")")
+    return "".join(out)
 
 
 def atom_text(a: Atom) -> str:

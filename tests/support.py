@@ -18,6 +18,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import ldlog
 from ldlog.elaborator import elaborate, elaborate_library
 from ldlog.index import ArgIndex
+from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree
 from ldlog.oracle import UnsafeRule
 from ldlog.parser import (
     AppAst,
@@ -36,7 +37,7 @@ from ldlog.parser import (
     UseStmt,
     parse_program,
 )
-from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, ProofTree, render_proof
+from ldlog.proof import render_proof
 from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
     App,
@@ -60,6 +61,7 @@ from ldlog.terms import (
     eval_builtin,
     free_vars,
     is_ground,
+    quote_string,
     term_text,
 )
 from ldlog.unify import BuiltinNotUnifiable, match_atoms, unify_atoms
@@ -156,7 +158,7 @@ def reference_answers(facts, goal: Pred) -> List[Substitution]:
 
 
 def reference_check(kb, proof: ProofTree) -> None:
-    """Recursive checker, one call per proof level: `ldlog.proof.check_proof` must agree.
+    """Recursive checker, one call per proof level: `ldlog.kernel.check_proof` must agree.
 
     It must accept the same certificates and raise the same CheckError,
     with the same path, reason and detail. The recursion caps proof height
@@ -397,6 +399,15 @@ def random_term(rng: random.Random, depth: int = 3):
         return IntLit(rng.randint(0, 2))
     name, arity = rng.choice(TERM_CTORS)
     return App(name, tuple(random_term(rng, depth - 1) for _ in range(arity)))
+
+
+def reference_term_text(t) -> str:
+    """Recursive concrete syntax, one call per nesting level: `ldlog.terms.term_text` must agree."""
+    if isinstance(t, App):
+        return f"{t.constructor}({', '.join(map(reference_term_text, t.args))})" if t.args else t.constructor
+    if isinstance(t, (Var, Meta)):
+        return t.name if isinstance(t, Var) else t.source_name
+    return quote_string(t.value) if isinstance(t, StrLit) else str(t.value)
 
 
 def random_ground_term(rng: random.Random, depth: int = 2):
@@ -660,11 +671,12 @@ def enumeration_bound(kb, depth: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def kernel_closure() -> List[Path]:
-    """The source files of the ldlog modules that `proof.py` reaches through
-    the package's own imports, itself included, sorted by name."""
+def kernel_closure(root: str = "kernel") -> List[Path]:
+    """The source files of the ldlog modules that root (`kernel.py` by
+    default) reaches through the package's own imports, itself included,
+    sorted by name."""
     package = Path(ldlog.__file__).resolve().parent
-    closure, todo = set(), ["proof"]
+    closure, todo = set(), [root]
     while todo:
         name = todo.pop()
         if name in closure:

@@ -11,9 +11,10 @@ from pathlib import Path
 
 from ldlog.cli import main
 from ldlog.errors import SourceError
+from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, check_proof
 from ldlog.oracle import oracle_answers, saturate
 from ldlog.parser import parse_program, render_program
-from ldlog.proof import BuiltinLeaf, CheckError, CheckReason, check_proof, render_proof
+from ldlog.proof import render_proof
 from ldlog.solver import SolverConfig, solve
 from ldlog.terms import (
     App,

@@ -1,6 +1,7 @@
 """The package's public surface: the README library example and ldlog.__all__."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import ldlog
 from support import kernel_closure
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCH_RUN = README.parent / "bench" / "run.py"
 
 
 def library_example() -> str:
@@ -95,12 +97,37 @@ def test_runtime_imports_from_the_reference_matcher_are_pinned():
 
 def test_the_kernel_imports_only_terms_and_errors():
     """The checker's import closure, followed through the package imports of
-    `proof.py`, is that module, `terms.py` and `errors.py`: a small trusted
-    base that can be counted. Reaching the search or the front end fails here."""
+    `kernel.py`, is that module, `terms.py` and `errors.py`: a small trusted
+    base that can be counted. Reaching the search, the front end or the
+    certificate output (`proof.py`) fails here."""
     closure = {path.stem for path in kernel_closure()}
-    forbidden = {"solver", "index", "oracle", "unify", "cli", "parser", "elaborator"}
+    forbidden = {"solver", "index", "oracle", "unify", "cli", "parser", "elaborator", "proof"}
     assert not closure & forbidden, f"the kernel reaches {sorted(closure & forbidden)}"
-    assert closure == {"proof", "terms", "errors"}
+    assert closure == {"kernel", "terms", "errors"}
+
+
+def test_the_output_module_reaches_only_the_kernel():
+    """`proof.py` prints certificates; it needs the kernel's types, not the search."""
+    assert {path.stem for path in kernel_closure("proof")} == {"proof", "kernel", "terms", "errors"}
+
+
+def test_every_engine_name_the_benchmark_reads_resolves():
+    """bench/run.py reads engine names at call time, so a moved name breaks it
+    without failing any other test here: each `from ldlog.X import Y`, and each
+    `mod.attr` read on a module bound by `from ldlog import ...`, must resolve."""
+    tree = ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+    modules, names = {}, []  # local name -> ldlog module; (module, attribute) pairs
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ldlog":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ldlog."):
+            names.extend((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.append((f"ldlog.{modules[node.value.id]}", node.attr))
+    assert {"ldlog.proof", "ldlog.solver", "ldlog.terms"} <= {module for module, _ in names}
+    missing = sorted({(m, a) for m, a in names if not hasattr(importlib.import_module(m), a)})
+    assert missing == []
 
 
 def test_private_names_cross_only_the_slot_template_seam():

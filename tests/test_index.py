@@ -3,8 +3,9 @@
 import dataclasses
 
 from ldlog.index import ArgIndex
+from ldlog.kernel import check_proof
 from ldlog.oracle import saturate
-from ldlog.proof import check_proof, render_proof
+from ldlog.proof import render_proof
 from ldlog.solver import SolverConfig, solve
 from ldlog.terms import App, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var, term_text
 from support import compile_text

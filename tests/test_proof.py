@@ -9,19 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from ldlog import kernel as kernel_module
 from ldlog import proof as proof_module
 from ldlog import terms as terms_module
-from ldlog.proof import (
-    BuiltinLeaf,
-    CheckError,
-    CheckReason,
-    ProofTree,
-    check_proof,
-    proof_bindings,
-    render_proof,
-    serialize_proof,
-)
 from ldlog.errors import LdlogError
+from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree, check_proof
+from ldlog.proof import proof_bindings, render_proof, serialize_proof
 from ldlog.solver import SolverConfig, solve
 from ldlog.terms import App, Builtin, IntLit, Meta, Pred, Query, StrLit, Var
 from support import (
@@ -71,7 +64,7 @@ def reason_of(kb, proof):
 
 
 def test_checker_imports_nothing_from_the_evaluators():
-    tree = ast.parse(Path(proof_module.__file__).read_text())
+    tree = ast.parse(Path(kernel_module.__file__).read_text())
     names = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules = {name.rpartition(".")[2] for name in names}
@@ -106,6 +99,16 @@ class TestGoldenProofs:
         assert leaves[0] == Builtin("ge", IntLit(300), IntLit(50))
         assert leaves[3] == Builtin("le", IntLit(75), IntLit(400))
         check_proof(kb, proof)
+
+
+def at_child(i, **fields):
+    """A change that replaces fields of the root's i-th child."""
+
+    def change(proof):
+        child = dataclasses.replace(proof.children[i], **fields)
+        return dataclasses.replace(proof, children=proof.children[:i] + (child,) + proof.children[i + 1 :])
+
+    return change
 
 
 class TestMutations:
@@ -223,6 +226,44 @@ class TestMutations:
         err = reason_of(kb, bad)
         assert err.reason is CheckReason.PREMISE_MISMATCH
         assert err.path == (0,)
+
+    @pytest.mark.parametrize(
+        "change, reason, path",
+        [
+            (lambda p: BuiltinLeaf(Builtin("eq", IntLit(1), IntLit(1))), CheckReason.PREMISE_MISMATCH, ()),
+            (lambda p: None, CheckReason.PREMISE_MISMATCH, ()),
+            (lambda p: dataclasses.replace(p, conclusion=None), CheckReason.HEAD_MISMATCH, ()),
+            (lambda p: dataclasses.replace(p, conclusion='path("a", "c")'), CheckReason.HEAD_MISMATCH, ()),
+            (at_child(0, conclusion=None), CheckReason.HEAD_MISMATCH, (0,)),
+            (lambda p: dataclasses.replace(p, instantiation=None), CheckReason.HEAD_MISMATCH, ()),
+            (lambda p: dataclasses.replace(p, instantiation=list(p.instantiation.items())), CheckReason.HEAD_MISMATCH, ()),
+            (at_child(1, instantiation=None), CheckReason.HEAD_MISMATCH, (1,)),
+            (lambda p: dataclasses.replace(p, children=None), CheckReason.PREMISE_MISMATCH, ()),
+            (lambda p: dataclasses.replace(p, children=list(p.children)), CheckReason.PREMISE_MISMATCH, ()),
+            (lambda p: dataclasses.replace(p, clause_name=["r2"]), CheckReason.UNKNOWN_CLAUSE, ()),
+            (at_child(0, clause_name=None), CheckReason.UNKNOWN_CLAUSE, (0,)),
+        ],
+        ids=[
+            "leaf-root",
+            "none-root",
+            "none-conclusion",
+            "str-conclusion",
+            "child-none-conclusion",
+            "none-instantiation",
+            "list-instantiation",
+            "fact-none-instantiation",
+            "none-children",
+            "list-children",
+            "list-clause-name",
+            "child-none-clause-name",
+        ],
+    )
+    def test_malformed_node_is_a_check_error(self, change, reason, path):
+        """A node whose fields have the wrong types fails as a CheckError
+        with an existing reason, never as a raw exception."""
+        kb, _, proof = proof_of(REACH, "q0")
+        err = reason_of(kb, change(proof))
+        assert (err.reason, err.path) == (reason, path)
 
 
 class TestRendering:
@@ -354,7 +395,18 @@ class TestDeepProofs:
         open_term = Var("y")
         for _ in range(1100):
             open_term = App("F", (open_term,))
-        assert proof_module._ground(Pred("nat", (open_term,))) is False
+        assert kernel_module._ground(Pred("nat", (open_term,))) is False
+
+    def test_height_1100_non_ground_conclusion_is_reported(self):
+        """The error's detail prints nat(F(...F(y)...)) 1,100 deep, which
+        `term_text` writes with a stack, not one call per level."""
+        kb, _ = compile_text("z: nat(0).\ns: nat(F(x)) :- nat(x).")
+        open_term = Var("y")
+        for _ in range(1100):
+            open_term = App("F", (open_term,))
+        err = reason_of(kb, ProofTree("z", {}, Pred("nat", (open_term,))))
+        assert err.reason is CheckReason.NON_GROUND_CONCLUSION and err.path == ()
+        assert err.detail == "nat(" + "F(" * 1100 + "y" + ")" * 1101
 
     def test_mutation_at_the_bottom_reports_the_full_path(self):
         kb, _, proof = chain_proof(3000)
@@ -807,9 +859,9 @@ class TestKernelGround(TestAgainstReferenceSerializer):
                 atoms.append(node.conclusion)
                 stack.extend(node.children)
         for atom in atoms:
-            assert proof_module._ground(atom) is terms_module.atom_is_ground(atom)
+            assert kernel_module._ground(atom) is terms_module.atom_is_ground(atom)
             for variant in with_each_leaf_open(atom):
-                assert proof_module._ground(variant) is terms_module.atom_is_ground(variant) is False
+                assert kernel_module._ground(variant) is terms_module.atom_is_ground(variant) is False
         return super().assert_same(proof, q)
 
     x = Var("x")
@@ -830,12 +882,12 @@ class TestKernelGround(TestAgainstReferenceSerializer):
         ids=repr,
     )
     def test_odd_atoms(self, atom):
-        assert proof_module._ground(atom) is terms_module.atom_is_ground(atom)
+        assert kernel_module._ground(atom) is terms_module.atom_is_ground(atom)
 
     @pytest.mark.parametrize("atom", [Pred("p", (App("f", 5), x)), Pred("p", 5), Builtin("lt", App("f", None), x)], ids=repr)
     def test_malformed_arguments_fail_at_the_same_point(self, atom):
         # is_ground meets the bad argument list before the variable after it
-        for ground in (proof_module._ground, terms_module.atom_is_ground):
+        for ground in (kernel_module._ground, terms_module.atom_is_ground):
             with pytest.raises(TypeError):
                 ground(atom)
 

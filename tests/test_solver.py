@@ -9,7 +9,8 @@ import pytest
 from ldlog import solver
 from ldlog.errors import LdlogError
 from ldlog.index import ArgIndex
-from ldlog.proof import BuiltinLeaf, ProofTree, check_proof, render_proof
+from ldlog.kernel import BuiltinLeaf, ProofTree, check_proof
+from ldlog.proof import render_proof
 from ldlog.solver import FlounderedBuiltin, SolverConfig, solve
 from ldlog.oracle import oracle_answers, saturate
 from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, Var, atom_text, term_text

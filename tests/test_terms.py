@@ -36,7 +36,7 @@ from ldlog.terms import (
     term_text,
 )
 from ldlog.parser import Application, FactStmt, StrAst, parse_program, render_term
-from support import compile_text, random_ground_term, random_term
+from support import compile_text, random_ground_term, random_term, reference_term_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -161,6 +161,20 @@ class TestTermText:
         assert atom_text(Pred("path", (A, C))) == 'path("a", "c")'
         assert atom_text(Builtin("ge", IntLit(300), IntLit(50))) == "300 >= 50"
         assert atom_text(Pred("p", ())) == "p()"
+
+    @pytest.mark.parametrize("seed", [101, 214, 501])
+    def test_matches_recursive_reference_on_random_terms(self, seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            t = random_term(rng, rng.randint(0, 6))
+            assert term_text(t) == reference_term_text(t)
+
+    def test_deep_constructor_nesting(self):
+        # past the recursion limit, with a second argument closing each level
+        t = Var("x")
+        for i in range(1500):
+            t = App("g", (t, IntLit(i % 3)))
+        assert term_text(t) == "g(" * 1500 + "x" + "".join(f", {i % 3})" for i in range(1500))
 
 
 def reference_quote_string(value):
