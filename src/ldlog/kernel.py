@@ -4,8 +4,9 @@ A ProofTree records, for one clause application, the clause name, the
 substitution that instantiates the clause, the ground conclusion, and one
 child per body atom (a BuiltinLeaf for comparison premises). check_proof
 re-derives validity from those pieces alone: it never runs unification or
-search, so it stays a small trusted core independent of the solver. A
-node whose fields have the wrong types fails as a CheckError too.
+search, so it stays a small trusted core independent of the solver. Its
+ground test is `terms.atom_is_ground`, the terms module's one scan. A node
+whose fields, or terms, have the wrong types fails as a CheckError too.
 
 Everything an answer's validity rests on is in this module's import
 closure: this module, `ldlog.terms` and `ldlog.errors`, which
@@ -25,15 +26,14 @@ from .terms import (
     App,
     Builtin,
     Clause,
-    IntLit,
     KnowledgeBase,
     Meta,
     Pred,
-    StrLit,
     Substitution,
     TypeMismatch,
     Var,
     apply_subst_atom,
+    atom_is_ground,
     atom_text,
     eval_builtin,
 )
@@ -102,7 +102,6 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
     spine: List[list] = []
     if type(proof) is not ProofTree:
         raise CheckError((), CheckReason.PREMISE_MISMATCH, "the root is not a subproof")
-    _check_atom(proof, spine)
     spine.append([proof, _check_node(kb, proof, spine), 0])
     while spine:
         frame = spine[-1]
@@ -135,14 +134,13 @@ def _path(spine: List[list]) -> Tuple[int, ...]:
 
 def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause:
     """The clause that node applies, once its field types, conclusion, head and premise count check."""
-    # the conclusion is an atom: `_check_atom` tested the root's, and a child's matched its premise
     name, conclusion, s, children = node.clause_name, node.conclusion, node.instantiation, node.children
     if type(name) is not str:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, "the clause name is not a string")
     clause = kb.clauses.get(name)
     if clause is None:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, name)
-    if not _ground(conclusion):
+    if not _check_atom(node, spine):
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(conclusion))
     if type(s) is not MappingProxyType and type(s) is not dict:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the instantiation is not a substitution")
@@ -164,37 +162,16 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
     return clause
 
 
-def _check_atom(node: ProofTree, spine: List[list]) -> None:
-    """A conclusion that is not an atom is a HeadMismatch, before anything reads or prints it."""
-    if type(node.conclusion) is not Pred and type(node.conclusion) is not Builtin:
+def _check_atom(node: ProofTree, spine: List[list]) -> bool:
+    """Whether node's conclusion is ground. A conclusion that is not an atom
+    of terms is a HeadMismatch, decided before anything prints it."""
+    conclusion = node.conclusion
+    if type(conclusion) is not Pred and type(conclusion) is not Builtin:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion is not an atom")
-
-
-def _ground(atom) -> bool:
-    """Whether atom holds no Var or Meta: `terms.atom_is_ground`'s verdict, by an explicit stack.
-
-    Arguments are visited in the same left-to-right pre-order, so a
-    malformed one fails at the same point, and a conclusion's depth is not
-    bounded by Python's recursion limit. The stack holds the argument
-    iterators of the enclosing constructors.
-    """
-    stack = []
-    args = iter(atom.args) if isinstance(atom, Pred) else iter((atom.lhs, atom.rhs))
-    while True:
-        for t in args:
-            kind = type(t)
-            if kind is StrLit or kind is IntLit:
-                continue
-            if isinstance(t, (Var, Meta)):
-                return False
-            if isinstance(t, App):
-                stack.append(args)
-                args = iter(t.args)
-                break
-        else:
-            if not stack:
-                return True
-            args = stack.pop()
+    try:
+        return atom_is_ground(conclusion)
+    except TypeError:
+        raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion holds a non-term") from None
 
 
 def instantiates(pattern, s: Substitution, atom) -> bool:
@@ -244,9 +221,13 @@ def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List
     """A comparison premise needs a true leaf equal to its instance under s."""
     if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
+    try:
+        ground = atom_is_ground(child.atom)
+    except TypeError:
+        raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "the leaf holds a non-term") from None
     # truth first, so a falsified leaf reports BuiltinFalse rather
     # than a mismatch against the instantiated premise
-    if not _ground(child.atom):
+    if not ground:
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom))
     try:
         holds = eval_builtin(child.atom)

@@ -4,7 +4,8 @@ Terms are immutable trees. Variables come in two flavors that unify the
 same way: Var (from rule statements) and Meta (query placeholders, carrying
 a numeric id and the surface name they came from). Substitutions are plain
 dicts from Var/Meta keys to terms and are kept idempotent by the operations
-that build them.
+that build them. One walk, `_scan`, reads a term's leaves for the ground
+tests and the variable sets (`is_ground` to `loose_vars`), by a stack.
 
 Literals and variables compute their hash once, and a literal keeps its
 text once `term_text` has made it. The elaborator interns literals and rule
@@ -208,10 +209,8 @@ def _first_loose(clauses) -> Optional[Clause]:
         if c.body:
             if loose_vars(c):
                 return c
-        else:  # loose unless ground; literal arguments, most terms, are read without a call
-            for t in c.head.args:
-                if type(t) is not StrLit and type(t) is not IntLit and not is_ground(t):
-                    return c
+        elif not atom_is_ground(c.head):  # a fact is loose unless ground
+            return c
     return None
 
 
@@ -239,29 +238,53 @@ def apply_subst_atom(a: Atom, s: Substitution) -> Atom:
     return Builtin(a.op, apply_subst(a.lhs, s), apply_subst(a.rhs, s))
 
 
+def _scan(terms, out: Optional[Set[Key]] = None) -> bool:
+    """Whether terms, and the terms they nest, hold no Var or Meta, read left
+    to right in pre-order; given a set out, each Var and Meta met is added to
+    it and the scan reads on. Anything met that is not a term raises TypeError.
+    A stack of argument iterators, not recursion, holds the open constructors."""
+    stack, ground, args = [], True, iter(terms)
+    while True:
+        for t in args:
+            kind = type(t)
+            if kind is StrLit or kind is IntLit:
+                continue
+            if kind is Var or kind is Meta:
+                if out is None:
+                    return False
+                out.add(t)
+                ground = False
+            elif kind is App:
+                stack.append(args)
+                args = iter(t.args)
+                break
+            else:
+                raise TypeError(f"not a term: {kind.__name__}")
+        else:
+            if not stack:
+                return ground
+            args = stack.pop()
+
+
+def is_ground(t: Term) -> bool:
+    kind = type(t)
+    return kind is StrLit or kind is IntLit or _scan((t,))
+
+
+def atom_is_ground(a: Atom) -> bool:
+    return _scan(a.args if isinstance(a, Pred) else (a.lhs, a.rhs))
+
+
 def free_vars(t: Term) -> Set[Key]:
     """Set of Var and Meta leaves occurring in t."""
     out: Set[Key] = set()
-    _collect_vars(t, out)
+    _scan((t,), out)
     return out
-
-
-def _collect_vars(t: Term, out: Set[Key]) -> None:
-    if isinstance(t, (Var, Meta)):
-        out.add(t)
-    elif isinstance(t, App):
-        for a in t.args:
-            _collect_vars(a, out)
 
 
 def atom_free_vars(a: Atom) -> Set[Key]:
     out: Set[Key] = set()
-    if isinstance(a, Pred):
-        for t in a.args:
-            _collect_vars(t, out)
-    else:
-        _collect_vars(a.lhs, out)
-        _collect_vars(a.rhs, out)
+    _scan(a.args if isinstance(a, Pred) else (a.lhs, a.rhs), out)
     return out
 
 
@@ -277,23 +300,8 @@ def loose_vars(c: Clause) -> Set[Key]:
     positive: Set[Key] = set()
     for a in c.body:
         if isinstance(a, Pred):
-            for t in a.args:
-                _collect_vars(t, positive)
+            _scan(a.args, positive)
     return clause_vars(c) - positive
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, (Var, Meta)):
-        return False
-    if isinstance(t, App):
-        return all(map(is_ground, t.args))
-    return True
-
-
-def atom_is_ground(a: Atom) -> bool:
-    if isinstance(a, Pred):
-        return all(map(is_ground, a.args))
-    return is_ground(a.lhs) and is_ground(a.rhs)
 
 
 def eval_builtin(a: Builtin) -> bool:

@@ -17,6 +17,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import ldlog
 from ldlog.elaborator import elaborate, elaborate_library
+from ldlog.errors import LdlogError
 from ldlog.index import ArgIndex
 from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree
 from ldlog.oracle import UnsafeRule
@@ -55,12 +56,10 @@ from ldlog.terms import (
     apply_subst,
     apply_subst_atom,
     atom_free_vars,
-    atom_is_ground,
     atom_text,
     clause_vars,
     eval_builtin,
     free_vars,
-    is_ground,
     quote_string,
     term_text,
 )
@@ -171,7 +170,7 @@ def _ref_check(kb, node: ProofTree, path: Tuple[int, ...]) -> None:
     clause = kb.clauses.get(node.clause_name)
     if clause is None:
         raise CheckError(path, CheckReason.UNKNOWN_CLAUSE, node.clause_name)
-    if not atom_is_ground(node.conclusion):
+    if not reference_atom_is_ground(node.conclusion):
         raise CheckError(path, CheckReason.NON_GROUND_CONCLUSION, atom_text(node.conclusion))
     if apply_subst_atom(clause.head, node.instantiation) != node.conclusion:
         raise CheckError(
@@ -281,7 +280,7 @@ def reference_solve(kb, q, cfg: Optional[SolverConfig] = None) -> List[Solution]
         if proof is None:
             continue
         bindings = {m: apply_subst(m, s) for m in metas}
-        if not all(is_ground(v) for v in bindings.values()):
+        if not all(map(reference_is_ground, bindings.values())):
             continue
         key = tuple(bindings[m] for m in metas)
         if key in seen:
@@ -312,7 +311,7 @@ def _ref_rename(c: Clause, tick: int):
 def _ref_goal(goal: Pred, s: Substitution, budget: int, index, ticks):
     if budget < 1:
         return
-    keys = [(pos, arg) for pos, arg in enumerate(goal.args) if is_ground(arg)]
+    keys = [(pos, arg) for pos, arg in enumerate(goal.args) if reference_is_ground(arg)]
     for clause in index.candidates(goal.symbol, keys):
         renamed, varmap = _ref_rename(clause, next(ticks))
         s1 = unify_atoms(goal, renamed.head, s)
@@ -330,7 +329,7 @@ def _ref_items(items, s: Substitution, budget: int, index, ticks):
     (idx, atom), rest = items[0], items[1:]
     if isinstance(atom, Builtin):
         now = apply_subst_atom(atom, s)
-        if atom_is_ground(now):
+        if reference_atom_is_ground(now):
             if eval_builtin(now):
                 leaf = BuiltinLeaf(now)
                 for s2, children in _ref_items(rest, s, budget, index, ticks):
@@ -350,12 +349,12 @@ def _ref_freeze(node, s: Substitution):
     if isinstance(node, BuiltinLeaf):
         return node
     conclusion = apply_subst_atom(node.head, s)
-    if not atom_is_ground(conclusion):
+    if not reference_atom_is_ground(conclusion):
         return None
     instantiation: Substitution = {}
     for name, fresh in node.varmap.items():
         value = apply_subst(fresh, s)
-        if not is_ground(value):
+        if not reference_is_ground(value):
             return None
         instantiation[Var(name)] = value
     children = []
@@ -410,17 +409,32 @@ def reference_term_text(t) -> str:
     return quote_string(t.value) if isinstance(t, StrLit) else str(t.value)
 
 
+def reference_is_ground(t) -> bool:
+    """Recursive ground test, one call per nesting level: `ldlog.terms.is_ground` must agree."""
+    if isinstance(t, (Var, Meta)):
+        return False
+    if isinstance(t, App):
+        return all(map(reference_is_ground, t.args))
+    return True
+
+
+def reference_atom_is_ground(a) -> bool:
+    """`ldlog.terms.atom_is_ground` must agree on every atom of terms."""
+    if isinstance(a, Pred):
+        return all(map(reference_is_ground, a.args))
+    return reference_is_ground(a.lhs) and reference_is_ground(a.rhs)
+
+
+def reference_free_vars(t) -> Set:
+    """Recursive variable set: `ldlog.terms.free_vars` must agree."""
+    if isinstance(t, (Var, Meta)):
+        return {t}
+    return set().union(*map(reference_free_vars, t.args)) if isinstance(t, App) else set()
+
+
 def random_ground_term(rng: random.Random, depth: int = 2):
     t = random_term(rng, depth)
-    return t if not _has_vars(t) else rng.choice(TERM_CONSTS)
-
-
-def _has_vars(t) -> bool:
-    if isinstance(t, (Var, Meta)):
-        return True
-    if isinstance(t, App):
-        return any(_has_vars(a) for a in t.args)
-    return False
+    return t if reference_is_ground(t) else rng.choice(TERM_CONSTS)
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +596,10 @@ def random_unary_program(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def shuffled_safe_programs(rng: random.Random, count: int = 200):
+def shuffled_safe_programs(rng: random.Random, count: int = 200, depth: int = 5, cap: int = 20_000):
     """(text, kb, queries) for `count` shuffled random_safe_programs.
 
-    Programs of more than 20,000 derivations at depth 5 are skipped. The
+    Programs of more than `cap` derivations at `depth` are skipped. The
     generator lists every fact before every rule; shuffled, rules with loose
     head arguments land between facts of their symbol. Each program gets two
     queries on its first predicate: p(a?, b?) and p(<a constant>, b?).
@@ -597,7 +611,7 @@ def shuffled_safe_programs(rng: random.Random, count: int = 200):
         rng.shuffle(lines)
         text = "\n".join(lines)
         kb, _ = compile_text(text)
-        if enumeration_bound(kb, 5) > 20_000:
+        if enumeration_bound(kb, depth) > cap:
             continue
         accepted += 1
         queries = [
@@ -605,6 +619,26 @@ def shuffled_safe_programs(rng: random.Random, count: int = 200):
             for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"')))
         ]
         yield text, kb, queries
+
+
+def term_programs(rng: random.Random, count: int):
+    """(text, kb, queries, depth) for `count` random_term_programs that elaborate.
+
+    Each gets a depth bound from 1 to 4; programs of more than 2,000
+    derivations at that depth are skipped.
+    """
+    accepted = 0
+    while accepted < count:
+        text = random_term_program(rng)
+        try:
+            kb, queries = compile_text(text)
+        except LdlogError:
+            continue
+        depth = rng.randint(1, 4)
+        if enumeration_bound(kb, depth) > 2_000:
+            continue
+        accepted += 1
+        yield text, kb, queries, depth
 
 
 def diamond_ladder(rungs: int, left: bool = True) -> str:
@@ -667,7 +701,8 @@ def enumeration_bound(kb, depth: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The checker's import closure (tests/test_api.py pins it; CI counts its lines)
+# The checker's import closure (tests/test_api.py pins it and the recursion
+# in it; CI counts its lines and lists that recursion)
 # ---------------------------------------------------------------------------
 
 
@@ -687,3 +722,16 @@ def kernel_closure(root: str = "kernel") -> List[Path]:
                 module = (node.module or "").removeprefix("ldlog").lstrip(".")
                 todo.extend([module] if module else [a.name for a in node.names])
     return sorted(package / f"{name}.py" for name in closure)
+
+
+def self_referring_functions(root: str = "kernel") -> List[str]:
+    """`module.function` for each function in root's import closure whose body
+    names the function itself: the recursion left in the trusted base."""
+    found = []
+    for path in kernel_closure(root):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == node.name for stmt in node.body for n in ast.walk(stmt)
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return sorted(found)

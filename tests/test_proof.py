@@ -23,9 +23,12 @@ from support import (
     enumeration_bound,
     random_safe_program,
     random_term_program,
+    reference_atom_is_ground,
     reference_check,
     reference_serialize,
+    self_referring_functions,
     shuffled_safe_programs,
+    term_programs,
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -47,6 +50,10 @@ overlap: overlap(Rect(ax1, ay1, ax2, ay2), Rect(bx1, by1, bx2, by2)) :-
     (by2 >= ay1), (by1 <= ay2), (bx2 >= ax1), (bx1 <= ax2).
 q0: overlap(rect1, rect2)?
 """
+
+NAT = "z: nat(0).\nq0: nat(0)?"
+
+BIG = "n: num(3).\nr: big(x) :- num(x), (x > 0).\nq0: big(3)?"
 
 
 def proof_of(text, name, **cfg):
@@ -228,20 +235,39 @@ class TestMutations:
         assert err.path == (0,)
 
     @pytest.mark.parametrize(
-        "change, reason, path",
+        "text, change, reason, path",
         [
-            (lambda p: BuiltinLeaf(Builtin("eq", IntLit(1), IntLit(1))), CheckReason.PREMISE_MISMATCH, ()),
-            (lambda p: None, CheckReason.PREMISE_MISMATCH, ()),
-            (lambda p: dataclasses.replace(p, conclusion=None), CheckReason.HEAD_MISMATCH, ()),
-            (lambda p: dataclasses.replace(p, conclusion='path("a", "c")'), CheckReason.HEAD_MISMATCH, ()),
-            (at_child(0, conclusion=None), CheckReason.HEAD_MISMATCH, (0,)),
-            (lambda p: dataclasses.replace(p, instantiation=None), CheckReason.HEAD_MISMATCH, ()),
-            (lambda p: dataclasses.replace(p, instantiation=list(p.instantiation.items())), CheckReason.HEAD_MISMATCH, ()),
-            (at_child(1, instantiation=None), CheckReason.HEAD_MISMATCH, (1,)),
-            (lambda p: dataclasses.replace(p, children=None), CheckReason.PREMISE_MISMATCH, ()),
-            (lambda p: dataclasses.replace(p, children=list(p.children)), CheckReason.PREMISE_MISMATCH, ()),
-            (lambda p: dataclasses.replace(p, clause_name=["r2"]), CheckReason.UNKNOWN_CLAUSE, ()),
-            (at_child(0, clause_name=None), CheckReason.UNKNOWN_CLAUSE, (0,)),
+            (REACH, lambda p: BuiltinLeaf(Builtin("eq", IntLit(1), IntLit(1))), CheckReason.PREMISE_MISMATCH, ()),
+            (REACH, lambda p: None, CheckReason.PREMISE_MISMATCH, ()),
+            (REACH, lambda p: dataclasses.replace(p, conclusion=None), CheckReason.HEAD_MISMATCH, ()),
+            (REACH, lambda p: dataclasses.replace(p, conclusion='path("a", "c")'), CheckReason.HEAD_MISMATCH, ()),
+            (REACH, at_child(0, conclusion=None), CheckReason.HEAD_MISMATCH, (0,)),
+            (REACH, lambda p: dataclasses.replace(p, instantiation=None), CheckReason.HEAD_MISMATCH, ()),
+            (REACH, lambda p: dataclasses.replace(p, instantiation=list(p.instantiation.items())), CheckReason.HEAD_MISMATCH, ()),
+            (REACH, at_child(1, instantiation=None), CheckReason.HEAD_MISMATCH, (1,)),
+            (REACH, lambda p: dataclasses.replace(p, children=None), CheckReason.PREMISE_MISMATCH, ()),
+            (REACH, lambda p: dataclasses.replace(p, children=list(p.children)), CheckReason.PREMISE_MISMATCH, ()),
+            (REACH, lambda p: dataclasses.replace(p, clause_name=["r2"]), CheckReason.UNKNOWN_CLAUSE, ()),
+            (REACH, at_child(0, clause_name=None), CheckReason.UNKNOWN_CLAUSE, (0,)),
+            *(
+                (NAT, lambda p, c=conclusion: dataclasses.replace(p, conclusion=c), CheckReason.HEAD_MISMATCH, ())
+                for conclusion in (
+                    Pred("nat", 5),
+                    Pred("nat", (None,)),
+                    Pred("nat", (5,)),
+                    Pred("nat", (App("F", 5),)),
+                    Pred("nat", (App("F", (None,)),)),
+                )
+            ),
+            *(
+                (BIG, at_child(1, atom=atom), CheckReason.PREMISE_MISMATCH, (1,))
+                for atom in (
+                    Builtin("gt", None, IntLit(0)),
+                    Builtin("gt", App("F", 3), IntLit(0)),
+                    Builtin("gt", App("F", (None,)), IntLit(0)),
+                )
+            ),
+            (REACH, at_child(0, conclusion=Pred("path", (None, StrLit("b")))), CheckReason.HEAD_MISMATCH, (0,)),
         ],
         ids=[
             "leaf-root",
@@ -256,12 +282,21 @@ class TestMutations:
             "list-children",
             "list-clause-name",
             "child-none-clause-name",
+            "int-args",
+            "none-arg",
+            "int-arg",
+            "int-app-args",
+            "none-app-arg",
+            "none-leaf-operand",
+            "int-app-args-leaf",
+            "none-app-arg-leaf",
+            "child-none-arg",
         ],
     )
-    def test_malformed_node_is_a_check_error(self, change, reason, path):
-        """A node whose fields have the wrong types fails as a CheckError
-        with an existing reason, never as a raw exception."""
-        kb, _, proof = proof_of(REACH, "q0")
+    def test_malformed_node_is_a_check_error(self, text, change, reason, path):
+        """A node whose fields or terms have the wrong types fails as a
+        CheckError with an existing reason, never as a raw exception."""
+        kb, _, proof = proof_of(text, "q0")
         err = reason_of(kb, change(proof))
         assert (err.reason, err.path) == (reason, path)
 
@@ -383,8 +418,8 @@ class TestDeepProofs:
 
     def test_height_1100_constructor_conclusions_check(self):
         """nat(F(...F(0)...)) at the root nests 1,100 deep, past the recursion
-        limit that `terms.is_ground` would hit: the kernel's own ground test
-        walks it with a stack."""
+        limit that a recursive ground test would hit: the kernel's ground test,
+        `terms.atom_is_ground`, walks it with a stack."""
         kb, _ = compile_text("z: nat(0).\ns: nat(F(x)) :- nat(x).")
         x, term = Var("x"), IntLit(0)
         node = ProofTree("z", {}, Pred("nat", (term,)))
@@ -395,7 +430,7 @@ class TestDeepProofs:
         open_term = Var("y")
         for _ in range(1100):
             open_term = App("F", (open_term,))
-        assert kernel_module._ground(Pred("nat", (open_term,))) is False
+        assert terms_module.atom_is_ground(Pred("nat", (open_term,))) is False
 
     def test_height_1100_non_ground_conclusion_is_reported(self):
         """The error's detail prints nat(F(...F(y)...)) 1,100 deep, which
@@ -845,9 +880,9 @@ def with_each_leaf_open(atom):
 
 
 class TestKernelGround(TestAgainstReferenceSerializer):
-    """The kernel's `_ground` gives `terms.atom_is_ground`'s verdict on the
-    serializer differential's streams: the goal, every conclusion and leaf,
-    and each of those with one leaf made a placeholder."""
+    """The kernel's ground test, `terms.atom_is_ground`, gives the recursive
+    reference's verdict on the serializer differential's streams: the goal,
+    every conclusion and leaf, and each of those with one leaf made a placeholder."""
 
     def assert_same(self, proof, q):
         atoms, stack = [q.goal], [proof]
@@ -859,9 +894,9 @@ class TestKernelGround(TestAgainstReferenceSerializer):
                 atoms.append(node.conclusion)
                 stack.extend(node.children)
         for atom in atoms:
-            assert kernel_module._ground(atom) is terms_module.atom_is_ground(atom)
+            assert terms_module.atom_is_ground(atom) is reference_atom_is_ground(atom)
             for variant in with_each_leaf_open(atom):
-                assert kernel_module._ground(variant) is terms_module.atom_is_ground(variant) is False
+                assert terms_module.atom_is_ground(variant) is reference_atom_is_ground(variant) is False
         return super().assert_same(proof, q)
 
     x = Var("x")
@@ -882,12 +917,17 @@ class TestKernelGround(TestAgainstReferenceSerializer):
         ids=repr,
     )
     def test_odd_atoms(self, atom):
-        assert kernel_module._ground(atom) is terms_module.atom_is_ground(atom)
+        args = atom.args if isinstance(atom, Pred) else (atom.lhs, atom.rhs)
+        if all(isinstance(t, (IntLit, StrLit, Var, Meta, App)) for t in args):
+            assert terms_module.atom_is_ground(atom) is reference_atom_is_ground(atom)
+        else:  # the scan refuses a leaf that is not a term, where the reference passes over it
+            with pytest.raises(TypeError):
+                terms_module.atom_is_ground(atom)
 
     @pytest.mark.parametrize("atom", [Pred("p", (App("f", 5), x)), Pred("p", 5), Builtin("lt", App("f", None), x)], ids=repr)
     def test_malformed_arguments_fail_at_the_same_point(self, atom):
         # is_ground meets the bad argument list before the variable after it
-        for ground in (kernel_module._ground, terms_module.atom_is_ground):
+        for ground in (terms_module.atom_is_ground, reference_atom_is_ground):
             with pytest.raises(TypeError):
                 ground(atom)
 
@@ -1019,16 +1059,15 @@ class TestInterning:
         copy = dataclasses.replace(proof)
         assert copy == proof and copy._json is None
 
-    def test_checker_never_calls_the_recursive_ground_test(self, monkeypatch):
-        kb, _, sols = self.chain()
-
-        def refuse(*args):
-            raise AssertionError("the kernel called terms.is_ground")
-
-        monkeypatch.setattr(terms_module, "is_ground", refuse)
-        monkeypatch.setattr(terms_module, "atom_is_ground", refuse)
-        for sol in sols:
-            check_proof(kb, sol.proof)
+    def test_checker_never_calls_the_recursive_ground_test(self):
+        """No function of kernel.py names itself, nor does the term scan or a
+        ground test or variable set over it: the recursion left in the
+        kernel's closure is the two functions listed here."""
+        recursive = self_referring_functions()
+        walks = ("_scan", "is_ground", "atom_is_ground", "free_vars", "atom_free_vars", "clause_vars", "loose_vars")
+        assert all(hasattr(terms_module, name) for name in walks)
+        assert not [name for name in recursive if name.startswith("kernel.") or name[6:] in walks]
+        assert recursive == ["terms.apply_subst", "terms.term_text"]
 
     def test_checker_compares_no_literal_by_value(self, monkeypatch):
         kb, q, sols = self.chain()
@@ -1047,27 +1086,49 @@ class TestNoReferenceCycles:
     rects.ldl, whose search keeps every derivation, covers the search nodes
     that are not deduplicated."""
 
-    def test_collector_finds_nothing(self):
-        everything = SolverConfig(solution_limit=None)
-        runs = [
-            (compile_text((PROGRAMS / main).read_text(), (PROGRAMS / lib).read_text() if lib else None), everything)
-            for main, lib in GOLDENS
-        ]
-        runs.append((compile_text(weighted_chain()), SolverConfig(max_depth=CHAIN_NODES, solution_limit=None)))
+    @staticmethod
+    def collect(runs):
+        """(answers, errors, objects the collector found) after solving, checking
+        and serializing each (kb, queries, cfg) of runs with the collector off."""
+        answers = errors = 0
         was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
-            answers = 0
-            for (kb, queries), cfg in runs:
+            for kb, queries, cfg in runs:
                 for q in queries:
-                    for sol in solve(kb, q, cfg):
+                    try:
+                        sols = solve(kb, q, cfg)
+                    except LdlogError:
+                        errors += 1
+                        continue
+                    for sol in sols:
                         check_proof(kb, sol.proof)
                         serialize_proof(sol.proof, q)
                         answers += 1
-            found = gc.collect()
+            return answers, errors, gc.collect()
         finally:
             if was_enabled:
                 gc.enable()
-        assert answers > CHAIN_NODES
+
+    def test_collector_finds_nothing(self):
+        everything = SolverConfig(solution_limit=None)
+        runs = [
+            (*compile_text((PROGRAMS / main).read_text(), (PROGRAMS / lib).read_text() if lib else None), everything)
+            for main, lib in GOLDENS
+        ]
+        runs.append((*compile_text(weighted_chain()), SolverConfig(max_depth=CHAIN_NODES, solution_limit=None)))
+        answers, errors, found = self.collect(runs)
+        assert answers > CHAIN_NODES and errors == 0
+        assert found == 0
+
+    def test_reference_streams(self):
+        """The first 100 programs of the solver differentials' seed-111 safe and
+        seed-112 term streams, at their depths, floundering and ill-typed queries included."""
+        safe = shuffled_safe_programs(random.Random(111), 100, depth=4, cap=2_000)
+        runs = [(kb, queries, SolverConfig(max_depth=4, solution_limit=None)) for _, kb, queries in safe]
+        for _, kb, queries, depth in term_programs(random.Random(112), 100):
+            runs.append((kb, queries, SolverConfig(max_depth=depth, solution_limit=None)))
+        answers, errors, found = self.collect(runs)
+        assert answers > 300 and errors > 30
         assert found == 0

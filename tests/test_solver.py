@@ -21,10 +21,10 @@ from support import (
     diamond_ladder,
     enumeration_bound,
     random_safe_program,
-    random_term_program,
     random_unary_program,
     reference_solve,
     shuffled_safe_programs,
+    term_programs,
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -341,36 +341,16 @@ class TestAgainstReference:
         return got
 
     def test_random_safe_programs(self):
-        rng = random.Random(111)
-        accepted = answered = 0
-        while accepted < 400:
-            text, preds, consts = random_safe_program(rng)
-            lines = text.splitlines()
-            rng.shuffle(lines)
-            text = "\n".join(lines)
-            kb, _ = compile_text(text)
-            if enumeration_bound(kb, 4) > 2_000:
-                continue
-            accepted += 1
-            for first in (Meta(0, "a?"), StrLit(rng.choice(consts).strip('"'))):
-                q = Query("probe", Pred(preds[0], (first, Meta(1, "b?"))), {"a?": 0, "b?": 1})
+        answered = 0
+        for text, kb, queries in shuffled_safe_programs(random.Random(111), 400, depth=4, cap=2_000):
+            for q in queries:
                 for limit in (None, 1, 2):
                     answered += bool(self.assert_same(kb, q, SolverConfig(max_depth=4, solution_limit=limit), text))
         assert answered > 1000
 
     def test_random_term_programs(self):
-        rng = random.Random(112)
-        accepted, seen = 0, set()
-        while accepted < 300:
-            text = random_term_program(rng)
-            try:
-                kb, queries = compile_text(text)
-            except LdlogError:
-                continue
-            depth = rng.randint(1, 4)
-            if enumeration_bound(kb, depth) > 2_000:
-                continue
-            accepted += 1
+        seen = set()
+        for text, kb, queries, depth in term_programs(random.Random(112), 300):
             for q in queries:
                 for limit in (None, 1):
                     got = self.assert_same(kb, q, SolverConfig(max_depth=depth, solution_limit=limit), text)

@@ -36,7 +36,14 @@ from ldlog.terms import (
     term_text,
 )
 from ldlog.parser import Application, FactStmt, StrAst, parse_program, render_term
-from support import compile_text, random_ground_term, random_term, reference_term_text
+from support import (
+    compile_text,
+    random_ground_term,
+    random_term,
+    reference_free_vars,
+    reference_is_ground,
+    reference_term_text,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -114,6 +121,33 @@ class TestFreeVarsAndGroundness:
         assert not atom_is_ground(a)
         assert atom_is_ground(Pred("p", (A, B)))
         assert atom_free_vars(Builtin("lt", X, Y)) == {X, Y}
+
+    @pytest.mark.parametrize("seed", [101, 214, 501])
+    def test_matches_recursive_reference_on_random_terms(self, seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            t = random_term(rng, rng.randint(0, 6))
+            assert is_ground(t) is reference_is_ground(t)
+            assert free_vars(t) == reference_free_vars(t)
+            assert atom_free_vars(Builtin("eq", t, X)) == reference_free_vars(t) | {X}
+            out = {Y}  # the scan adds to the set it is given, and still answers
+            assert terms._scan((t, t), out) is reference_is_ground(t) and out == reference_free_vars(t) | {Y}
+
+    def test_deep_constructor_nesting(self):
+        # past the recursion limit, a variable at the bottom and a literal closing each level
+        t = Var("x")
+        for i in range(1500):
+            t = App("g", (t, IntLit(i)))
+        assert not is_ground(t) and free_vars(t) == {X}
+        assert loose_vars(Clause("r", Pred("p", (t,)), (Pred("q", (t,)),))) == set()
+
+    def test_deep_defs_elaborate(self):
+        """1,500 chained defs nest a fact's argument and a rule's head term past
+        the recursion limit; the KB's loose-clause scan walks both."""
+        lines = ["def d0 := 0."] + [f"def d{i} := F(d{i - 1})." for i in range(1, 1500)]
+        kb, _ = compile_text("\n".join(lines + ["f: p(d1499).", "r: q(x, d1499) :- p(x)."]))
+        assert kb.loose_clause is None
+        assert is_ground(kb.clauses["f"].head.args[0])
 
 
 class TestEvalBuiltin:
