@@ -33,6 +33,7 @@ from .terms import (
     TypeMismatch,
     Var,
     apply_subst_atom,
+    atom_free_vars,
     atom_is_ground,
     atom_text,
     eval_builtin,
@@ -102,6 +103,7 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
     spine: List[list] = []
     if type(proof) is not ProofTree:
         raise CheckError((), CheckReason.PREMISE_MISMATCH, "the root is not a subproof")
+    _check_atom(proof, spine)
     spine.append([proof, _check_node(kb, proof, spine), 0])
     while spine:
         frame = spine[-1]
@@ -134,13 +136,18 @@ def _path(spine: List[list]) -> Tuple[int, ...]:
 
 def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause:
     """The clause that node applies, once its field types, conclusion, head and premise count check."""
+    # `_check_atom` tested that the root's conclusion is an atom; a child's matched its premise
     name, conclusion, s, children = node.clause_name, node.conclusion, node.instantiation, node.children
     if type(name) is not str:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, "the clause name is not a string")
     clause = kb.clauses.get(name)
     if clause is None:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, name)
-    if not _check_atom(node, spine):
+    try:  # a non-ground conclusion is read to its end, so no non-term past a variable reaches atom_text
+        ground = atom_is_ground(conclusion) or not atom_free_vars(conclusion)
+    except TypeError:
+        raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion holds a non-term") from None
+    if not ground:
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(conclusion))
     if type(s) is not MappingProxyType and type(s) is not dict:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the instantiation is not a substitution")
@@ -162,14 +169,12 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
     return clause
 
 
-def _check_atom(node: ProofTree, spine: List[list]) -> bool:
-    """Whether node's conclusion is ground. A conclusion that is not an atom
-    of terms is a HeadMismatch, decided before anything prints it."""
-    conclusion = node.conclusion
-    if type(conclusion) is not Pred and type(conclusion) is not Builtin:
+def _check_atom(node: ProofTree, spine: List[list]) -> None:
+    """A conclusion that is not an atom of terms is a HeadMismatch, decided before anything prints it."""
+    if type(node.conclusion) is not Pred and type(node.conclusion) is not Builtin:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion is not an atom")
     try:
-        return atom_is_ground(conclusion)
+        atom_free_vars(node.conclusion)  # reads every leaf, where a ground test stops at the first variable
     except TypeError:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion holds a non-term") from None
 
@@ -222,11 +227,10 @@ def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List
     if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
     try:
-        ground = atom_is_ground(child.atom)
+        ground = atom_is_ground(child.atom) or not atom_free_vars(child.atom)
     except TypeError:
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "the leaf holds a non-term") from None
-    # truth first, so a falsified leaf reports BuiltinFalse rather
-    # than a mismatch against the instantiated premise
+    # truth first: a falsified leaf is a BuiltinFalse, not a mismatch against the premise
     if not ground:
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom))
     try:

@@ -118,6 +118,17 @@ def at_child(i, **fields):
     return change
 
 
+def through_z(bad):
+    """A change that binds r2's body-only z to bad and lets child 0 conclude path("a", bad)."""
+
+    def change(proof):
+        s = {**proof.instantiation, Var("z"): bad}
+        child = dataclasses.replace(proof.children[0], conclusion=Pred("path", (proof.conclusion.args[0], bad)))
+        return dataclasses.replace(proof, instantiation=s, children=(child,) + proof.children[1:])
+
+    return change
+
+
 class TestMutations:
     def test_unknown_clause_at_root(self):
         kb, _, proof = proof_of(REACH, "q0")
@@ -257,6 +268,8 @@ class TestMutations:
                     Pred("nat", (5,)),
                     Pred("nat", (App("F", 5),)),
                     Pred("nat", (App("F", (None,)),)),
+                    Pred("nat", (Var("y"), None)),
+                    Pred("nat", (App("F", (Var("y"), 5)),)),
                 )
             ),
             *(
@@ -265,9 +278,12 @@ class TestMutations:
                     Builtin("gt", None, IntLit(0)),
                     Builtin("gt", App("F", 3), IntLit(0)),
                     Builtin("gt", App("F", (None,)), IntLit(0)),
+                    Builtin("gt", Var("x"), None),
                 )
             ),
             (REACH, at_child(0, conclusion=Pred("path", (None, StrLit("b")))), CheckReason.HEAD_MISMATCH, (0,)),
+            (REACH, at_child(0, conclusion=Pred("path", (Var("x"), None))), CheckReason.HEAD_MISMATCH, (0,)),
+            (REACH, through_z(App("G", (Var("v"), None))), CheckReason.HEAD_MISMATCH, (0,)),
         ],
         ids=[
             "leaf-root",
@@ -287,10 +303,15 @@ class TestMutations:
             "int-arg",
             "int-app-args",
             "none-app-arg",
+            "none-after-var",
+            "int-after-var-in-app",
             "none-leaf-operand",
             "int-app-args-leaf",
             "none-app-arg-leaf",
+            "none-after-var-leaf",
             "child-none-arg",
+            "child-none-after-var",
+            "matched-child-none-after-var",
         ],
     )
     def test_malformed_node_is_a_check_error(self, text, change, reason, path):
@@ -1060,14 +1081,11 @@ class TestInterning:
         assert copy == proof and copy._json is None
 
     def test_checker_never_calls_the_recursive_ground_test(self):
-        """No function of kernel.py names itself, nor does the term scan or a
-        ground test or variable set over it: the recursion left in the
-        kernel's closure is the two functions listed here."""
-        recursive = self_referring_functions()
-        walks = ("_scan", "is_ground", "atom_is_ground", "free_vars", "atom_free_vars", "clause_vars", "loose_vars")
-        assert all(hasattr(terms_module, name) for name in walks)
-        assert not [name for name in recursive if name.startswith("kernel.") or name[6:] in walks]
-        assert recursive == ["terms.apply_subst", "terms.term_text"]
+        """No function of kernel.py names itself, nor does `terms._scan` or
+        any of `is_ground`, `atom_is_ground`, `free_vars`, `atom_free_vars`,
+        `clause_vars` and `loose_vars` over it: the recursion left in the
+        kernel's closure is exactly the two functions listed here."""
+        assert self_referring_functions() == ["terms.apply_subst", "terms.term_text"]
 
     def test_checker_compares_no_literal_by_value(self, monkeypatch):
         kb, q, sols = self.chain()
