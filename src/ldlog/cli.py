@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evaluate every query in a program")
     run.add_argument("file", help="program file")
     run.add_argument("--lib", action="append", default=[], metavar="FILE", help="library file for use statements (repeatable)")
-    run.add_argument("--max-depth", type=int, default=6, metavar="N", help="proof height budget (default 6)")
+    run.add_argument("--max-depth", type=int, default=SolverConfig.max_depth, metavar="N", help="proof height budget (default %(default)s)")
     run.add_argument("--all", action="store_true", help="report every solution instead of the first")
     run.add_argument("--json", action="store_true", help="emit one JSON document per solution")
     run.add_argument("--check", action="store_true", help="re-verify each emitted proof with the certificate checker")

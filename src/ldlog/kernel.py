@@ -4,9 +4,12 @@ A ProofTree records, for one clause application, the clause name, the
 substitution that instantiates the clause, the ground conclusion, and one
 child per body atom (a BuiltinLeaf for comparison premises). check_proof
 re-derives validity from those pieces alone: it never runs unification or
-search, so it stays a small trusted core independent of the solver. Its
-ground test is `terms.atom_is_ground`, the terms module's one scan. A node
-whose fields, or terms, have the wrong types fails as a CheckError too.
+search, so it stays a small trusted core independent of the solver. One
+reader, `_read`, decides every atom it checks or prints. Fields of the wrong
+type, non-term leaves or instantiation values and unknown comparison
+operators fail as a CheckError; literal payloads of the wrong type, names
+inside terms that are not strings and very deep unequal terms may still
+raise (ROADMAP O20).
 
 Everything an answer's validity rests on is in this module's import
 closure: this module, `ldlog.terms` and `ldlog.errors`, which
@@ -23,6 +26,7 @@ from typing import List, Mapping, Tuple, Union
 
 from .errors import LdlogError
 from .terms import (
+    OP_TEXT,
     App,
     Builtin,
     Clause,
@@ -103,8 +107,7 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
     spine: List[list] = []
     if type(proof) is not ProofTree:
         raise CheckError((), CheckReason.PREMISE_MISMATCH, "the root is not a subproof")
-    _check_atom(proof, spine)
-    spine.append([proof, _check_node(kb, proof, spine), 0])
+    spine.append([proof, _check_node(kb, proof, None, None, spine), 0])
     while spine:
         frame = spine[-1]
         node, clause, i = frame
@@ -112,21 +115,26 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
             spine.pop()
             continue
         frame[2] = i + 1
-        premise, child = clause.body[i], node.children[i]
-        if isinstance(premise, Builtin):
-            _check_leaf(child, premise, node.instantiation, spine)
+        premise, child, s = clause.body[i], node.children[i], node.instantiation
+        if type(premise) is Builtin:
+            if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
+                raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
+            leaf = child.atom
+            # truth first: a falsified leaf is a BuiltinFalse, not a mismatch against the premise
+            if not _read(leaf, spine, "leaf"):
+                raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(leaf))
+            try:
+                holds = eval_builtin(leaf)
+            except TypeMismatch as exc:
+                raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
+            if not holds:
+                raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(leaf))
+            if not instantiates(premise, s, leaf):
+                raise _mismatch(premise, s, spine, f"leaf {atom_text(leaf)} is not the instantiated premise ")
         elif not isinstance(child, ProofTree):
             raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
-        elif not instantiates(premise, node.instantiation, child.conclusion):
-            _check_atom(child, spine)
-            want = apply_subst_atom(premise, node.instantiation)
-            raise CheckError(
-                _path(spine),
-                CheckReason.PREMISE_MISMATCH,
-                f"child concludes {atom_text(child.conclusion)}, premise needs {atom_text(want)}",
-            )
         else:
-            spine.append([child, _check_node(kb, child, spine), 0])
+            spine.append([child, _check_node(kb, child, premise, s, spine), 0])
 
 
 def _path(spine: List[list]) -> Tuple[int, ...]:
@@ -134,25 +142,46 @@ def _path(spine: List[list]) -> Tuple[int, ...]:
     return tuple(frame[2] - 1 for frame in spine)
 
 
-def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause:
-    """The clause that node applies, once its field types, conclusion, head and premise count check."""
-    # `_check_atom` tested that the root's conclusion is an atom; a child's matched its premise
-    name, conclusion, s, children = node.clause_name, node.conclusion, node.instantiation, node.children
+def _read(atom, spine: List[list], what: str) -> bool:
+    """Whether atom, the node's `what`, is ground. It must be a Pred, or a Builtin whose op is a key of
+    OP_TEXT, holding only terms; otherwise a CheckError is raised before anything prints it. A non-ground
+    atom is read to its last leaf, so its text meets no non-term."""
+    kind = type(atom)
+    if kind is Pred or kind is Builtin and type(atom.op) is str and atom.op in OP_TEXT:
+        try:
+            return atom_is_ground(atom) or not atom_free_vars(atom)
+        except TypeError:
+            detail = f"the {what} holds a non-term"
+    else:
+        detail = f"the {what} is not an atom"
+    reason = CheckReason.HEAD_MISMATCH if what == "conclusion" else CheckReason.PREMISE_MISMATCH
+    raise CheckError(_path(spine), reason, detail)
+
+
+def _mismatch(premise, s: Substitution, spine: List[list], lead: str) -> CheckError:
+    """The PremiseMismatch whose detail is lead followed by the instantiated premise, once that reads."""
+    want = apply_subst_atom(premise, s)
+    _read(want, spine, "instantiated premise")
+    return CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, lead + atom_text(want))
+
+
+def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, spine: List[list]) -> Clause:
+    """The clause node applies, once its conclusion reads and matches premise (None at the root), and its fields check."""
+    name, conclusion, inst, children = node.clause_name, node.conclusion, node.instantiation, node.children
+    ground = _read(conclusion, spine, "conclusion")
+    if premise is not None and not instantiates(premise, s, conclusion):
+        raise _mismatch(premise, s, spine, f"child concludes {atom_text(conclusion)}, premise needs ")
     if type(name) is not str:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, "the clause name is not a string")
     clause = kb.clauses.get(name)
     if clause is None:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, name)
-    try:  # a non-ground conclusion is read to its end, so no non-term past a variable reaches atom_text
-        ground = atom_is_ground(conclusion) or not atom_free_vars(conclusion)
-    except TypeError:
-        raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion holds a non-term") from None
     if not ground:
         raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(conclusion))
-    if type(s) is not MappingProxyType and type(s) is not dict:
+    if type(inst) is not MappingProxyType and type(inst) is not dict:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the instantiation is not a substitution")
     # a ground conclusion that is the head itself is its own instance
-    if conclusion is not clause.head and not instantiates(clause.head, s, conclusion):
+    if conclusion is not clause.head and not instantiates(clause.head, inst, conclusion):
         raise CheckError(
             _path(spine),
             CheckReason.HEAD_MISMATCH,
@@ -167,16 +196,6 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, spine: List[list]) -> Clause
             f"'{clause.name}' has {len(clause.body)} premises, proof supplies {len(children)}",
         )
     return clause
-
-
-def _check_atom(node: ProofTree, spine: List[list]) -> None:
-    """A conclusion that is not an atom of terms is a HeadMismatch, decided before anything prints it."""
-    if type(node.conclusion) is not Pred and type(node.conclusion) is not Builtin:
-        raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion is not an atom")
-    try:
-        atom_free_vars(node.conclusion)  # reads every leaf, where a ground test stops at the first variable
-    except TypeError:
-        raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the conclusion holds a non-term") from None
 
 
 def instantiates(pattern, s: Substitution, atom) -> bool:
@@ -221,28 +240,3 @@ def instantiates(pattern, s: Substitution, atom) -> bool:
             return True
         pairs = todo.pop()
 
-
-def _check_leaf(child: ProofNode, premise: Builtin, s: Substitution, spine: List[list]) -> None:
-    """A comparison premise needs a true leaf equal to its instance under s."""
-    if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
-        raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
-    try:
-        ground = atom_is_ground(child.atom) or not atom_free_vars(child.atom)
-    except TypeError:
-        raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "the leaf holds a non-term") from None
-    # truth first: a falsified leaf is a BuiltinFalse, not a mismatch against the premise
-    if not ground:
-        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(child.atom))
-    try:
-        holds = eval_builtin(child.atom)
-    except TypeMismatch as exc:
-        raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
-    if not holds:
-        raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(child.atom))
-    if not instantiates(premise, s, child.atom):
-        want = apply_subst_atom(premise, s)
-        raise CheckError(
-            _path(spine),
-            CheckReason.PREMISE_MISMATCH,
-            f"leaf {atom_text(child.atom)} is not the instantiated premise {atom_text(want)}",
-        )

@@ -106,6 +106,16 @@ def test_the_kernel_imports_only_terms_and_errors():
     assert closure == {"kernel", "terms", "errors"}
 
 
+def test_readme_gives_the_kernel_closure_line_count():
+    """The "Library use" section's count of the closure's lines is the sum over
+    `kernel_closure()`, so an edit to the trusted base updates the README too."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"`errors\.py`, ([\d,]+) lines", section)
+    assert match, "no closure line count under 'Library use'"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in kernel_closure())
+    assert int(match.group(1).replace(",", "")) == lines
+
+
 def test_the_output_module_reaches_only_the_kernel():
     """`proof.py` prints certificates; it needs the kernel's types, not the search."""
     assert {path.stem for path in kernel_closure("proof")} == {"proof", "kernel", "terms", "errors"}

@@ -129,6 +129,11 @@ def through_z(bad):
     return change
 
 
+def binding_z(bad):
+    """A change that binds r2's body-only z to bad and leaves the children as they are."""
+    return lambda proof: dataclasses.replace(proof, instantiation={**proof.instantiation, Var("z"): bad})
+
+
 class TestMutations:
     def test_unknown_clause_at_root(self):
         kb, _, proof = proof_of(REACH, "q0")
@@ -245,6 +250,14 @@ class TestMutations:
         assert err.reason is CheckReason.PREMISE_MISMATCH
         assert err.path == (0,)
 
+    def test_conclusion_is_read_before_the_clause_name(self):
+        """Every node's conclusion is read first: a child with an unknown clause
+        name that concludes a non-term through its premise is a HeadMismatch."""
+        kb, _, proof = proof_of(REACH, "q0")
+        bad = at_child(0, clause_name="r9")(through_z(App("G", (Var("v"), None)))(proof))
+        err = reason_of(kb, bad)
+        assert (err.reason, err.path, err.detail) == (CheckReason.HEAD_MISMATCH, (0,), "the conclusion holds a non-term")
+
     @pytest.mark.parametrize(
         "text, change, reason, path",
         [
@@ -284,6 +297,14 @@ class TestMutations:
             (REACH, at_child(0, conclusion=Pred("path", (None, StrLit("b")))), CheckReason.HEAD_MISMATCH, (0,)),
             (REACH, at_child(0, conclusion=Pred("path", (Var("x"), None))), CheckReason.HEAD_MISMATCH, (0,)),
             (REACH, through_z(App("G", (Var("v"), None))), CheckReason.HEAD_MISMATCH, (0,)),
+            *(
+                (REACH, binding_z(value), CheckReason.PREMISE_MISMATCH, (0,))
+                for value in (None, 5, [1], App("F", 5))
+            ),
+            *(
+                (BIG, at_child(1, atom=Builtin(op, IntLit(3), IntLit(0))), CheckReason.PREMISE_MISMATCH, (1,))
+                for op in ("zz", None, ["gt"])
+            ),
         ],
         ids=[
             "leaf-root",
@@ -312,6 +333,13 @@ class TestMutations:
             "child-none-arg",
             "child-none-after-var",
             "matched-child-none-after-var",
+            "none-instantiation-value",
+            "int-instantiation-value",
+            "list-instantiation-value",
+            "int-app-args-instantiation-value",
+            "unknown-leaf-op",
+            "none-leaf-op",
+            "list-leaf-op",
         ],
     )
     def test_malformed_node_is_a_check_error(self, text, change, reason, path):
@@ -806,6 +834,38 @@ GOLDENS = [("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.l
 
 # String literals, as source text, holding every character quote_string or the JSON encoder escapes
 AWKWARD_STRINGS = ('"a"', '"say \\"hi\\" \\\\ back"', '"tab\\t and\\nline, caf\u00e9 \u2192 \U0001d53c"')
+
+
+def proof_nodes(proof):
+    """How many ProofTree and BuiltinLeaf occurrences proof holds, its root included."""
+    count, stack = 0, [proof]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, ProofTree):
+            stack.extend(node.children)
+    return count
+
+
+class TestOneScanPerAtom:
+    """A valid check scans each atom once: one `atom_is_ground` or
+    `atom_free_vars` call per ProofTree's conclusion, the root's included, and
+    one per BuiltinLeaf."""
+
+    @pytest.mark.parametrize("main, lib", GOLDENS)
+    def test_goldens(self, main, lib, monkeypatch):
+        lib_text = (PROGRAMS / lib).read_text() if lib else None
+        kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
+        proofs = [sol.proof for q in queries for sol in solve(kb, q, SolverConfig(solution_limit=None))]
+        calls = []
+        for name in ("atom_is_ground", "atom_free_vars"):
+            scan = getattr(kernel_module, name)
+            monkeypatch.setattr(kernel_module, name, lambda atom, scan=scan: calls.append(atom) or scan(atom))
+        assert proofs
+        for proof in proofs:
+            calls.clear()
+            check_proof(kb, proof)
+            assert len(calls) == proof_nodes(proof)
 
 
 class TestAgainstReferenceSerializer:
