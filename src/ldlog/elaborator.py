@@ -116,7 +116,7 @@ class ElabContext:
     constructors: Dict[str, Constructor]
     defs: Dict[str, Term]
     pred_arities: Dict[str, int]
-    interned: Dict[tuple, Term]  # (class, value) -> the program's one literal or rule variable
+    interned: Dict[str, Var]  # name -> the program's one rule variable; the parser shares literals
     mode: str
     statement_name: str
     placeholders: Optional[Dict[str, int]] = None
@@ -133,10 +133,8 @@ def fresh_name(kind: str, counter: int) -> str:
 def rewrite_term(t: ast.TermAst, ctx: ElabContext) -> Term:
     """Elaborate a surface term under the context's resolution policy."""
     cls = type(t)
-    if cls is ast.IntAst:
-        return _intern(ctx, IntLit, t.value)
-    if cls is ast.StrAst:
-        return _intern(ctx, StrLit, t.value)
+    if cls is IntLit or cls is StrLit:
+        return t
     if cls is ast.IdentAst:
         return _resolve_ident(t.name, ctx)
     if cls is ast.AppAst:
@@ -144,15 +142,6 @@ def rewrite_term(t: ast.TermAst, ctx: ElabContext) -> Term:
     if cls is ast.ProjAst:
         return _resolve_projection(t, ctx)
     raise ComparisonAsTerm()
-
-
-def _intern(ctx: ElabContext, cls, value) -> Term:
-    """The one cls(value) of the program being elaborated, made on first use."""
-    key = (cls, value)
-    t = ctx.interned.get(key)
-    if t is None:
-        t = ctx.interned[key] = cls(value)
-    return t
 
 
 def _resolve_ident(name: str, ctx: ElabContext) -> Term:
@@ -178,7 +167,10 @@ def _resolve_ident(name: str, ctx: ElabContext) -> Term:
         ctx.constructors[name] = Constructor(0)
         return App(name)
     if ctx.mode == MODE_RULE:
-        return _intern(ctx, Var, name)
+        v = ctx.interned.get(name)
+        if v is None:
+            v = ctx.interned[name] = Var(name)
+        return v
     raise UnboundQueryVar(name)
 
 
@@ -260,7 +252,7 @@ def _elaborate(statements, library, library_mode):
             raise DuplicateName(name, what)
 
     # one context per statement kind; each statement sets its name (and a query its placeholders)
-    interned: Dict[tuple, Term] = {}
+    interned: Dict[str, Var] = {}
     fact_ctx, rule_ctx, query_ctx, def_ctx = (
         ElabContext(kb.constructors, kb.defs, pred_arities, interned, mode, "")
         for mode in (MODE_FACT, MODE_RULE, MODE_QUERY, MODE_DEF)

@@ -7,9 +7,9 @@ re-derives validity from those pieces alone: it never runs unification or
 search, so it stays a small trusted core independent of the solver. One
 reader, `_read`, decides every atom it checks or prints. Fields of the wrong
 type, non-term leaves or instantiation values and unknown comparison
-operators fail as a CheckError; literal payloads of the wrong type, names
-inside terms that are not strings and very deep unequal terms may still
-raise (ROADMAP O20).
+operators fail as a CheckError, and terms of any depth are compared on an
+explicit stack; literal payloads of the wrong type and names inside terms
+that are not strings may still raise (ROADMAP O20).
 
 Everything an answer's validity rests on is in this module's import
 closure: this module, `ldlog.terms` and `ldlog.errors`, which
@@ -203,7 +203,8 @@ def instantiates(pattern, s: Substitution, atom) -> bool:
 
     An explicit stack takes the arguments of nested constructors, so the
     term's depth is not bounded by Python's recursion limit. A variable's
-    binding is compared by identity before equality.
+    binding is compared by identity before equality, and a bound constructor
+    term on `_same`'s own stack.
     """
     if type(atom) is not type(pattern):
         return False
@@ -221,7 +222,7 @@ def instantiates(pattern, s: Substitution, atom) -> bool:
             kind = type(p)
             if kind is Var or kind is Meta:
                 p = s.get(p, p)
-                if p is not t and p != t:
+                if p is not t and (p != t if type(p) is not App else not _same(p, t)):
                     return False
             elif kind is App and p.args:
                 if (
@@ -240,3 +241,19 @@ def instantiates(pattern, s: Substitution, atom) -> bool:
             return True
         pairs = todo.pop()
 
+
+def _same(a: App, b) -> bool:
+    """a == b with no substitution inside either, read on an explicit stack wherever both
+    sides are App whose args are both tuples or both lists; other pairs are compared by !=."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is App and type(b) is App and type(a.args) is type(b.args) and type(a.args) in (tuple, list):
+            if a.constructor != b.constructor or len(a.args) != len(b.args):
+                return False
+            todo.extend(zip(a.args, b.args))
+        elif a != b:
+            return False
+    return True

@@ -13,9 +13,12 @@ Any other character is an illegal-character error at that character.
 Columns count characters from 1.
 
 The lexer keeps only each token's kind, value and start offset, in three
-parallel lists, and the parser reads those lists. A line and column are
-computed from an offset only when an error is raised, or when tokenize()
-builds its Token list.
+parallel lists, and the parser reads those lists. An integer or string
+token's value is the text's one IntLit or StrLit of that value, whatever
+its spelling (`7` and `007`, a tab escaped or raw), and the parser puts it
+in the AST as it is: equal literals are one object per parsed text. A line
+and column are computed from an offset only when an error is raised, or
+when tokenize() builds its Token list, whose values stay int and str.
 
 Surface syntax, one statement per '.' or '?' terminator:
 
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .errors import SourceError
-from .terms import INT64_MAX, INT64_MIN, quote_string
+from .terms import INT64_MAX, INT64_MIN, IntLit, StrLit, term_text
 
 KEYWORDS = ("use", "struct", "def")
 
@@ -78,16 +81,6 @@ class Token(NamedTuple):
 
 
 @dataclass(frozen=True)
-class IntAst:
-    value: int
-
-
-@dataclass(frozen=True)
-class StrAst:
-    value: str
-
-
-@dataclass(frozen=True)
 class IdentAst:
     name: str
 
@@ -111,7 +104,7 @@ class CmpAst:
     rhs: "TermAst"
 
 
-TermAst = Union[IntAst, StrAst, IdentAst, AppAst, ProjAst, CmpAst]
+TermAst = Union[IntLit, StrLit, IdentAst, AppAst, ProjAst, CmpAst]
 
 
 @dataclass(frozen=True)
@@ -208,6 +201,8 @@ def tokenize(source: str) -> List[Token]:
         line += source.count("\n", seen, start)
         seen = start
         col = start - source.rfind("\n", 0, start)
+        if kind == "int" or kind == "str":
+            value = value.value
         tokens.append(Token(kind if kind in ("ident", "int", "str", "kw") else "punct", value, line, col))
     return tokens
 
@@ -215,12 +210,15 @@ def tokenize(source: str) -> List[Token]:
 def _lex(source: str) -> Tuple[List[str], list, List[int]]:
     """Parallel lists of the tokens' kinds, values and start offsets.
 
-    A punctuation token's kind is its own text. The lists end with an "eof"
-    entry whose offset is just past the last token.
+    A punctuation token's kind is its own text. A literal token's value is
+    read from `literals`, keyed by its text, so each spelling is converted
+    once; a new spelling is keyed by (class, value) to the literal already
+    made. The lists end with an "eof" entry just past the last token.
     """
     kinds: List[str] = []
     values: list = []
     starts: List[int] = []
+    literals: dict = {}
     for m in _TOKEN.finditer(source):
         i = m.lastindex
         if i == _PUNCT:
@@ -229,12 +227,17 @@ def _lex(source: str) -> Tuple[List[str], list, List[int]]:
             value = m.group(i)
             kind = "kw" if value in _KEYWORDS else "ident"
         elif i == _INT:
-            text = m.group(i)
-            kind, value = "int", int(text) if len(text) <= _INT64_DIGITS else _int_value(text, source, m.start(i))
+            kind, text = "int", m.group(i)
+            value = literals.get(text)
+            if value is None:
+                n = int(text) if len(text) <= _INT64_DIGITS else _int_value(text, source, m.start(i))
+                value = literals[text] = literals.setdefault((IntLit, n), IntLit(n))
         elif i == _STR:
-            kind, value = "str", m.group(i)[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], value)
+            kind, text = "str", m.group(i)
+            value = literals.get(text)
+            if value is None:
+                body = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text[1:-1]) if "\\" in text else text[1:-1]
+                value = literals[text] = literals.setdefault((StrLit, body), StrLit(body))
         elif i is None:  # the end of input, after any trailing skipped text
             break
         else:
@@ -311,7 +314,7 @@ class _Parser:
         elif kind == "str":
             found = "string literal"
         elif kind == "int":
-            found = f"integer {value}"
+            found = f"integer {value.value}"
         else:
             found = f"'{value}'"
         return ParseError(*self.position(), expected, found)
@@ -440,12 +443,9 @@ class _Parser:
     def operand(self, depth: int) -> TermAst:
         pos = self.pos
         kind, value = self.kinds[pos], self.values[pos]
-        if kind == "int":
+        if kind == "int" or kind == "str":
             self.pos = pos + 1
-            base: TermAst = IntAst(value)
-        elif kind == "str":
-            self.pos = pos + 1
-            base = StrAst(value)
+            base: TermAst = value
         elif kind == "ident":
             if self.kinds[pos + 1] != "(":
                 self.pos = pos + 1
@@ -480,10 +480,8 @@ class _Parser:
 
 
 def render_term(t: TermAst) -> str:
-    if isinstance(t, IntAst):
-        return str(t.value)
-    if isinstance(t, StrAst):
-        return quote_string(t.value)
+    if isinstance(t, (IntLit, StrLit)):
+        return term_text(t)
     if isinstance(t, IdentAst):
         return t.name
     if isinstance(t, AppAst):

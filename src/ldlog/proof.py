@@ -81,9 +81,9 @@ def serialize_proof(proof: ProofTree, q: Query) -> str:
     keeps its own piece of that text after its first write (`ProofTree`),
     so a subtree the solver shares across answers has each node's
     conclusion written with `atom_text` once; the checker never reads the
-    piece. A literal keeps its text once made, and the elaborator makes
-    equal literals of a program one object, so each distinct literal of a
-    program is quoted once.
+    piece. A literal keeps its text once made, and the lexer makes equal
+    literals of one parsed text one object, so each distinct literal of a
+    program file is quoted once.
     """
     bindings = proof_bindings(proof, q)
     by_id = sorted(bindings.items(), key=lambda kv: kv[0].id)

@@ -8,11 +8,11 @@ that build them. One walk, `_scan`, reads a term's leaves for the ground
 tests and the variable sets (`is_ground` to `loose_vars`), by a stack.
 
 Literals and variables compute their hash once, and a literal keeps its
-text once `term_text` has made it. The elaborator interns literals and rule
-variables per program, so equal ones of one program are one object, and
-the evaluators and the checker compare by identity before they compare by
-value. Equality stays by value: a term built by hand equals its interned
-twin, hashes like it and prints like it.
+text once `term_text` has made it. The lexer makes equal literals of one
+parsed text one object, and the elaborator does the same for the rule
+variables of one program; the evaluators and the checker compare by
+identity before they compare by value. Equality stays by value: a term
+built by hand equals its shared twin, hashes like it and prints like it.
 """
 
 from __future__ import annotations

@@ -28,12 +28,10 @@ from ldlog.parser import (
     DefStmt,
     FactStmt,
     IdentAst,
-    IntAst,
     ParenTerm,
     ProjAst,
     QueryStmt,
     RuleStmt,
-    StrAst,
     StructStmt,
     UseStmt,
     parse_program,
@@ -453,9 +451,9 @@ def random_term_ast(rng: random.Random, depth: int = 2, query: bool = False):
             return IdentAst(rng.choice(("m?", "h?", "out?")))
         return IdentAst(rng.choice(_IDENTS))
     if roll < 0.55:
-        return IntAst(rng.randint(-2**40, 2**40))
+        return IntLit(rng.randint(-2**40, 2**40))
     if roll < 0.70:
-        return StrAst(rng.choice(_STRINGS))
+        return StrLit(rng.choice(_STRINGS))
     if roll < 0.85:
         n = rng.randint(0, 3)
         return AppAst(rng.choice(_IDENTS), tuple(random_term_ast(rng, depth - 1, query) for _ in range(n)))

@@ -1,5 +1,6 @@
 """Lexing, parsing, rendering, and their error positions."""
 
+import dataclasses
 import random
 import re
 
@@ -13,14 +14,12 @@ from ldlog.parser import (
     DefStmt,
     FactStmt,
     IdentAst,
-    IntAst,
     LexError,
     ParenTerm,
     ParseError,
     ProjAst,
     QueryStmt,
     RuleStmt,
-    StrAst,
     StructStmt,
     UseStmt,
     parse_program,
@@ -28,11 +27,33 @@ from ldlog.parser import (
     render_statement,
     tokenize,
 )
+from ldlog.terms import IntLit, StrLit
 from support import random_program_ast, random_statement_ast
 
 
 def kinds_and_values(text):
     return [(t.kind, t.value) for t in tokenize(text)]
+
+
+def literal_leaves(statements):
+    """Every IntLit and StrLit in the statements' terms."""
+    out, todo = [], list(statements)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (IntLit, StrLit)):
+            out.append(node)
+        elif isinstance(node, tuple):
+            todo.extend(node)
+        elif dataclasses.is_dataclass(node):
+            todo.extend(getattr(node, f.name) for f in dataclasses.fields(node))
+    return out
+
+
+def assert_one_object_per_literal(statements):
+    seen = {}
+    for lit in literal_leaves(statements):
+        assert seen.setdefault((type(lit), lit.value), lit) is lit, lit
+    return seen
 
 
 class TestTokenize:
@@ -222,7 +243,7 @@ class TestTokenize:
 class TestParseStatements:
     def test_fact(self):
         (stmt,) = parse_program('f1: edge("a", "b").')
-        assert stmt == FactStmt("f1", Application("edge", (StrAst("a"), StrAst("b"))))
+        assert stmt == FactStmt("f1", Application("edge", (StrLit("a"), StrLit("b"))))
 
     def test_unlabeled_fact(self):
         (stmt,) = parse_program("p().")
@@ -241,7 +262,7 @@ class TestParseStatements:
 
     def test_query_with_placeholder(self):
         (stmt,) = parse_program('q1: path("b", m?)?')
-        assert stmt == QueryStmt("q1", Application("path", (StrAst("b"), IdentAst("m?"))))
+        assert stmt == QueryStmt("q1", Application("path", (StrLit("b"), IdentAst("m?"))))
 
     def test_use_list(self):
         (stmt,) = parse_program("use thm1, thm2.")
@@ -253,11 +274,20 @@ class TestParseStatements:
 
     def test_def(self):
         (stmt,) = parse_program("def rect1 := Rect(50, 50, 400, 100).")
-        assert stmt == DefStmt("rect1", AppAst("Rect", (IntAst(50), IntAst(50), IntAst(400), IntAst(100))))
+        assert stmt == DefStmt("rect1", AppAst("Rect", (IntLit(50), IntLit(50), IntLit(400), IntLit(100))))
+
+    def test_literals_are_one_object_per_value(self):
+        text = 'f: p(7, 007, 0, -0, "a\\tb").\nr: q(x) :- p(x, -0, "a\tb", 1, "1"), (x < 7).\ndef d := T(007, "1").'
+        statements = parse_program(text)
+        leaves = literal_leaves(statements)
+        assert len(leaves) == 12 and {type(lit) for lit in leaves} == {IntLit, StrLit}
+        seen = assert_one_object_per_literal(statements)
+        assert set(seen) == {(IntLit, 0), (IntLit, 1), (IntLit, 7), (StrLit, "1"), (StrLit, "a\tb")}
+        assert seen[(IntLit, 1)] is not seen[(StrLit, "1")] and seen[(IntLit, 1)] != seen[(StrLit, "1")]
 
     def test_comparison_atom(self):
         (stmt,) = parse_program("r: ok(x) :- (x <= 4).")
-        assert stmt.body == (ParenTerm(CmpAst("<=", IdentAst("x"), IntAst(4))),)
+        assert stmt.body == (ParenTerm(CmpAst("<=", IdentAst("x"), IntLit(4))),)
 
     def test_projection_chain(self):
         (stmt,) = parse_program("def a := box.inner.x1.")
@@ -432,7 +462,7 @@ class TestErrorPositions:
         assert errors > 1000  # nearly every cut or splice is an error
 
     def test_trailing_comment_without_newline(self):
-        assert parse_program("p(1). // done") == [FactStmt(None, Application("p", (IntAst(1),)))]
+        assert parse_program("p(1). // done") == [FactStmt(None, Application("p", (IntLit(1),)))]
         assert kinds_and_values("p() //") == [("ident", "p"), ("punct", "("), ("punct", ")")]
         err = _error("f: p(1) // no newline")
         assert (err.line, err.column, err.found) == (1, 8, "end of input")
@@ -444,7 +474,7 @@ class TestErrorPositions:
         assert (err.line, err.column, err.found) == (3, 2, "end of input")
 
     def test_carriage_return_inside_a_line(self):
-        assert parse_program("p(1,\r 2).") == [FactStmt(None, Application("p", (IntAst(1), IntAst(2))))]
+        assert parse_program("p(1,\r 2).") == [FactStmt(None, Application("p", (IntLit(1), IntLit(2))))]
         err = _error("p(\r$)")
         assert (err.line, err.column, err.message) == (1, 4, "illegal character '$'")
         err = _error("p(1).\r\nq(\r\r2 3).")
@@ -510,4 +540,6 @@ class TestRender:
         rng = random.Random(104)
         for _ in range(120):
             program = random_program_ast(rng)
-            assert parse_program(render_program(program)) == program
+            parsed = parse_program(render_program(program))
+            assert parsed == program
+            assert_one_object_per_literal(parsed)

@@ -16,7 +16,7 @@ from ldlog.errors import LdlogError
 from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree, check_proof
 from ldlog.proof import proof_bindings, render_proof, serialize_proof
 from ldlog.solver import SolverConfig, solve
-from ldlog.terms import App, Builtin, IntLit, Meta, Pred, Query, StrLit, Var
+from ldlog.terms import App, Builtin, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var
 from support import (
     compile_text,
     diamond_ladder,
@@ -446,6 +446,14 @@ def chain_proof(height):
     return proof_of("\n".join(lines), "q", max_depth=height)
 
 
+def nested_f(n, args=tuple):
+    """F(F(...F(n)...)), 2,000 constructors deep, each holding its argument in args."""
+    term = IntLit(n)
+    for _ in range(2000):
+        term = App("F", args((term,)))
+    return term
+
+
 class TestDeepProofs:
     """Checking, rendering and serializing walk explicit stacks: height is not bounded by recursion."""
 
@@ -491,6 +499,35 @@ class TestDeepProofs:
         err = reason_of(kb, ProofTree("z", {}, Pred("nat", (open_term,))))
         assert err.reason is CheckReason.NON_GROUND_CONCLUSION and err.path == ()
         assert err.detail == "nat(" + "F(" * 1100 + "y" + ")" * 1101
+
+    @staticmethod
+    def deep_binding(bottom=0, child_bottom=0):
+        """`r: p(x) :- q(x).` and a fact q(F^2000(0)), with a certificate whose
+        binding of x, conclusion and child each hold their own F^2000 term."""
+        x, nest = Var("x"), nested_f
+        r = Clause("r", Pred("p", (x,)), (Pred("q", (x,)),))
+        kb = KnowledgeBase({"r": r, "f": Clause("f", Pred("q", (nest(0),)))})
+        child = ProofTree("f", {}, Pred("q", (nest(child_bottom),)))
+        return kb, ProofTree("r", {x: nest(0)}, Pred("p", (nest(bottom),)), (child,))
+
+    def test_deep_binding_equal_to_distinct_terms_checks(self):
+        """Each comparison of x's 2,000-deep binding with an equal, distinct
+        term runs on a stack, not through App's recursive __eq__."""
+        check_proof(*self.deep_binding())
+
+    @pytest.mark.parametrize(
+        "bottom, child_bottom, reason, path",
+        [(1, 0, CheckReason.HEAD_MISMATCH, ()), (0, 1, CheckReason.PREMISE_MISMATCH, (0,))],
+        ids=["conclusion", "child"],
+    )
+    def test_deep_binding_unequal_only_at_the_bottom(self, bottom, child_bottom, reason, path):
+        err = reason_of(*self.deep_binding(bottom, child_bottom))
+        assert (err.reason, err.path) == (reason, path)
+
+    def test_deep_binding_with_list_args_is_compared_on_a_stack(self):
+        x, nest = Var("x"), lambda n: nested_f(n, list)
+        assert kernel_module.instantiates(Pred("p", (x,)), {x: nest(0)}, Pred("p", (nest(0),))) is True
+        assert kernel_module.instantiates(Pred("p", (x,)), {x: nest(0)}, Pred("p", (nest(1),))) is False
 
     def test_mutation_at_the_bottom_reports_the_full_path(self):
         kb, _, proof = chain_proof(3000)
@@ -751,6 +788,7 @@ def in_place_mutations():
         (conclude(box, boxed(App("g", [IntLit(1), App("h", (IntLit(2),))]))), head),
         (conclude(box, Pred("box", (App("k", (a,)),))), head),
         (bind(box, z, App("h", (IntLit(2), IntLit(3)))), head),
+        (bind(box, z, App("h", [IntLit(2)])), head),
         # the same mismatches between a premise and a child's conclusion
         (child(path, 0, lambda f: conclude(f, Pred("edgy", (a, b)))), premise),
         (child(path, 0, lambda f: conclude(f, Pred("edge", (a,)))), premise),
@@ -1044,7 +1082,8 @@ def leaves(kb):
 
 
 class TestInterning:
-    """Equal literals and rule variables of one program are one object; the
+    """Equal literals of one parsed text (made by the lexer) and equal rule
+    variables of one program (made by the elaborator) are one object; the
     checker accepts and rejects the same certificates without that."""
 
     @pytest.mark.parametrize("left", [True, False])

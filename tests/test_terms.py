@@ -35,7 +35,7 @@ from ldlog.terms import (
     quote_string,
     term_text,
 )
-from ldlog.parser import Application, FactStmt, StrAst, parse_program, render_term
+from ldlog.parser import Application, FactStmt, parse_program, render_term
 from support import (
     compile_text,
     random_ground_term,
@@ -235,8 +235,8 @@ class TestQuoteString:
         rng = random.Random(48)
         for _ in range(1000):
             value = random_string(rng)
-            text = f"f: p({render_term(StrAst(value))})."
-            assert parse_program(text) == [FactStmt("f", Application("p", (StrAst(value),)))], text
+            text = f"f: p({render_term(StrLit(value))})."
+            assert parse_program(text) == [FactStmt("f", Application("p", (StrLit(value),)))], text
 
 
 class TestPickling:
