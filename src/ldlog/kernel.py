@@ -8,8 +8,9 @@ search, so it stays a small trusted core independent of the solver. One
 reader, `_read`, decides every atom it checks or prints. Fields of the wrong
 type, non-term leaves or instantiation values and unknown comparison
 operators fail as a CheckError, and terms of any depth are compared on an
-explicit stack; literal payloads of the wrong type and names inside terms
-that are not strings may still raise (ROADMAP O20).
+explicit stack. A literal payload or a name of the wrong type (`StrLit(5)`,
+`Var(None)`) fails as a CheckError where `eval_builtin` compares it or
+`_text` prints it, so a node that checks pays nothing for the test.
 
 Everything an answer's validity rests on is in this module's import
 closure: this module, `ldlog.terms` and `ldlog.errors`, which
@@ -122,15 +123,17 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
             leaf = child.atom
             # truth first: a falsified leaf is a BuiltinFalse, not a mismatch against the premise
             if not _read(leaf, spine, "leaf"):
-                raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(leaf))
+                raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, _text(leaf, spine, "leaf"))
             try:
                 holds = eval_builtin(leaf)
             except TypeMismatch as exc:
                 raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
+            except (TypeError, AttributeError):  # a literal payload of the wrong type, compared or printed
+                raise _unreadable(spine, "leaf", "holds a malformed literal") from None
             if not holds:
-                raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(leaf))
+                raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, _text(leaf, spine, "leaf"))
             if not instantiates(premise, s, leaf):
-                raise _mismatch(premise, s, spine, f"leaf {atom_text(leaf)} is not the instantiated premise ")
+                raise _mismatch(premise, s, spine, f"leaf {_text(leaf, spine, 'leaf')} is not the instantiated premise ")
         elif not isinstance(child, ProofTree):
             raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
         else:
@@ -151,18 +154,29 @@ def _read(atom, spine: List[list], what: str) -> bool:
         try:
             return atom_is_ground(atom) or not atom_free_vars(atom)
         except TypeError:
-            detail = f"the {what} holds a non-term"
-    else:
-        detail = f"the {what} is not an atom"
+            raise _unreadable(spine, what, "holds a non-term") from None
+    raise _unreadable(spine, what, "is not an atom")
+
+
+def _text(atom, spine: List[list], what: str) -> str:
+    """atom_text(atom), or a CheckError if a literal payload or a name in it has the wrong type."""
+    try:
+        return atom_text(atom)
+    except (TypeError, AttributeError):
+        raise _unreadable(spine, what, "holds a malformed literal or name") from None
+
+
+def _unreadable(spine: List[list], what: str, defect: str) -> CheckError:
+    """A HeadMismatch for the node's conclusion, a PremiseMismatch for any other `what`."""
     reason = CheckReason.HEAD_MISMATCH if what == "conclusion" else CheckReason.PREMISE_MISMATCH
-    raise CheckError(_path(spine), reason, detail)
+    return CheckError(_path(spine), reason, f"the {what} {defect}")
 
 
 def _mismatch(premise, s: Substitution, spine: List[list], lead: str) -> CheckError:
     """The PremiseMismatch whose detail is lead followed by the instantiated premise, once that reads."""
     want = apply_subst_atom(premise, s)
     _read(want, spine, "instantiated premise")
-    return CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, lead + atom_text(want))
+    return CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, lead + _text(want, spine, "instantiated premise"))
 
 
 def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, spine: List[list]) -> Clause:
@@ -170,14 +184,14 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, sp
     name, conclusion, inst, children = node.clause_name, node.conclusion, node.instantiation, node.children
     ground = _read(conclusion, spine, "conclusion")
     if premise is not None and not instantiates(premise, s, conclusion):
-        raise _mismatch(premise, s, spine, f"child concludes {atom_text(conclusion)}, premise needs ")
+        raise _mismatch(premise, s, spine, f"child concludes {_text(conclusion, spine, 'conclusion')}, premise needs ")
     if type(name) is not str:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, "the clause name is not a string")
     clause = kb.clauses.get(name)
     if clause is None:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, name)
     if not ground:
-        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(conclusion))
+        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, _text(conclusion, spine, "conclusion"))
     if type(inst) is not MappingProxyType and type(inst) is not dict:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the instantiation is not a substitution")
     # a ground conclusion that is the head itself is its own instance
@@ -185,7 +199,7 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, sp
         raise CheckError(
             _path(spine),
             CheckReason.HEAD_MISMATCH,
-            f"instantiated head of '{clause.name}' is not {atom_text(conclusion)}",
+            f"instantiated head of '{clause.name}' is not {_text(conclusion, spine, 'conclusion')}",
         )
     if type(children) is not tuple:
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "the children are not a tuple")

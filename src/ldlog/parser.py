@@ -12,13 +12,14 @@ Lexical rules, which one compiled pattern encodes:
 Any other character is an illegal-character error at that character.
 Columns count characters from 1.
 
-The lexer keeps only each token's kind, value and start offset, in three
-parallel lists, and the parser reads those lists. An integer or string
-token's value is the text's one IntLit or StrLit of that value, whatever
-its spelling (`7` and `007`, a tab escaped or raw), and the parser puts it
-in the AST as it is: equal literals are one object per parsed text. A line
-and column are computed from an offset only when an error is raised, or
-when tokenize() builds its Token list, whose values stay int and str.
+The lexer cuts the source into token texts with one regex call and keeps
+only each token's kind and value, in two parallel lists, which the parser
+reads. An integer or string token's value is the text's one IntLit or
+StrLit of that value, whatever its spelling (`7` and `007`, a tab escaped
+or raw), and the parser puts it in the AST as it is: equal literals are one
+object per parsed text. Offsets, and from them a line and column, are read
+again from the source only when an error is raised, or when tokenize()
+builds its Token list, whose values stay int and str.
 
 Surface syntax, one statement per '.' or '?' terminator:
 
@@ -43,8 +44,10 @@ statements while `def a := r.x1.` projects.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import SourceError
 from .terms import INT64_MAX, INT64_MIN, IntLit, StrLit, term_text
@@ -169,35 +172,36 @@ _ESCAPE = re.compile(r"\\(.)")
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
 _STRING_PREFIX = re.compile(_STRING_BODY)
 
-# Skipped text, then one group per token kind; "bad" catches every character
-# the others refuse, and "\Z" ends the input after trailing skipped text. The
-# skip is greedy and some alternative always matches after it, so every
-# token takes one match and no match backtracks into its skip.
+# Skipped text, then one group: the token's text, or the empty text of the
+# end of input ("\Z", after trailing skipped text). Punctuation, the most
+# common token, is tried first, and "." catches every character the others
+# refuse. The skip is greedy and some alternative always matches after it,
+# so every token takes one match and no match backtracks into its skip.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]|//[^\n]*)*(?:"
-    + "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in (
-            ("int", r"-?[0-9]+"),
-            ("ident", r"[A-Za-z_][A-Za-z0-9_]*\??"),
-            ("punct", r":-|<=|>=|!=|[(),.?:<>=]"),
-            ("str", f'"{_STRING_BODY}"'),
-            ("bad", r"."),
-        )
-    )
-    + r"|\Z)"
+    r"(?:[ \t\r\n]|//[^\n]*)*("
+    r":-|<=|>=|!=|[(),.?:<>=]"
+    r"|-?[0-9]+"
+    r"|[A-Za-z_][A-Za-z0-9_]*\??"
+    f'|"{_STRING_BODY}"'
+    r"|.|\Z)"
 )
-_INT, _IDENT, _PUNCT, _STR = (_TOKEN.groupindex[k] for k in ("int", "ident", "punct", "str"))
-_KEYWORDS = frozenset(KEYWORDS)
+# (kind, value) of each text whose kind is not read from its first character
+_FIXED = {
+    **{p: (p, p) for p in ":- <= >= != ( ) , . ? : < > =".split()},
+    **{k: ("kw", k) for k in KEYWORDS},
+    "": ("eof", None),
+}
+_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "ident"), **dict.fromkeys(string.digits + "-", "int"), '"': "str"}
 _INT64_DIGITS = 18  # every literal of at most this many characters fits in int64
+_QUOTE_LIMIT = 24  # characters of an out-of-range literal that its error message quotes
 
 
 def tokenize(source: str) -> List[Token]:
     """Split source text into tokens; raises LexError on bad input."""
-    kinds, values, starts = _lex(source)
+    kinds, values = _lex(source)
     tokens: List[Token] = []
     line, seen = 1, 0  # lines are counted on from the last token, so the whole source is read once
-    for kind, value, start in zip(kinds[:-1], values, starts):
+    for kind, value, start in zip(kinds[:-1], values, _starts(source)):
         line += source.count("\n", seen, start)
         seen = start
         col = start - source.rfind("\n", 0, start)
@@ -207,48 +211,58 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
-def _lex(source: str) -> Tuple[List[str], list, List[int]]:
-    """Parallel lists of the tokens' kinds, values and start offsets.
+def _lex(source: str) -> Tuple[List[str], list]:
+    """Parallel lists of the tokens' kinds and values, ending with an "eof" entry.
 
-    A punctuation token's kind is its own text. A literal token's value is
-    read from `literals`, keyed by its text, so each spelling is converted
-    once; a new spelling is keyed by (class, value) to the literal already
-    made. The lists end with an "eof" entry just past the last token.
+    One findall cuts the source into the tokens' texts. A text's kind and
+    value are made when the text is first met and read from `table` after
+    that, so each spelling is classified and converted once. A punctuation
+    token's kind and value are its own text. `table` also maps (class,
+    value) to the literal made first, so `7` and `007` share one.
     """
+    texts = _TOKEN.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()  # a second empty match, at the very end after trailing skipped text
+    table = dict(_FIXED)
+    get = table.get
     kinds: List[str] = []
     values: list = []
-    starts: List[int] = []
-    literals: dict = {}
+    for text in texts:
+        entry = get(text)
+        if entry is None:
+            entry = table[text] = _classify(text, table, source, len(kinds))
+        kinds.append(entry[0])
+        values.append(entry[1])
+    return kinds, values
+
+
+def _classify(text: str, table: dict, source: str, k: int) -> tuple:
+    """(kind, value) of token k, whose text is not punctuation or a keyword, by its first
+    character; a one-character text that starts no token is a LexError, as is an int64 overflow."""
+    kind = _FIRST.get(text[0])
+    if kind == "ident":
+        return kind, text
+    if kind == "int" and text != "-":
+        n = int(text) if len(text) <= _INT64_DIGITS else _int_value(text)
+        if n is not None:
+            return kind, table.setdefault((IntLit, n), IntLit(n))
+    elif kind == "str" and text != '"':
+        body = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text[1:-1]) if "\\" in text else text[1:-1]
+        return kind, table.setdefault((StrLit, body), StrLit(body))
+    pos = next(islice(_starts(source), k, None))
+    if len(text) == 1:
+        raise _bad_token(source, pos)
+    if len(text) > _QUOTE_LIMIT:
+        text = f"{text[:_QUOTE_LIMIT]}... ({len(text.lstrip('-'))} digits)"
+    raise LexError(*_position(source, pos), f"integer literal out of range: {text}")
+
+
+def _starts(source: str) -> Iterator[int]:
+    """The start offset of each entry of _lex's lists, read again from the source; the
+    "eof" entry's is where the trailing skipped text begins. Only errors and tokenize()
+    need offsets, so _lex keeps none."""
     for m in _TOKEN.finditer(source):
-        i = m.lastindex
-        if i == _PUNCT:
-            kind = value = m.group(i)
-        elif i == _IDENT:
-            value = m.group(i)
-            kind = "kw" if value in _KEYWORDS else "ident"
-        elif i == _INT:
-            kind, text = "int", m.group(i)
-            value = literals.get(text)
-            if value is None:
-                n = int(text) if len(text) <= _INT64_DIGITS else _int_value(text, source, m.start(i))
-                value = literals[text] = literals.setdefault((IntLit, n), IntLit(n))
-        elif i == _STR:
-            kind, text = "str", m.group(i)
-            value = literals.get(text)
-            if value is None:
-                body = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text[1:-1]) if "\\" in text else text[1:-1]
-                value = literals[text] = literals.setdefault((StrLit, body), StrLit(body))
-        elif i is None:  # the end of input, after any trailing skipped text
-            break
-        else:
-            raise _bad_token(source, m.start(i))
-        kinds.append(kind)
-        values.append(value)
-        starts.append(m.start(i))
-    kinds.append("eof")
-    values.append(None)
-    starts.append(m.start())
-    return kinds, values, starts
+        yield m.start(1) if m.group(1) else m.start()
 
 
 def _position(source: str, pos: int) -> Tuple[int, int]:
@@ -256,10 +270,8 @@ def _position(source: str, pos: int) -> Tuple[int, int]:
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-_QUOTE_LIMIT = 24  # characters of an out-of-range literal that its error message quotes
-
-
-def _int_value(text: str, source: str, pos: int) -> int:
+def _int_value(text: str) -> Optional[int]:
+    """The value of an integer token's text, or None outside int64."""
     # int() refuses strings of more than 4,300 digits, and an int64 has at
     # most 19 significant digits: decide from those before converting
     digits = text.lstrip("-").lstrip("0")
@@ -268,9 +280,7 @@ def _int_value(text: str, source: str, pos: int) -> int:
         value = -value if text[0] == "-" else value
         if INT64_MIN <= value <= INT64_MAX:
             return value
-    if len(text) > _QUOTE_LIMIT:
-        text = f"{text[:_QUOTE_LIMIT]}... ({len(text.lstrip('-'))} digits)"
-    raise LexError(*_position(source, pos), f"integer literal out of range: {text}")
+    return None
 
 
 def _bad_token(source: str, pos: int) -> LexError:
@@ -300,11 +310,10 @@ def parse_program(source: str) -> List[StatementAst]:
 class _Parser:
     """Recursive descent over _lex's lists; pos indexes the next token."""
 
-    def __init__(self, source: str, kinds: List[str], values: list, starts: List[int]):
+    def __init__(self, source: str, kinds: List[str], values: list):
         self.source = source
         self.kinds = kinds
         self.values = values
-        self.starts = starts
         self.pos = 0
 
     def error(self, expected: Tuple[str, ...]) -> ParseError:
@@ -320,7 +329,7 @@ class _Parser:
         return ParseError(*self.position(), expected, found)
 
     def position(self) -> Tuple[int, int]:
-        return _position(self.source, self.starts[self.pos])
+        return _position(self.source, next(islice(_starts(self.source), self.pos, None)))
 
     def expect_punct(self, p: str) -> None:
         if self.kinds[self.pos] != p:
@@ -422,10 +431,13 @@ class _Parser:
 
     def args(self, depth: int) -> tuple:
         # opening '(' already consumed; consumes the closing ')'
-        if self.accept(")"):
+        kinds = self.kinds
+        if kinds[self.pos] == ")":
+            self.pos += 1
             return ()
         out = [self.term(depth)]
-        while self.accept(","):
+        while kinds[self.pos] == ",":
+            self.pos += 1
             out.append(self.term(depth))
         self.expect_punct(")")
         return tuple(out)
@@ -441,13 +453,13 @@ class _Parser:
         return lhs
 
     def operand(self, depth: int) -> TermAst:
-        pos = self.pos
-        kind, value = self.kinds[pos], self.values[pos]
+        pos, kinds = self.pos, self.kinds
+        kind, value = kinds[pos], self.values[pos]
         if kind == "int" or kind == "str":
             self.pos = pos + 1
             base: TermAst = value
         elif kind == "ident":
-            if self.kinds[pos + 1] != "(":
+            if kinds[pos + 1] != "(":
                 self.pos = pos + 1
                 base = IdentAst(value)
             elif value[-1] == "?":
@@ -457,21 +469,16 @@ class _Parser:
                 base = AppAst(value, self.args(depth + 1))
         else:
             raise self.error(("a term",))
-        while self._at_projection():
+        while kinds[self.pos] == "." and self._at_projection():
             self.pos += 1  # '.'
             base = ProjAst(base, self.plain_ident("field name"))
         return base
 
     def _at_projection(self) -> bool:
-        # '.' then plain ident, where the ident does not itself start a new
-        # statement (label ':' or unlabeled atom '(').
+        # the '.' at pos is followed by a plain ident that does not itself
+        # start a new statement (label ':' or unlabeled atom '(').
         pos, kinds = self.pos, self.kinds
-        return (
-            kinds[pos] == "."
-            and kinds[pos + 1] == "ident"
-            and self.values[pos + 1][-1] != "?"
-            and kinds[pos + 2] not in (":", "(")
-        )
+        return kinds[pos + 1] == "ident" and self.values[pos + 1][-1] != "?" and kinds[pos + 2] not in (":", "(")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import ast
 import itertools
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -22,12 +23,14 @@ from ldlog.index import ArgIndex
 from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree
 from ldlog.oracle import UnsafeRule
 from ldlog.parser import (
+    KEYWORDS,
     AppAst,
     Application,
     CmpAst,
     DefStmt,
     FactStmt,
     IdentAst,
+    LexError,
     ParenTerm,
     ProjAst,
     QueryStmt,
@@ -39,6 +42,8 @@ from ldlog.parser import (
 from ldlog.proof import render_proof
 from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
+    INT64_MAX,
+    INT64_MIN,
     App,
     Query,
     Builtin,
@@ -733,3 +738,114 @@ def self_referring_functions(root: str = "kernel") -> List[str]:
             ):
                 found.append(f"{path.stem}.{node.name}")
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer: `parser._lex` as it was while it kept every token's start
+# offset, one `re.Match` per token, copied with its helpers. The lexer tests
+# compare `parser._lex`, its re-read offsets and every LexError with it.
+# ---------------------------------------------------------------------------
+
+_STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)")
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+_STRING_PREFIX = re.compile(_STRING_BODY)
+
+# Skipped text, then one group per token kind; "bad" catches every character
+# the others refuse, and "\Z" ends the input after trailing skipped text. The
+# skip is greedy and some alternative always matches after it, so every
+# token takes one match and no match backtracks into its skip.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|//[^\n]*)*(?:"
+    + "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("int", r"-?[0-9]+"),
+            ("ident", r"[A-Za-z_][A-Za-z0-9_]*\??"),
+            ("punct", r":-|<=|>=|!=|[(),.?:<>=]"),
+            ("str", f'"{_STRING_BODY}"'),
+            ("bad", r"."),
+        )
+    )
+    + r"|\Z)"
+)
+_INT, _IDENT, _PUNCT, _STR = (_TOKEN.groupindex[k] for k in ("int", "ident", "punct", "str"))
+_KEYWORDS = frozenset(KEYWORDS)
+_INT64_DIGITS = 18  # every literal of at most this many characters fits in int64
+
+
+def reference_lex(source: str) -> Tuple[List[str], list, List[int]]:
+    """Parallel lists of the tokens' kinds, values and start offsets.
+
+    A punctuation token's kind is its own text. A literal token's value is
+    read from `literals`, keyed by its text, so each spelling is converted
+    once; a new spelling is keyed by (class, value) to the literal already
+    made. The lists end with an "eof" entry just past the last token.
+    """
+    kinds: List[str] = []
+    values: list = []
+    starts: List[int] = []
+    literals: dict = {}
+    for m in _TOKEN.finditer(source):
+        i = m.lastindex
+        if i == _PUNCT:
+            kind = value = m.group(i)
+        elif i == _IDENT:
+            value = m.group(i)
+            kind = "kw" if value in _KEYWORDS else "ident"
+        elif i == _INT:
+            kind, text = "int", m.group(i)
+            value = literals.get(text)
+            if value is None:
+                n = int(text) if len(text) <= _INT64_DIGITS else _int_value(text, source, m.start(i))
+                value = literals[text] = literals.setdefault((IntLit, n), IntLit(n))
+        elif i == _STR:
+            kind, text = "str", m.group(i)
+            value = literals.get(text)
+            if value is None:
+                body = _ESCAPE.sub(lambda e: _STRING_ESCAPES[e.group(1)], text[1:-1]) if "\\" in text else text[1:-1]
+                value = literals[text] = literals.setdefault((StrLit, body), StrLit(body))
+        elif i is None:  # the end of input, after any trailing skipped text
+            break
+        else:
+            raise _bad_token(source, m.start(i))
+        kinds.append(kind)
+        values.append(value)
+        starts.append(m.start(i))
+    kinds.append("eof")
+    values.append(None)
+    starts.append(m.start())
+    return kinds, values, starts
+
+
+def _position(source: str, pos: int) -> Tuple[int, int]:
+    """Line and column, both from 1, of offset pos; only skipped text holds newlines."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
+_QUOTE_LIMIT = 24  # characters of an out-of-range literal that its error message quotes
+
+
+def _int_value(text: str, source: str, pos: int) -> int:
+    # int() refuses strings of more than 4,300 digits, and an int64 has at
+    # most 19 significant digits: decide from those before converting
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) <= 19:
+        value = int(digits or "0")
+        value = -value if text[0] == "-" else value
+        if INT64_MIN <= value <= INT64_MAX:
+            return value
+    if len(text) > _QUOTE_LIMIT:
+        text = f"{text[:_QUOTE_LIMIT]}... ({len(text.lstrip('-'))} digits)"
+    raise LexError(*_position(source, pos), f"integer literal out of range: {text}")
+
+
+def _bad_token(source: str, pos: int) -> LexError:
+    line, col = _position(source, pos)
+    if source[pos] != '"':
+        return LexError(line, col, f"illegal character {source[pos]!r}")
+    # escapes are validated left to right before the closing quote is sought
+    end = _STRING_PREFIX.match(source, pos + 1).end()
+    if source.startswith("\\", end) and end + 1 < len(source):
+        return LexError(line, col + end - pos, f"invalid escape sequence '\\{source[end + 1]}'")
+    return LexError(line, col, "unterminated string literal")

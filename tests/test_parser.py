@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+from itertools import islice
 
 import pytest
 
@@ -28,7 +29,7 @@ from ldlog.parser import (
     tokenize,
 )
 from ldlog.terms import IntLit, StrLit
-from support import random_program_ast, random_statement_ast
+from support import random_program_ast, random_statement_ast, reference_lex
 
 
 def kinds_and_values(text):
@@ -202,6 +203,51 @@ class TestTokenize:
         ],
     )
     def test_error_positions_and_messages(self, source, line, col, message):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
+
+    def test_illegal_character_before_an_out_of_range_integer(self):
+        with pytest.raises(LexError) as err:
+            tokenize("p($) q(99999999999999999999)")
+        assert (err.value.line, err.value.column, err.value.message) == (1, 3, "illegal character '$'")
+
+    def test_out_of_range_integer_before_an_illegal_character(self):
+        with pytest.raises(LexError) as err:
+            tokenize("p(99999999999999999999) q($)")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            1,
+            3,
+            "integer literal out of range: 99999999999999999999",
+        )
+
+    def test_repeated_illegal_character_reports_the_first(self):
+        with pytest.raises(LexError) as err:
+            tokenize("p(1).\nq(2, $).\n$ $ r($).")
+        assert (err.value.line, err.value.column, err.value.message) == (2, 6, "illegal character '$'")
+
+    @pytest.mark.parametrize(
+        "source, line, col, message",
+        [
+            ('p("a\\q", $)', 1, 5, "invalid escape sequence '\\q'"),
+            ('p($, "a\\q")', 1, 3, "illegal character '$'"),
+            ('p(1, 99999999999999999999, "ab', 1, 6, "integer literal out of range: 99999999999999999999"),
+            ('p(1). q("ab\n99999999999999999999', 1, 9, "unterminated string literal"),
+            ("p(99999999999999999999).\nq(99999999999999999999, $).", 1, 3, "integer literal out of range: 99999999999999999999"),
+            ("p(1) \f $ -", 1, 6, "illegal character '\\x0c'"),
+            ("p(x) - 5 $", 1, 6, "illegal character '-'"),
+        ],
+        ids=[
+            "escape-then-char",
+            "char-then-escape",
+            "range-then-unterminated",
+            "unterminated-then-range",
+            "range-twice",
+            "form-feed-first",
+            "minus-first",
+        ],
+    )
+    def test_earliest_of_several_bad_tokens_wins(self, source, line, col, message):
         with pytest.raises(LexError) as err:
             tokenize(source)
         assert (err.value.line, err.value.column, err.value.message) == (line, col, message)
@@ -437,24 +483,30 @@ def _error(source):
     return None
 
 
-class TestErrorPositions:
-    _NOISE = ("$", "\f", '"', "\\q", "99999999999999999999", "?", "(", ")", ".", ",", "m?(", "//", "\r", "é", "- ")
-    _SKIPS = (" ", "\n", "\r\n", "\t", "\n// a comment\n", "// tail\n", "\n\n  ")
+_NOISE = ("$", "\f", '"', "\\q", "99999999999999999999", "?", "(", ")", ".", ",", "m?(", "//", "\r", "é", "- ")
+_SKIPS = (" ", "\n", "\r\n", "\t", "\n// a comment\n", "// tail\n", "\n\n  ")
 
+
+def cut_or_spliced_sources(rng, count):
+    """Rendered random programs, cut short or spliced to another through a
+    little noise; nearly every one is a lex or parse error."""
+    for _ in range(count):
+        a = render_program(random_program_ast(rng, 8))
+        if rng.random() < 0.5:
+            a = "".join(w + rng.choice(_SKIPS) for w in a.split(" "))
+        roll = rng.random()
+        if roll < 0.4:
+            yield a[: rng.randint(0, len(a))]
+        else:
+            b = render_program(random_program_ast(rng, 8))
+            noise = "".join(rng.choice(_NOISE) for _ in range(rng.randint(0, 2)))
+            yield a[: rng.randint(0, len(a))] + noise + b[rng.randint(0, len(b)) :]
+
+
+class TestErrorPositions:
     def test_truncated_and_spliced_renderings(self):
-        rng = random.Random(1101)
         errors = 0
-        for _ in range(1500):
-            a = render_program(random_program_ast(rng, 8))
-            if rng.random() < 0.5:
-                a = "".join(w + rng.choice(self._SKIPS) for w in a.split(" "))
-            roll = rng.random()
-            if roll < 0.4:
-                source = a[: rng.randint(0, len(a))]
-            else:
-                b = render_program(random_program_ast(rng, 8))
-                noise = "".join(rng.choice(self._NOISE) for _ in range(rng.randint(0, 2)))
-                source = a[: rng.randint(0, len(a))] + noise + b[rng.randint(0, len(b)) :]
+        for source in cut_or_spliced_sources(random.Random(1101), 1500):
             err = _error(source)
             if err is not None:
                 errors += 1
@@ -491,11 +543,29 @@ class TestErrorPositions:
         _check_error_position(source, err)
 
 
+def thousand_facts():
+    return "".join(f'f{i}: emp({i}, "d{i % 7}", -{i * 31}, x).\n' for i in range(1000))
+
+
+class _CountingPattern:
+    """parser._TOKEN with each finditer call counted."""
+
+    def __init__(self, pattern, counts):
+        self.pattern, self.counts = pattern, counts
+
+    def findall(self, source):
+        return self.pattern.findall(source)
+
+    def finditer(self, source):
+        self.counts["finditer"] += 1
+        return self.pattern.finditer(source)
+
+
 class TestNoTokenObjects:
     def test_valid_program_builds_no_token_and_computes_no_position(self, monkeypatch):
-        # line and column are computed only for an error or for tokenize()
-        counts = {"Token": 0, "position": 0}
-        real_token, real_position = parser.Token, parser._position
+        # offsets, and from them line and column, are read only for an error or for tokenize()
+        counts = {"Token": 0, "position": 0, "starts": 0, "finditer": 0}
+        real_token, real_position, real_starts = parser.Token, parser._position, parser._starts
 
         def counting_token(*args):
             counts["Token"] += 1
@@ -505,14 +575,75 @@ class TestNoTokenObjects:
             counts["position"] += 1
             return real_position(*args)
 
+        def counting_starts(*args):
+            counts["starts"] += 1
+            return real_starts(*args)
+
         monkeypatch.setattr(parser, "Token", counting_token)
         monkeypatch.setattr(parser, "_position", counting_position)
-        source = "".join(f'f{i}: emp({i}, "d{i % 7}", -{i * 31}, x).\n' for i in range(1000))
+        monkeypatch.setattr(parser, "_starts", counting_starts)
+        monkeypatch.setattr(parser, "_TOKEN", _CountingPattern(parser._TOKEN, counts))
+        source = thousand_facts()
         assert len(parse_program(source)) == 1000
-        assert counts == {"Token": 0, "position": 0}
-        # the patches are live: tokenize builds Tokens, an error computes its position
-        assert len(tokenize("p(1).")) == 5 and counts["Token"] == 5
-        assert _error(source + "p(") is not None and counts["position"] == 1
+        assert counts == {"Token": 0, "position": 0, "starts": 0, "finditer": 0}
+        assert not hasattr(parser._Parser(source, *parser._lex(source)), "starts")
+        # the patches are live: tokenize builds Tokens and reads the offsets once
+        assert len(tokenize("p(1).")) == 5
+        assert counts == {"Token": 5, "position": 0, "starts": 1, "finditer": 1}
+        # one parse error, and one lex error, read the offsets once each
+        assert isinstance(_error(source + "p("), ParseError)
+        assert counts == {"Token": 5, "position": 1, "starts": 2, "finditer": 2}
+        assert isinstance(_error(source + "p($)."), LexError)
+        assert counts == {"Token": 5, "position": 2, "starts": 3, "finditer": 3}
+        assert isinstance(_error(source + "p(99999999999999999999)."), LexError)
+        assert counts == {"Token": 5, "position": 3, "starts": 4, "finditer": 4}
+
+
+class TestReferenceLexer:
+    """parser._lex, its re-read offsets and its errors against support.reference_lex,
+    the lexer that kept every token's start offset as it read the source."""
+
+    def assert_same(self, source):
+        """The two lexers agree on source; returns the kind of its error, if any."""
+        try:
+            kinds, values, starts = reference_lex(source)
+        except LexError as want:
+            err = _error(source)
+            assert (type(err), err.line, err.column, err.message) == (LexError, want.line, want.column, want.message), source
+            return "lex"
+        assert parser._lex(source) == (kinds, values), source
+        assert list(islice(parser._starts(source), len(starts))) == starts, source
+        assert tokenize(source) == [
+            (
+                k if k in ("ident", "int", "str", "kw") else "punct",
+                v.value if k in ("int", "str") else v,
+                source.count("\n", 0, start) + 1,
+                start - source.rfind("\n", 0, start),
+            )
+            for k, v, start in zip(kinds[:-1], values, starts)
+        ], source
+        # a parse error sits at the reference offset of the token the parser stopped at
+        at = parser._Parser(source, kinds, values)
+        try:
+            at.program()
+        except ParseError:
+            err = _error(source)
+            assert type(err) is ParseError and _offset(source, err.line, err.column) == starts[at.pos], source
+            return "parse"
+        assert _error(source) is None
+        return None
+
+    def test_round_trip_random_programs(self):
+        rng = random.Random(104)
+        for _ in range(120):
+            assert self.assert_same(render_program(random_program_ast(rng))) is None
+
+    def test_thousand_facts(self):
+        assert self.assert_same(thousand_facts()) is None
+
+    def test_cut_or_spliced_sources(self):
+        outcomes = [self.assert_same(source) for source in cut_or_spliced_sources(random.Random(1101), 1500)]
+        assert outcomes.count("lex") > 100 and outcomes.count("parse") > 500  # both kinds of error are met
 
 
 class TestRender:

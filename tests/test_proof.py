@@ -55,6 +55,8 @@ NAT = "z: nat(0).\nq0: nat(0)?"
 
 BIG = "n: num(3).\nr: big(x) :- num(x), (x > 0).\nq0: big(3)?"
 
+BIG5 = "n: n(5).\nr: big(x) :- n(x), (x > 3).\nq0: big(5)?"
+
 
 def proof_of(text, name, **cfg):
     kb, queries = compile_text(text)
@@ -348,6 +350,62 @@ class TestMutations:
         kb, _, proof = proof_of(text, "q0")
         err = reason_of(kb, change(proof))
         assert (err.reason, err.path) == (reason, path)
+
+    @pytest.mark.parametrize(
+        "text, change, reason, path, detail",
+        [
+            *(
+                (
+                    BIG5,
+                    lambda p, t=term: dataclasses.replace(p, conclusion=Pred("big", (t,))),
+                    CheckReason.HEAD_MISMATCH,
+                    (),
+                    "the conclusion holds a malformed literal or name",
+                )
+                for term in (StrLit(5), App(5, ()), Var(None))
+            ),
+            *(
+                (
+                    BIG5,
+                    at_child(1, atom=Builtin("gt", IntLit(5), operand)),
+                    CheckReason.PREMISE_MISMATCH,
+                    (1,),
+                    "the leaf holds a malformed literal",
+                )
+                for operand in (IntLit("3"), StrLit(5), IntLit(None))
+            ),
+            (
+                REACH,
+                binding_z(StrLit(5)),
+                CheckReason.PREMISE_MISMATCH,
+                (0,),
+                "the instantiated premise holds a malformed literal or name",
+            ),
+            (
+                REACH,
+                at_child(0, conclusion=Pred("path", (StrLit("a"), App("F", (Var(None),))))),
+                CheckReason.HEAD_MISMATCH,
+                (0,),
+                "the conclusion holds a malformed literal or name",
+            ),
+        ],
+        ids=[
+            "str-literal-holding-int-in-conclusion",
+            "constructor-named-by-int-in-conclusion",
+            "variable-named-none-in-conclusion",
+            "int-literal-holding-str-leaf-operand",
+            "str-literal-holding-int-leaf-operand",
+            "int-literal-holding-none-leaf-operand",
+            "str-literal-holding-int-instantiation-value",
+            "variable-named-none-in-child-conclusion",
+        ],
+    )
+    def test_malformed_literal_or_name_is_a_check_error(self, text, change, reason, path, detail):
+        """A literal payload or a name inside a term of the wrong type fails as
+        a CheckError where the checker compares or prints it."""
+        kb, _, proof = proof_of(text, "q0")
+        err = reason_of(kb, change(proof))
+        assert (err.reason, err.path, err.detail) == (reason, path, detail)
 
 
 class TestRendering:
