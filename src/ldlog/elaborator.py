@@ -325,23 +325,24 @@ def _merge_atom_decls(kb, atom: Atom, library, pred_arities):
             pred_arities[atom.symbol] = len(atom.args)
         elif known != len(atom.args):
             raise ArityMismatch(atom.symbol, known, len(atom.args))
-        for t in atom.args:
-            _merge_term_decls(kb, t, library)
+        _merge_term_decls(kb, atom.args, library)
     else:
-        _merge_term_decls(kb, atom.lhs, library)
-        _merge_term_decls(kb, atom.rhs, library)
+        _merge_term_decls(kb, (atom.lhs, atom.rhs), library)
 
 
-def _merge_term_decls(kb, t: Term, library):
-    if not isinstance(t, App):
-        return
-    if t.constructor in kb.defs:
-        raise DuplicateName(t.constructor, "name (imported constructor collides with a definition)")
-    decl = library.constructors.get(t.constructor, Constructor(len(t.args)))
-    known = kb.constructors.get(t.constructor)
-    if known is None:
-        kb.constructors[t.constructor] = decl
-    elif known.arity != decl.arity:
-        raise ArityMismatch(t.constructor, known.arity, decl.arity)
-    for a in t.args:
-        _merge_term_decls(kb, a, library)
+def _merge_term_decls(kb, terms, library):
+    """Declare each constructor of terms, and of the terms they nest, in pre-order; a stack, not recursion."""
+    todo = list(reversed(terms))
+    while todo:
+        t = todo.pop()
+        if not isinstance(t, App):
+            continue
+        if t.constructor in kb.defs:
+            raise DuplicateName(t.constructor, "name (imported constructor collides with a definition)")
+        decl = library.constructors.get(t.constructor, Constructor(len(t.args)))
+        known = kb.constructors.get(t.constructor)
+        if known is None:
+            kb.constructors[t.constructor] = decl
+        elif known.arity != decl.arity:
+            raise ArityMismatch(t.constructor, known.arity, decl.arity)
+        todo.extend(reversed(t.args))

@@ -5,12 +5,13 @@ substitution that instantiates the clause, the ground conclusion, and one
 child per body atom (a BuiltinLeaf for comparison premises). check_proof
 re-derives validity from those pieces alone: it never runs unification or
 search, so it stays a small trusted core independent of the solver. One
-reader, `_read`, decides every atom it checks or prints. Fields of the wrong
-type, non-term leaves or instantiation values and unknown comparison
-operators fail as a CheckError, and terms of any depth are compared on an
-explicit stack. A literal payload or a name of the wrong type (`StrLit(5)`,
-`Var(None)`) fails as a CheckError where `eval_builtin` compares it or
-`_text` prints it, so a node that checks pays nothing for the test.
+reader, `_read`, decides every atom it evaluates or prints, and it is the one
+place where a malformed term becomes a CheckError: the ground scan it runs,
+`terms._scan`, refuses a non-term and a term whose literal payload or name has
+the wrong type (`IntLit(True)`, `StrLit(5)`, `Var(None)`). Fields of the wrong
+type and unknown comparison operators fail as a CheckError too, and terms of
+any depth are compared on an explicit stack. Out of scope: objects whose own
+`__eq__` or `__hash__` raise, which no reader builds.
 
 Everything an answer's validity rests on is in this module's import
 closure: this module, `ldlog.terms` and `ldlog.errors`, which
@@ -32,6 +33,7 @@ from .terms import (
     Builtin,
     Clause,
     KnowledgeBase,
+    MalformedTerm,
     Meta,
     Pred,
     Substitution,
@@ -123,17 +125,15 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
             leaf = child.atom
             # truth first: a falsified leaf is a BuiltinFalse, not a mismatch against the premise
             if not _read(leaf, spine, "leaf"):
-                raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, _text(leaf, spine, "leaf"))
+                raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(leaf))
             try:
                 holds = eval_builtin(leaf)
             except TypeMismatch as exc:
                 raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, str(exc)) from None
-            except (TypeError, AttributeError):  # a literal payload of the wrong type, compared or printed
-                raise _unreadable(spine, "leaf", "holds a malformed literal") from None
             if not holds:
-                raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, _text(leaf, spine, "leaf"))
+                raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, atom_text(leaf))
             if not instantiates(premise, s, leaf):
-                raise _mismatch(premise, s, spine, f"leaf {_text(leaf, spine, 'leaf')} is not the instantiated premise ")
+                raise _mismatch(premise, s, spine, f"leaf {atom_text(leaf)} is not the instantiated premise ")
         elif not isinstance(child, ProofTree):
             raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
         else:
@@ -146,37 +146,27 @@ def _path(spine: List[list]) -> Tuple[int, ...]:
 
 
 def _read(atom, spine: List[list], what: str) -> bool:
-    """Whether atom, the node's `what`, is ground. It must be a Pred, or a Builtin whose op is a key of
-    OP_TEXT, holding only terms; otherwise a CheckError is raised before anything prints it. A non-ground
-    atom is read to its last leaf, so its text meets no non-term."""
+    """Whether atom, the node's `what`, is ground. It must be a Pred named by a str, or a Builtin whose op is a key of
+    OP_TEXT, holding only terms that `terms._scan` finds well formed; otherwise it raises a CheckError (a
+    HeadMismatch for the conclusion, a PremiseMismatch for anything else). A non-ground atom is read to the end."""
     kind = type(atom)
-    if kind is Pred or kind is Builtin and type(atom.op) is str and atom.op in OP_TEXT:
-        try:
-            return atom_is_ground(atom) or not atom_free_vars(atom)
-        except TypeError:
-            raise _unreadable(spine, what, "holds a non-term") from None
-    raise _unreadable(spine, what, "is not an atom")
-
-
-def _text(atom, spine: List[list], what: str) -> str:
-    """atom_text(atom), or a CheckError if a literal payload or a name in it has the wrong type."""
     try:
-        return atom_text(atom)
-    except (TypeError, AttributeError):
-        raise _unreadable(spine, what, "holds a malformed literal or name") from None
-
-
-def _unreadable(spine: List[list], what: str, defect: str) -> CheckError:
-    """A HeadMismatch for the node's conclusion, a PremiseMismatch for any other `what`."""
+        if kind is Pred and type(atom.symbol) is str or kind is Builtin and type(atom.op) is str and atom.op in OP_TEXT:
+            return atom_is_ground(atom) or not atom_free_vars(atom)
+        defect = "is not an atom"
+    except MalformedTerm:
+        defect = "holds a malformed literal or name"
+    except TypeError:
+        defect = "holds a non-term"
     reason = CheckReason.HEAD_MISMATCH if what == "conclusion" else CheckReason.PREMISE_MISMATCH
-    return CheckError(_path(spine), reason, f"the {what} {defect}")
+    raise CheckError(_path(spine), reason, f"the {what} {defect}")
 
 
 def _mismatch(premise, s: Substitution, spine: List[list], lead: str) -> CheckError:
     """The PremiseMismatch whose detail is lead followed by the instantiated premise, once that reads."""
     want = apply_subst_atom(premise, s)
     _read(want, spine, "instantiated premise")
-    return CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, lead + _text(want, spine, "instantiated premise"))
+    return CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, lead + atom_text(want))
 
 
 def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, spine: List[list]) -> Clause:
@@ -184,14 +174,14 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, sp
     name, conclusion, inst, children = node.clause_name, node.conclusion, node.instantiation, node.children
     ground = _read(conclusion, spine, "conclusion")
     if premise is not None and not instantiates(premise, s, conclusion):
-        raise _mismatch(premise, s, spine, f"child concludes {_text(conclusion, spine, 'conclusion')}, premise needs ")
+        raise _mismatch(premise, s, spine, f"child concludes {atom_text(conclusion)}, premise needs ")
     if type(name) is not str:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, "the clause name is not a string")
     clause = kb.clauses.get(name)
     if clause is None:
         raise CheckError(_path(spine), CheckReason.UNKNOWN_CLAUSE, name)
     if not ground:
-        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, _text(conclusion, spine, "conclusion"))
+        raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, atom_text(conclusion))
     if type(inst) is not MappingProxyType and type(inst) is not dict:
         raise CheckError(_path(spine), CheckReason.HEAD_MISMATCH, "the instantiation is not a substitution")
     # a ground conclusion that is the head itself is its own instance
@@ -199,7 +189,7 @@ def _check_node(kb: KnowledgeBase, node: ProofTree, premise, s: Substitution, sp
         raise CheckError(
             _path(spine),
             CheckReason.HEAD_MISMATCH,
-            f"instantiated head of '{clause.name}' is not {_text(conclusion, spine, 'conclusion')}",
+            f"instantiated head of '{clause.name}' is not {atom_text(conclusion)}",
         )
     if type(children) is not tuple:
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "the children are not a tuple")

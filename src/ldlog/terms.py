@@ -4,8 +4,8 @@ Terms are immutable trees. Variables come in two flavors that unify the
 same way: Var (from rule statements) and Meta (query placeholders, carrying
 a numeric id and the surface name they came from). Substitutions are plain
 dicts from Var/Meta keys to terms and are kept idempotent by the operations
-that build them. One walk, `_scan`, reads a term's leaves for the ground
-tests and the variable sets (`is_ground` to `loose_vars`), by a stack.
+that build them. One walk on a stack, `_scan`, serves the ground tests and
+variable sets (`is_ground` to `loose_vars`) and refuses malformed terms.
 
 Literals and variables compute their hash once, and a literal keeps its
 text once `term_text` has made it. The lexer makes equal literals of one
@@ -223,12 +223,31 @@ class TypeMismatch(LdlogError):
 
 
 def apply_subst(t: Term, s: Substitution) -> Term:
-    """Replace every bound Var/Meta leaf in t by its binding."""
-    if isinstance(t, (Var, Meta)):
+    """Replace every bound Var/Meta leaf in t by its binding.
+
+    A stack holds each open constructor with its argument iterator and the
+    arguments rebuilt so far, so Python's recursion limit does not bound the
+    term's depth."""
+    kind = type(t)
+    if kind is Var or kind is Meta:
         return s.get(t, t)
-    if isinstance(t, App) and t.args:
-        return App(t.constructor, tuple(apply_subst(a, s) for a in t.args))
-    return t
+    if kind is not App or not t.args:
+        return t
+    stack = [(t.constructor, iter(t.args), [])]
+    while True:
+        constructor, args, done = stack[-1]
+        for a in args:
+            kind = type(a)
+            if kind is App and a.args:
+                stack.append((a.constructor, iter(a.args), []))
+                break
+            done.append(s.get(a, a) if kind is Var or kind is Meta else a)
+        else:
+            stack.pop()
+            t = App(constructor, tuple(done))
+            if not stack:
+                return t
+            stack[-1][2].append(t)
 
 
 def apply_subst_atom(a: Atom, s: Substitution) -> Atom:
@@ -238,23 +257,33 @@ def apply_subst_atom(a: Atom, s: Substitution) -> Atom:
     return Builtin(a.op, apply_subst(a.lhs, s), apply_subst(a.rhs, s))
 
 
+class MalformedTerm(TypeError):
+    """Raised by the term scan on a term whose field has the wrong type."""
+
+
 def _scan(terms, out: Optional[Set[Key]] = None) -> bool:
-    """Whether terms, and the terms they nest, hold no Var or Meta, read left
-    to right in pre-order; given a set out, each Var and Meta met is added to
-    it and the scan reads on. Anything met that is not a term raises TypeError.
-    A stack of argument iterators, not recursion, holds the open constructors."""
+    """Whether terms, and the terms they nest, hold no Var or Meta, read left to right in
+    pre-order; given a set out, each Var and Meta met is added to it and the scan reads on.
+    A non-term met raises TypeError, and a term with a field of the wrong type MalformedTerm:
+    an IntLit's payload not exactly an int, a StrLit's not a str, or a Var's, Meta's or App's
+    name not a str. A stack of argument iterators, not recursion, holds the open constructors."""
     stack, ground, args = [], True, iter(terms)
     while True:
         for t in args:
             kind = type(t)
             if kind is StrLit or kind is IntLit:
-                continue
-            if kind is Var or kind is Meta:
+                if type(t.value) is not (str if kind is StrLit else int):
+                    raise MalformedTerm(kind.__name__)
+            elif kind is Var or kind is Meta:
+                if type(t.name if kind is Var else t.source_name) is not str:
+                    raise MalformedTerm(kind.__name__)
                 if out is None:
                     return False
                 out.add(t)
                 ground = False
             elif kind is App:
+                if type(t.constructor) is not str:
+                    raise MalformedTerm(kind.__name__)
                 stack.append(args)
                 args = iter(t.args)
                 break

@@ -44,6 +44,7 @@ from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
     INT64_MAX,
     INT64_MIN,
+    OP_TEXT,
     App,
     Query,
     Builtin,
@@ -433,6 +434,42 @@ def reference_free_vars(t) -> Set:
     if isinstance(t, (Var, Meta)):
         return {t}
     return set().union(*map(reference_free_vars, t.args)) if isinstance(t, App) else set()
+
+
+def reference_well_formed(atom) -> bool:
+    """Recursive well-formedness, one call per nesting level: `ldlog.terms._scan` must
+    refuse a term of an atom this calls malformed, and `ldlog.kernel` reads only atoms
+    it calls well formed. Those are a Pred named by a str, or a Builtin whose op is a
+    key of OP_TEXT, whose terms are IntLits holding exactly an int, StrLits holding a
+    str, and Vars, Metas and Apps named by a str, each App's args an iterable of such terms."""
+    if type(atom) is Pred and type(atom.symbol) is str:
+        terms = atom.args
+    elif type(atom) is Builtin and type(atom.op) is str and atom.op in OP_TEXT:
+        terms = (atom.lhs, atom.rhs)
+    else:
+        return False
+    return _reference_terms_well_formed(terms)
+
+
+def _reference_terms_well_formed(terms) -> bool:
+    try:
+        terms = tuple(terms)
+    except TypeError:  # not iterable
+        return False
+    return all(map(_reference_term_well_formed, terms))
+
+
+def _reference_term_well_formed(t) -> bool:
+    kind = type(t)
+    if kind is IntLit:
+        return type(t.value) is int
+    if kind is StrLit:
+        return type(t.value) is str
+    if kind is Var:
+        return type(t.name) is str
+    if kind is Meta:
+        return type(t.source_name) is str
+    return kind is App and type(t.constructor) is str and _reference_terms_well_formed(t.args)
 
 
 def random_ground_term(rng: random.Random, depth: int = 2):

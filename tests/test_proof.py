@@ -6,6 +6,7 @@ import gc
 import json
 import random
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -26,6 +27,7 @@ from support import (
     reference_atom_is_ground,
     reference_check,
     reference_serialize,
+    reference_well_formed,
     self_referring_functions,
     shuffled_safe_programs,
     term_programs,
@@ -56,6 +58,10 @@ NAT = "z: nat(0).\nq0: nat(0)?"
 BIG = "n: num(3).\nr: big(x) :- num(x), (x > 0).\nq0: big(3)?"
 
 BIG5 = "n: n(5).\nr: big(x) :- n(x), (x > 3).\nq0: big(5)?"
+
+N1 = "n: n(1).\nq0: n(1)?"
+
+LOOSE_BIG = "r: big(x) :- (x > 3).\nq0: big(5)?"
 
 
 def proof_of(text, name, **cfg):
@@ -307,6 +313,8 @@ class TestMutations:
                 (BIG, at_child(1, atom=Builtin(op, IntLit(3), IntLit(0))), CheckReason.PREMISE_MISMATCH, (1,))
                 for op in ("zz", None, ["gt"])
             ),
+            # printing a symbol that is not a str would format it, here through App's recursive repr
+            (NAT, lambda p: dataclasses.replace(p, conclusion=Pred(nested_f(0), (IntLit(0),))), CheckReason.HEAD_MISMATCH, ()),
         ],
         ids=[
             "leaf-root",
@@ -342,6 +350,7 @@ class TestMutations:
             "unknown-leaf-op",
             "none-leaf-op",
             "list-leaf-op",
+            "deep-term-as-symbol",
         ],
     )
     def test_malformed_node_is_a_check_error(self, text, change, reason, path):
@@ -370,7 +379,7 @@ class TestMutations:
                     at_child(1, atom=Builtin("gt", IntLit(5), operand)),
                     CheckReason.PREMISE_MISMATCH,
                     (1,),
-                    "the leaf holds a malformed literal",
+                    "the leaf holds a malformed literal or name",
                 )
                 for operand in (IntLit("3"), StrLit(5), IntLit(None))
             ),
@@ -388,6 +397,24 @@ class TestMutations:
                 (0,),
                 "the conclusion holds a malformed literal or name",
             ),
+            # payloads that compare equal to the right int but are a bool or a float
+            *(
+                (
+                    N1,
+                    lambda p, t=term: dataclasses.replace(p, conclusion=Pred("n", (t,))),
+                    CheckReason.HEAD_MISMATCH,
+                    (),
+                    "the conclusion holds a malformed literal or name",
+                )
+                for term in (IntLit(True), IntLit(1.0))
+            ),
+            (
+                LOOSE_BIG,
+                lambda p: dataclasses.replace(p, conclusion=Pred("big", (IntLit(5.0),)), instantiation={Var("x"): IntLit(5.0)}),
+                CheckReason.HEAD_MISMATCH,
+                (),
+                "the conclusion holds a malformed literal or name",
+            ),
         ],
         ids=[
             "str-literal-holding-int-in-conclusion",
@@ -398,11 +425,14 @@ class TestMutations:
             "int-literal-holding-none-leaf-operand",
             "str-literal-holding-int-instantiation-value",
             "variable-named-none-in-child-conclusion",
+            "bool-payload-equal-to-the-fact",
+            "float-payload-equal-to-the-fact",
+            "float-payload-through-a-loose-clause",
         ],
     )
     def test_malformed_literal_or_name_is_a_check_error(self, text, change, reason, path, detail):
         """A literal payload or a name inside a term of the wrong type fails as
-        a CheckError where the checker compares or prints it."""
+        a CheckError where the checker reads the atom that holds it."""
         kb, _, proof = proof_of(text, "q0")
         err = reason_of(kb, change(proof))
         assert (err.reason, err.path, err.detail) == (reason, path, detail)
@@ -587,6 +617,17 @@ class TestDeepProofs:
         assert kernel_module.instantiates(Pred("p", (x,)), {x: nest(0)}, Pred("p", (nest(0),))) is True
         assert kernel_module.instantiates(Pred("p", (x,)), {x: nest(0)}, Pred("p", (nest(1),))) is False
 
+    def test_deep_premise_mismatch_is_reported(self):
+        """The detail prints the premise instantiated with a stack: `p(x, d1499)`
+        nests 1,500 deep, and the child proves `g` for "b", not "a"."""
+        defs = ["def d0 := 0."] + [f"def d{i} := F(d{i - 1})." for i in range(1, 1500)]
+        kb, _ = compile_text("\n".join(defs + ['g: p("b", d1499).', "r: q(x) :- p(x, d1499)."]))
+        child = ProofTree("g", {}, kb.clauses["g"].head)
+        err = reason_of(kb, ProofTree("r", {Var("x"): StrLit("a")}, Pred("q", (StrLit("a"),)), (child,)))
+        deep = "F(" * 1499 + "0" + ")" * 1499
+        assert (err.reason, err.path) == (CheckReason.PREMISE_MISMATCH, (0,))
+        assert err.detail == f'child concludes p("b", {deep}), premise needs p("a", {deep})'
+
     def test_mutation_at_the_bottom_reports_the_full_path(self):
         kb, _, proof = chain_proof(3000)
         spine = [proof]
@@ -695,8 +736,8 @@ def mutate(rng, kb, node):
     return dataclasses.replace(node, conclusion=rng.choice((Pred("p"), Pred(node.conclusion.symbol, ()))))
 
 
-def mutate_somewhere(rng, kb, proof):
-    """proof with one node, picked uniformly, corrupted."""
+def mutate_somewhere(rng, kb, proof, mutate=mutate):
+    """proof with one node, picked uniformly, corrupted by mutate."""
     paths, stack = [], [((), proof)]
     while stack:
         path, node = stack.pop()
@@ -776,6 +817,146 @@ class TestAgainstReferenceChecker:
     def test_in_place_comparison_mutations(self):
         outcomes = [(self.assert_same(kb, proof), want) for kb, proof, want in in_place_mutations()]
         assert [got and got[2] for got, _ in outcomes] == [want for _, want in outcomes]
+
+
+# A 2,000-deep term, built once: a value a reader could hand over
+DEEP = nested_f(0)
+
+# What a reader could hand over in place of a field or subterm: plain values, terms whose
+# fields have the wrong types and DEEP; and well-formed terms and names, with which a
+# mutant may still check or fail for another reason. Each mutant draws from one at random.
+FUZZ_VALUES = (
+    (None, True, 0, 7, 1.5, [], [IntLit(1)], {}, {"x": 1}, (), (IntLit(1),)),
+    (IntLit(True), IntLit(5.0), IntLit("3"), StrLit(5), App(5, ()), App("F", 5), Var(None), DEEP),
+    ("a", "r1", "gt", IntLit(0), IntLit(300), StrLit("a"), StrLit("c0"), App("c"), Var("x"), Var("y"), Meta(0, "m?")),
+)
+
+# The instantiation keys a mutant may put in place of one: every hashable value above
+FUZZ_KEYS = tuple(v for group in FUZZ_VALUES for v in group if v is not DEEP and not isinstance(v, (list, dict)))
+
+
+def replace_subterm(rng, t, value):
+    """t with itself or one subterm, picked by a random walk down tuple args, replaced
+    by value; an int literal picked is replaced now and then by its float twin instead,
+    which compares equal to it."""
+    if type(t) is App and type(t.args) is tuple and t.args and rng.random() < 0.6:
+        i = rng.randrange(len(t.args))
+        return App(t.constructor, t.args[:i] + (replace_subterm(rng, t.args[i], value),) + t.args[i + 1 :])
+    return IntLit(float(t.value)) if type(t) is IntLit and rng.random() < 0.3 else value
+
+
+def fuzz_node(rng, kb, node):
+    """node with one field or subterm replaced: a leaf's op or operand; a subproof's clause
+    name (half the time one of kb's), instantiation key or value, conclusion, conclusion
+    symbol or argument, children or one child. A site node lacks falls back to the clause name."""
+    value = rng.choice(rng.choice(FUZZ_VALUES))
+    if type(node) is BuiltinLeaf:
+        op, lhs, rhs = node.atom.op, node.atom.lhs, node.atom.rhs
+        site = rng.randrange(3)
+        if site == 0:
+            return BuiltinLeaf(Builtin(value, lhs, rhs))
+        if site == 1:
+            return BuiltinLeaf(Builtin(op, replace_subterm(rng, lhs, value), rhs))
+        return BuiltinLeaf(Builtin(op, lhs, replace_subterm(rng, rhs, value)))
+    site = rng.randrange(8)
+    inst, conclusion, children = dict(node.instantiation), node.conclusion, node.children
+    if site in (1, 2) and inst:
+        key = rng.choice(sorted(inst, key=repr))
+        if site == 1:
+            inst[rng.choice(FUZZ_KEYS)] = inst.pop(key)
+        else:
+            inst[key] = value
+        return dataclasses.replace(node, instantiation=inst)
+    if site == 3:
+        return dataclasses.replace(node, conclusion=value)
+    if site == 4:
+        return dataclasses.replace(node, conclusion=Pred(value, conclusion.args))
+    if site == 5 and conclusion.args:
+        args = list(conclusion.args)
+        i = rng.randrange(len(args))
+        args[i] = replace_subterm(rng, args[i], value)
+        return dataclasses.replace(node, conclusion=Pred(conclusion.symbol, tuple(args)))
+    if site == 6:
+        return dataclasses.replace(node, children=value)
+    if site == 7 and children:
+        i = rng.randrange(len(children))
+        return dataclasses.replace(node, children=children[:i] + (value,) + children[i + 1 :])
+    return dataclasses.replace(node, clause_name=value if rng.random() < 0.5 else rng.choice(list(kb.clauses)))
+
+
+def kernel_reads_well_formed(proof) -> bool:
+    """Whether every node of proof has fields of the types the kernel asks for, and
+    every conclusion and leaf, the atoms the kernel reads in a certificate it
+    accepts, is well formed by `reference_well_formed`. False where that
+    reference's recursion cannot read a term."""
+    stack = [proof]
+    try:
+        while stack:
+            node = stack.pop()
+            if type(node) is BuiltinLeaf:
+                if type(node.atom) is not Builtin or not reference_well_formed(node.atom):
+                    return False
+            elif (
+                type(node) is not ProofTree
+                or type(node.clause_name) is not str
+                or type(node.instantiation) not in (dict, MappingProxyType)
+                or type(node.children) is not tuple
+                or not reference_well_formed(node.conclusion)
+            ):
+                return False
+            else:
+                stack.extend(node.children)
+    except RecursionError:
+        return False
+    return True
+
+
+def fuzz_certificates():
+    """(kb, certificate) for every answer of the goldens and of the first 80
+    programs of the seed-111 safe stream at depth 4."""
+    out = []
+    for main, lib in (("reach.ldl", None), ("rects.ldl", None), ("deriv.ldl", "lib/derivs.ldl")):
+        kb, queries = compile_text((PROGRAMS / main).read_text(), (PROGRAMS / lib).read_text() if lib else None)
+        out += [(kb, sol.proof) for q in queries for sol in solve(kb, q, SolverConfig(solution_limit=None))]
+    for _, kb, queries in shuffled_safe_programs(random.Random(111), 80, depth=4, cap=2_000):
+        out += [(kb, sol.proof) for q in queries for sol in solve(kb, q, SolverConfig(max_depth=4, solution_limit=None))]
+    return out
+
+
+class TestStructuralFuzz:
+    """Seeded structural fuzz of solver certificates, one field or subterm replaced per
+    mutant: check_proof returns or raises CheckError, never another exception. Where
+    every atom the kernel reads is well formed and the recursive reference checker does
+    not crash, both give the same verdict, reason and path; otherwise the kernel rejects."""
+
+    MUTANTS = 10_000
+
+    def test_mutants(self):
+        rng = random.Random(2029)
+        certificates = fuzz_certificates()
+        counts = {"same": 0, "accepted": 0, "reference crashed": 0, "malformed": 0}
+        for _ in range(self.MUTANTS):
+            kb, proof = rng.choice(certificates)
+            bad = mutate_somewhere(rng, kb, proof, fuzz_node)
+            try:
+                check_proof(kb, bad)
+                got = None
+            except CheckError as err:
+                got = (err.reason, err.path)
+            want = outcome(reference_check, kb, bad)
+            if want is not None and want[0] is not CheckError:
+                counts["reference crashed"] += 1
+            elif kernel_reads_well_formed(bad):
+                assert got == (None if want is None else (want[2], want[1])), bad
+                counts["same"] += 1
+                counts["accepted"] += got is None
+                continue
+            else:
+                counts["malformed"] += 1
+            assert got is not None, bad
+        assert len(certificates) > 200
+        assert counts["same"] > 2_500 and counts["accepted"] > 300
+        assert counts["reference crashed"] > 2_500 and counts["malformed"] > 2_500
 
 
 PAIRS = """
@@ -1240,9 +1421,9 @@ class TestInterning:
     def test_checker_never_calls_the_recursive_ground_test(self):
         """No function of kernel.py names itself, nor does `terms._scan` or
         any of `is_ground`, `atom_is_ground`, `free_vars`, `atom_free_vars`,
-        `clause_vars` and `loose_vars` over it: the recursion left in the
-        kernel's closure is exactly the two functions listed here."""
-        assert self_referring_functions() == ["terms.apply_subst", "terms.term_text"]
+        `clause_vars` and `loose_vars` over it, nor `apply_subst`: the recursion
+        left in the kernel's closure is exactly the function listed here."""
+        assert self_referring_functions() == ["terms.term_text"]
 
     def test_checker_compares_no_literal_by_value(self, monkeypatch):
         kb, q, sols = self.chain()

@@ -35,14 +35,18 @@ from ldlog.terms import (
     quote_string,
     term_text,
 )
-from ldlog.parser import Application, FactStmt, parse_program, render_term
+from ldlog.errors import LdlogError
+from ldlog.parser import Application, FactStmt, parse_program, render_program, render_term
 from support import (
     compile_text,
     random_ground_term,
+    random_program_ast,
     random_term,
+    random_term_ast,
     reference_free_vars,
     reference_is_ground,
     reference_term_text,
+    reference_well_formed,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,11 +97,41 @@ class TestApplySubst:
             s = random_ground_subst(rng)
             assert apply_subst(t, s) == naive_rewrite(t, s)
 
+    def test_deep_constructor_nesting(self):
+        # past the recursion limit, a variable at the bottom and a literal closing each level
+        t, want = X, A
+        for i in range(1500):
+            t, want = App("g", (t, IntLit(i), Y)), App("g", (want, IntLit(i), Y))
+        # compared as text: App's generated __eq__ recurses
+        assert term_text(apply_subst(t, {X: A})) == term_text(want)
+        assert atom_text(apply_subst_atom(Pred("p", (t, X)), {X: A})) == atom_text(Pred("p", (want, A)))
+
     def test_atom_application(self):
         a = Pred("edge", (X, B))
         assert apply_subst_atom(a, {X: A}) == Pred("edge", (A, B))
         b = Builtin("ge", X, IntLit(2))
         assert apply_subst_atom(b, {X: IntLit(5)}) == Builtin("ge", IntLit(5), IntLit(2))
+
+
+# Terms whose fields have the wrong types: `terms._scan` refuses each
+MALFORMED = (IntLit(True), IntLit(1.0), IntLit("3"), IntLit(None), StrLit(5), Var(None), Meta(0, None), App(5, ()))
+
+
+def scan_accepts(terms_) -> bool:
+    """Whether `terms._scan`, given a set so it reads past variables, reads terms_ without a TypeError."""
+    try:
+        terms._scan(terms_, set())
+    except TypeError:
+        return False
+    return True
+
+
+def with_one_leaf(rng, t, bad):
+    """t with one of its leaves, picked at random, replaced by bad."""
+    if isinstance(t, App) and t.args:
+        i = rng.randrange(len(t.args))
+        return App(t.constructor, t.args[:i] + (with_one_leaf(rng, t.args[i], bad),) + t.args[i + 1 :])
+    return bad
 
 
 class TestFreeVarsAndGroundness:
@@ -141,6 +175,41 @@ class TestFreeVarsAndGroundness:
         assert not is_ground(t) and free_vars(t) == {X}
         assert loose_vars(Clause("r", Pred("p", (t,)), (Pred("q", (t,)),))) == set()
 
+    @pytest.mark.parametrize("seed", [101, 214, 501])
+    def test_well_formedness_matches_the_reference(self, seed):
+        """`_scan` refuses exactly the terms `reference_well_formed` calls malformed:
+        random_term_ast trees (parser ASTs around literal leaves), the elaborated
+        atoms of random_program_ast programs, and random terms with one leaf made malformed."""
+        rng = random.Random(seed)
+        atoms = [Pred("p", (random_term_ast(rng, rng.randint(0, 3)),)) for _ in range(300)]
+        for _ in range(100):
+            try:
+                kb, queries = compile_text(render_program(random_program_ast(rng)))
+            except LdlogError:
+                continue
+            atoms += [a for c in kb.clauses.values() for a in (c.head,) + c.body] + [q.goal for q in queries]
+        for _ in range(300):
+            t = random_term(rng, rng.randint(0, 4))
+            atoms += [Pred("p", (t,)), Pred("p", (with_one_leaf(rng, t, rng.choice(MALFORMED)),))]
+        verdicts = [reference_well_formed(a) for a in atoms]
+        assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+        for atom, well_formed in zip(atoms, verdicts):
+            assert scan_accepts(atom.args if isinstance(atom, Pred) else (atom.lhs, atom.rhs)) is well_formed, atom
+
+    @pytest.mark.parametrize("term", MALFORMED, ids=repr)
+    def test_malformed_term_is_refused_everywhere(self, term):
+        """Each scan refuses it, nested or not, and so does building a KB that holds it."""
+        scans = (
+            lambda: free_vars(App("f", (X, term))),
+            lambda: atom_is_ground(Pred("p", (term,))),
+            lambda: loose_vars(Clause("c", Pred("p", (X,)), (Pred("q", (X, term)),))),
+        )
+        for scan in scans:
+            with pytest.raises(terms.MalformedTerm):
+                scan()
+        with pytest.raises(TypeError):
+            KnowledgeBase({"f": Clause("f", Pred("p", (term,)))})
+
     def test_deep_defs_elaborate(self):
         """1,500 chained defs nest a fact's argument and a rule's head term past
         the recursion limit; the KB's loose-clause scan walks both."""
@@ -148,6 +217,13 @@ class TestFreeVarsAndGroundness:
         kb, _ = compile_text("\n".join(lines + ["f: p(d1499).", "r: q(x, d1499) :- p(x)."]))
         assert kb.loose_clause is None
         assert is_ground(kb.clauses["f"].head.args[0])
+
+    def test_use_of_a_deep_library_clause_elaborates(self):
+        """`use` declares the constructors of an imported clause 1,500 deep with a stack."""
+        lib = ["def d0 := Z."] + [f"def d{i} := F(d{i - 1})." for i in range(1, 1500)] + ["deep: p(d1499)."]
+        kb, _ = compile_text("use deep.", "\n".join(lib))
+        assert list(kb.clauses) == ["deep"] and kb.loose_clause is None
+        assert (kb.constructors["F"].arity, kb.constructors["Z"].arity) == (1, 0)
 
 
 class TestEvalBuiltin:
