@@ -59,11 +59,19 @@ class ArgIndex(Generic[T]):
         self._tables: Dict[str, Dict[int, _Table[T]]] = {}
 
     def add(self, atom: Pred, item: T) -> None:
-        self._items.setdefault(atom.symbol, []).append(item)
-        self._atoms.setdefault(atom.symbol, []).append(atom)
-        for pos, table in self._tables.get(atom.symbol, {}).items():
-            if pos < len(atom.args):
-                table.add(atom.args[pos], item)
+        symbol = atom.symbol
+        items = self._items.get(symbol)
+        if items is None:
+            self._items[symbol] = [item]
+            self._atoms[symbol] = [atom]
+        else:
+            items.append(item)
+            self._atoms[symbol].append(atom)
+        tables = self._tables.get(symbol)
+        if tables:
+            for pos, table in tables.items():
+                if pos < len(atom.args):
+                    table.add(atom.args[pos], item)
 
     def candidates(self, symbol: str, keys: Iterable[Tuple[int, Term]]) -> List[T]:
         """The shortest of symbol's list and the lists for each (position, ground value).
@@ -81,11 +89,20 @@ class ArgIndex(Generic[T]):
         return best
 
     def _table(self, symbol: str, pos: int) -> _Table[T]:
-        tables = self._tables.setdefault(symbol, {})
-        table = tables.get(pos)
-        if table is None:
-            table = tables[pos] = _Table()
-            for atom, item in zip(self._atoms.get(symbol, ()), self._items.get(symbol, ())):
-                if pos < len(atom.args):
-                    table.add(atom.args[pos], item)
+        """symbol's new table at pos, filed as `_Table.add` would file its items one by one."""
+        table: _Table[T] = _Table()
+        buckets, loose = table.buckets, table.loose
+        for atom, item in zip(self._atoms.get(symbol, ()), self._items.get(symbol, ())):
+            if pos < len(atom.args):
+                arg = atom.args[pos]
+                if is_ground(arg):
+                    bucket = buckets.get(arg)
+                    if bucket is None:
+                        bucket = buckets[arg] = list(loose)
+                    bucket.append(item)
+                else:
+                    loose.append(item)
+                    for bucket in buckets.values():
+                        bucket.append(item)
+        self._tables.setdefault(symbol, {})[pos] = table
         return table

@@ -83,7 +83,8 @@ Reconstruction", 1991):
   body). A try allocates a frame of cells for them at the end of one store,
   so renaming the clause apart is an offset. A cell is None while unbound,
   else a (template term, frame base) pair: bindings share the clause's
-  structure instead of copying it.
+  structure instead of copying it. A ground fact has no variables, so it
+  needs no frame and nothing compiled: its template's head is its own.
 - Trail. Every binding is recorded on a trail. Backtracking undoes the
   trail down to the choice point's mark and cuts the store back to its
   length.
@@ -92,9 +93,10 @@ Reconstruction", 1991):
   a stack of choice points (a goal with its untried candidate clauses).
   Nothing recurses per proof level, so only the depth budget limits proof
   height.
-- Per knowledge base. The head index and the templates are built on a
-  KB's first `solve` and kept in `kb.compiled`, with the completed calls'
-  tables; a KB's clauses never change, so every later query reuses them.
+- Per knowledge base. The head index is built on a KB's first `solve` and
+  each clause's template on its first try; both are kept in `kb.compiled`,
+  with the completed calls' tables. A KB's clauses never change, so every
+  later query reuses them.
 
 `ldlog.oracle.saturate` joins rule bodies on these templates, with `_unify`
 and the index keys of `_call_keys`.
@@ -127,6 +129,7 @@ from .terms import (
     Query,
     Substitution,
     Var,
+    atom_is_ground,
     atom_text,
     eval_builtin,
     is_ground,
@@ -220,25 +223,32 @@ _NO_BINDINGS = MappingProxyType({})
 class _Template:
     """A clause compiled against one frame: its variables are slots 0..n-1.
 
-    A ground fact proves the same way in every derivation, so its template
+    A ground fact has no slots and nothing to compile: its template's head
+    is the fact's own head arguments, ground terms being template terms as
+    they are. It proves the same way in every derivation, so its template
     holds the one ProofTree that all of them share (`fact`, else None).
     """
 
     __slots__ = ("clause", "head", "body", "keys", "blank", "fact")
 
     def __init__(self, clause: Clause):
-        slots: dict = {}
         self.clause = clause
+        if not clause.body and atom_is_ground(clause.head):
+            self.head, self.body, self.keys, self.blank = clause.head.args, (), (), ()
+            self.fact = ProofTree(clause.name, _NO_BINDINGS, clause.head)
+            return
+        slots: dict = {}
         self.head = _Call(clause.head, slots).args
         self.body = tuple((i, (_Call if isinstance(a, Pred) else _Test)(a, slots)) for i, a in enumerate(clause.body))
         self.keys = tuple(slots)  # the clause variable of each slot
         self.blank = (None,) * len(slots)
-        self.fact = None if slots or clause.body else ProofTree(clause.name, _NO_BINDINGS, clause.head)
+        self.fact = None
 
 
 def _compiled(kb: KnowledgeBase) -> Tuple[ArgIndex, Dict[str, _Template], bool, frozenset, dict]:
     """kb's head index, its templates by clause name (each made on its clause's
-    first try), whether repeated answers may be dropped (kb has no loose
+    first try; a ground fact's template is its own head, with its shared
+    ProofTree), whether repeated answers may be dropped (kb has no loose
     clause), the symbols whose every clause is a rule, and the tables of
     finished calls by variant: each the lowest budget it replays at, the
     highest (None: no limit), the `_Search.proven` list of the query that

@@ -1,13 +1,16 @@
 """The argument index shared by the solver and the fixpoint."""
 
 import dataclasses
+import random
+
+import pytest
 
 from ldlog.index import ArgIndex
 from ldlog.kernel import check_proof
 from ldlog.oracle import saturate
 from ldlog.proof import render_proof
 from ldlog.solver import SolverConfig, solve
-from ldlog.terms import App, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var, term_text
+from ldlog.terms import App, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var, is_ground, term_text
 from support import compile_text
 
 
@@ -137,3 +140,56 @@ class TestNoStaleIndex:
         assert [sol.proof.clause_name for sol in solve(kb, q, cfg)] == ["f", "g"]
         kb = dataclasses.replace(kb, clauses={n: c for n, c in kb.clauses.items() if n != "f"})
         assert [sol.proof.clause_name for sol in solve(kb, q, cfg)] == ["g"]
+
+
+# ground values (literals and constructor terms) and loose ones (a variable, a constructor holding one)
+GROUND = [IntLit(0), IntLit(1), StrLit("0"), StrLit("a"), App("c"), App("f", (IntLit(0),)), App("f", (StrLit("a"),))]
+LOOSE = [Var("x"), Meta(0, "m?"), App("f", (Var("x"),))]
+
+
+def brute_candidates(filed, symbol, keys):
+    """What `candidates` returns, by filtering the (atom, item) pairs in insertion order."""
+
+    def matching(pos, value):
+        return [
+            item
+            for atom, item in filed
+            if atom.symbol == symbol
+            and pos < len(atom.args)
+            and (not is_ground(atom.args[pos]) or atom.args[pos] == value)
+        ]
+
+    best = [item for atom, item in filed if atom.symbol == symbol]
+    for pos, value in keys:
+        entries = matching(pos, value)
+        if len(entries) < len(best):
+            best = entries
+    return best
+
+
+class TestAgainstBruteForce:
+    """Seeded streams of adds and lookups: each lookup, whether it builds a table
+    or reads one that later adds kept current, returns the list a filter of the
+    items in insertion order gives, in content and in order."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_streams(self, seed):
+        rng = random.Random(seed)
+        index = ArgIndex()
+        filed = []
+        for step in range(300):
+            symbol = rng.choice("pq")
+            if rng.random() < 0.6:
+                # up to 3 arguments, so a lookup at a later position meets atoms too short for it
+                args = tuple(rng.choice(LOOSE if rng.random() < 0.2 else GROUND) for _ in range(rng.randint(0, 3)))
+                atom = Pred(symbol, args)
+                index.add(atom, step)
+                filed.append((atom, step))
+            else:
+                keys = [(pos, rng.choice(GROUND)) for pos in rng.sample(range(4), rng.randint(0, 3))]
+                assert index.candidates(symbol, keys) == brute_candidates(filed, symbol, keys)
+        for symbol in "pqr":
+            for pos in range(4):
+                for value in GROUND:
+                    keys = [(pos, value)]
+                    assert index.candidates(symbol, keys) == brute_candidates(filed, symbol, keys)

@@ -15,6 +15,7 @@ from ldlog import proof as proof_module
 from ldlog import terms as terms_module
 from ldlog.errors import LdlogError
 from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree, check_proof
+from ldlog.oracle import oracle_answers
 from ldlog.proof import proof_bindings, render_proof, serialize_proof
 from ldlog.solver import SolverConfig, solve
 from ldlog.terms import App, Builtin, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var
@@ -1439,30 +1440,44 @@ class TestInterning:
 class TestNoReferenceCycles:
     """Solving, checking and serializing leave no cyclic garbage, so the cycle
     collector has nothing to reclaim; a node's JSON piece holds no cycle either.
-    rects.ldl, whose search keeps every derivation, covers the search nodes
-    that are not deduplicated."""
+    Nor does what a KB keeps in `kb.compiled` (the solver's templates, index and
+    completed tables, the fixpoint and its index), which the collector only
+    meets once the KBs are dropped. rects.ldl, whose search keeps every
+    derivation, covers the search nodes that are not deduplicated."""
 
     @staticmethod
-    def collect(runs):
-        """(answers, errors, objects the collector found) after solving, checking
-        and serializing each (kb, queries, cfg) of runs with the collector off."""
-        answers = errors = 0
+    def exercise(runs, oracle):
+        """(answers, errors, oracle answers) of solving, checking and serializing
+        each (kb, queries, cfg) of runs, and with oracle, answering each query of
+        a range-restricted KB with `oracle_answers` too."""
+        answers = errors = derived = 0
+        for kb, queries, cfg in runs:
+            for q in queries:
+                if oracle and kb.loose_clause is None:
+                    derived += len(oracle_answers(kb, q.goal))
+                try:
+                    sols = solve(kb, q, cfg)
+                except LdlogError:
+                    errors += 1
+                    continue
+                for sol in sols:
+                    check_proof(kb, sol.proof)
+                    serialize_proof(sol.proof, q)
+                    answers += 1
+        return answers, errors, derived
+
+    @classmethod
+    def collect(cls, runs, oracle=False):
+        """`exercise`'s counts, the objects the collector found after it, and the
+        objects it found once runs was emptied, all with the collector off."""
         was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
-            for kb, queries, cfg in runs:
-                for q in queries:
-                    try:
-                        sols = solve(kb, q, cfg)
-                    except LdlogError:
-                        errors += 1
-                        continue
-                    for sol in sols:
-                        check_proof(kb, sol.proof)
-                        serialize_proof(sol.proof, q)
-                        answers += 1
-            return answers, errors, gc.collect()
+            counts = cls.exercise(runs, oracle)
+            found = gc.collect()
+            runs.clear()  # the only reference to each KB
+            return (*counts, found, gc.collect())
         finally:
             if was_enabled:
                 gc.enable()
@@ -1474,9 +1489,10 @@ class TestNoReferenceCycles:
             for main, lib in GOLDENS
         ]
         runs.append((*compile_text(weighted_chain()), SolverConfig(max_depth=CHAIN_NODES, solution_limit=None)))
-        answers, errors, found = self.collect(runs)
-        assert answers > CHAIN_NODES and errors == 0
+        answers, errors, derived, found, dropped = self.collect(runs, oracle=True)
+        assert answers > CHAIN_NODES and errors == 0 and derived > CHAIN_NODES
         assert found == 0
+        assert dropped == 0
 
     def test_reference_streams(self):
         """The first 100 programs of the solver differentials' seed-111 safe and
@@ -1485,6 +1501,7 @@ class TestNoReferenceCycles:
         runs = [(kb, queries, SolverConfig(max_depth=4, solution_limit=None)) for _, kb, queries in safe]
         for _, kb, queries, depth in term_programs(random.Random(112), 100):
             runs.append((kb, queries, SolverConfig(max_depth=depth, solution_limit=None)))
-        answers, errors, found = self.collect(runs)
+        answers, errors, _, found, dropped = self.collect(runs)
         assert answers > 300 and errors > 30
         assert found == 0
+        assert dropped == 0

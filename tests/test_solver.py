@@ -281,6 +281,24 @@ class TestFrozenKnowledgeBase:
         assert len(calls) == len(kb.clauses)
 
 
+class TestGroundFacts:
+    """A ground fact's template is its own head: trying it compiles nothing."""
+
+    def test_calls_built_do_not_grow_with_the_facts(self, monkeypatch):
+        built = []
+        real = solver._Call.__init__
+        monkeypatch.setattr(solver._Call, "__init__", lambda call, *args: built.append(call) or real(call, *args))
+        counts = []
+        for n in (10, 1_000):
+            built.clear()
+            facts = "".join(f"f{i}: e({i}, {i + 1}).\n" for i in range(n))
+            kb, queries = compile_text(facts + "r: p(x, y) :- e(x, y).\nqe: e(m?, k?)?\nqp: p(m?, k?)?")
+            for q in queries:  # each tries every fact
+                assert len(solve(kb, q, SolverConfig(solution_limit=None))) == n
+            counts.append(len(built))
+        assert counts == [4, 4]  # the rule's head and premise, and the two goals
+
+
 class TestProofHeight:
     def test_height_5000_chain(self):
         n = 5000
