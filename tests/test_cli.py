@@ -93,6 +93,16 @@ class TestFailureOutcomes:
             'q1: path("b", m?)  unprovable (depth 1)\n'
         )
 
+    def test_derivation_with_a_free_variable_is_dropped(self, capsys, tmp_path):
+        """A known gap: `p(1)` is derivable, by `r` over `s2`, but `s2` leaves
+        `z` unbound, so the derivation is not ground and the search drops it
+        without a word. O5's count of derivations dropped as non-ground would
+        report it; until then the query reads as unprovable."""
+        f = tmp_path / "free.ldl"
+        f.write_text("t(1).\ns2: s(z) :- t(1).\nr: p(1) :- s(y).\nq: p(1)?\n")
+        code, out, err = run(capsys, "run", str(f))
+        assert (code, out, err) == (1, "q: p(1)  unprovable (depth 6)\n", "")
+
     def test_floundered_query(self, capsys, tmp_path):
         f = tmp_path / "flounder.ldl"
         f.write_text("big: big(x) :- (x > 2).\nq: big(m?)?\n")

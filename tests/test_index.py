@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ldlog import index as index_module
 from ldlog.index import ArgIndex
 from ldlog.kernel import check_proof
 from ldlog.oracle import saturate
@@ -193,3 +194,92 @@ class TestAgainstBruteForce:
                 for value in GROUND:
                     keys = [(pos, value)]
                     assert index.candidates(symbol, keys) == brute_candidates(filed, symbol, keys)
+
+
+def staff_program(depts=6, per=4):
+    """A `facts`-style KB: department and employee tables, shallow rules, and
+    a reporting chain per department that `over` closes in several rounds."""
+    lines = [
+        "senior: senior(e, d) :- emp(e, d, s, a), (a >= 60).",
+        "peer: peer(e, p) :- emp(e, d, s, a), emp(p, d, t, b), (t > s).",
+        "high: high(e, f) :- dept(d, n, f), emp(e, d, s, a), (s >= 9000).",
+        "over1: over(e, b) :- mgr(e, b).",
+        "over2: over(e, c) :- over(e, b), mgr(b, c).",
+        "watch: watch(e, c) :- senior(e, d), over(e, c).",
+    ]
+    for d in range(depts):
+        lines.append(f'dept({d}, "d{d}", {d % 3}).')
+        for j in range(per):
+            e = 100 * d + j
+            lines.append(f"emp({e}, {d}, {3000 + 2000 * j}, {30 + 10 * j}).")
+            if j:
+                lines.append(f"mgr({e}, {e - 1}).")
+    lines += ["q0: emp(201, d?, s?, a?)?", "q1: senior(e?, 2)?", "q2: peer(101, p?)?"]
+    lines += ["q3: high(e?, 1)?", "q4: over(103, c?)?", "q5: watch(e?, c?)?", "q6: emp(7, d?, s?, a?)?"]
+    return "\n".join(lines)
+
+
+class TestFilingAtLookup:
+    """Each (symbol, position) table files each item at most once, and only the
+    items added before its last lookup. Filing an item is one `is_ground` call,
+    so the calls are counted against what each table's last lookup could see."""
+
+    def count(self, monkeypatch, evaluate):
+        grounds = 0
+        real_is_ground = index_module.is_ground
+
+        def counted_is_ground(t):
+            nonlocal grounds
+            grounds += 1
+            return real_is_ground(t)
+
+        added = {}  # (index, symbol) -> the atoms added, in order
+        last = {}  # (index, symbol, position) -> how many atoms the symbol had at the last lookup there
+        real_add, real_candidates = ArgIndex.add, ArgIndex.candidates
+
+        def counted_add(index, atom, item):
+            added.setdefault((index, atom.symbol), []).append(atom)
+            real_add(index, atom, item)
+
+        def counted_candidates(index, symbol, keys):
+            keys = list(keys)
+            for pos, _ in keys:
+                last[index, symbol, pos] = len(added.get((index, symbol), ()))
+            return real_candidates(index, symbol, keys)
+
+        with monkeypatch.context() as m:
+            m.setattr(index_module, "is_ground", counted_is_ground)
+            m.setattr(ArgIndex, "add", counted_add)
+            m.setattr(ArgIndex, "candidates", counted_candidates)
+            evaluate()
+
+        def fileable(index, symbol, pos, n=None):
+            return sum(pos < len(atom.args) for atom in added.get((index, symbol), [])[:n])
+
+        at_last_lookup = sum(fileable(*table, n) for table, n in last.items())
+        ever_added = sum(fileable(*table) for table in last)  # what filing at each add would file
+        return grounds, at_last_lookup, ever_added
+
+    def test_saturate_files_up_to_each_tables_last_lookup(self, monkeypatch):
+        kb, _ = compile_text(staff_program())
+        grounds, at_last_lookup, ever_added = self.count(monkeypatch, lambda: saturate(kb))
+        assert grounds == at_last_lookup
+        # `over`'s position-0 table is read for `watch` in round 1 only, and
+        # the facts `over` gains in later rounds are never filed there
+        assert at_last_lookup < ever_added
+        assert Pred("watch", (IntLit(303), IntLit(300))) in saturate(kb)
+
+    def test_solve_files_each_clause_once(self, monkeypatch):
+        kb, queries = compile_text(staff_program())
+        cfg = SolverConfig(max_depth=8, solution_limit=None)
+
+        def evaluate():
+            for q in queries:
+                for sol in solve(kb, q, cfg):
+                    check_proof(kb, sol.proof)
+
+        grounds, at_last_lookup, ever_added = self.count(monkeypatch, evaluate)
+        assert grounds == at_last_lookup == ever_added  # every clause is added before the first lookup
+        assert grounds > 0
+        answers = {q.name: len(solve(kb, q, cfg)) for q in queries}
+        assert answers == {"q0": 1, "q1": 1, "q2": 2, "q3": 2, "q4": 3, "q5": 18, "q6": 0}

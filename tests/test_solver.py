@@ -169,6 +169,35 @@ class TestBuiltins:
             solve(kb, Query("q", Builtin("gt", IntLit(3), IntLit(1)), {}))
 
 
+class TestStringComparisons:
+    """`=` and `!=` premises on strings, from the search through the checker,
+    the renderer and the fixpoint."""
+
+    TEXT = 'n("a").\nn("b").\nsame: same(x) :- n(x), (x = "a").\ndiff: diff(x) :- n(x), (x != "a").\nq1: same(m?)?\nq2: diff(m?)?'
+
+    def test_solver_checker_and_oracle_agree(self):
+        kb, queries = compile_text(self.TEXT)
+        rendered = []
+        for q, want in zip(queries, ("a", "b")):
+            m = Meta(q.placeholder_map["m?"], "m?")
+            sols = solve(kb, q, SolverConfig(solution_limit=None))
+            assert [sol.bindings[m] for sol in sols] == [StrLit(want)]
+            for sol in sols:
+                check_proof(kb, sol.proof)
+                rendered.append(render_proof(sol.proof))
+            assert [b[m] for b in oracle_answers(kb, q.goal)] == [StrLit(want)]
+        assert rendered == ['same _fact_1 ("a" = "a")', 'diff _fact_2 ("b" != "a")']
+
+
+class TestOccursCheckEndToEnd:
+    def test_goal_variable_met_twice_by_a_cyclic_head(self):
+        # p(y, y) against the head p(x, F(x)): y is bound to x, which then meets F(x)
+        text = "base(1).\nr1: p(x, F(x)) :- base(x).\nr2: loop(1) :- p(y, y).\nq0: loop(1)?"
+        kb, queries = compile_text(text)
+        assert solve(kb, queries[0], SolverConfig(solution_limit=None)) == []
+        assert oracle_answers(kb, queries[0].goal) == []
+
+
 class TestClauseHandling:
     def test_inactive_clauses_are_ignored(self):
         # search reads kb.clauses, so a KB derived without a clause never tries it

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ldlog import solver
 from ldlog.terms import App, Builtin, IntLit, Meta, Pred, StrLit, Var, apply_subst, free_vars
 from ldlog.unify import BuiltinNotUnifiable, match_atoms, match_one_way, unify, unify_atoms
 from support import ground_unifiers, random_term
@@ -166,3 +167,75 @@ class TestProperties:
                 assert tau is not None
                 for v in variables:
                     assert apply_subst(apply_subst(v, mgu), tau) == sigma[v]
+
+
+class TestStoreMatcher:
+    """The matcher both evaluators run, `solver._unify` on a store of cells,
+    through Criterion 7's properties, compared with the reference `unify`.
+
+    Two terms are compiled into template terms and unified either in one frame,
+    sharing their variables as `unify` does, or in two frames, the second
+    term's variables renamed apart as in a goal against a clause head."""
+
+    def store_unify(self, t1, t2, apart):
+        slots1: dict = {}
+        c1 = solver._compile(t1, slots1)
+        slots2 = {} if apart else slots1
+        c2 = solver._compile(t2, slots2)
+        b2 = len(slots1) if apart else 0
+        cells = [None] * (b2 + len(slots2))
+        trail: list = []
+        ok = solver._unify(cells, trail, (c1,), 0, (c2,), b2)
+        names = [Var(f"_{j}") for j in range(len(cells))]  # each unbound cell read as a variable of its own
+        common = (solver._value(cells, c1, 0, names), solver._value(cells, c2, b2, names))
+        for j in trail:
+            cells[j] = None
+        assert cells == [None] * len(cells)  # the trail holds every binding made
+        return ok, common
+
+    def reference(self, t1, t2, apart):
+        if apart:
+            t2 = apply_subst(t2, {v: Var(v.name + "'") for v in free_vars(t2)})
+        return t1, t2, unify(t1, t2)
+
+    @pytest.mark.parametrize("apart", [False, True])
+    def test_agrees_with_the_reference(self, apart):
+        rng = random.Random(131 + apart)
+        unified = 0
+        for _ in range(400):
+            t1, t2 = random_term(rng), random_term(rng)
+            ok, (left, right) = self.store_unify(t1, t2, apart)
+            r1, r2, mgu = self.reference(t1, t2, apart)
+            assert ok == (mgu is not None)
+            if ok:
+                unified += 1
+                # sound: the bindings make both sides equal
+                assert left == right
+                # most general: the common instance is the reference's, up to renaming
+                expected = apply_subst(r1, mgu)
+                assert match_one_way(left, expected) is not None
+                assert match_one_way(expected, left) is not None
+        assert unified >= 100
+
+    def test_occurs_check_rejects(self):
+        rng = random.Random(133)
+        x = Var("x")
+        for _ in range(150):
+            t = x
+            for _ in range(rng.randint(1, 3)):
+                t = App("f", (t,)) if rng.random() < 0.6 else App("g", (t, random_term(rng, 1)))
+            assert unify(x, t) is None
+            assert self.store_unify(x, t, False)[0] is False  # a goal-side cell meets a head-side structure
+            assert self.store_unify(t, x, False)[0] is False
+        # a cycle through two bindings, not direct nesting
+        slots: dict = {}
+        goal = tuple(solver._compile(t, slots) for t in (Var("x"), Var("y")))
+        head = tuple(solver._compile(t, slots) for t in (App("f", (Var("y"),)), Var("x")))
+        assert not solver._unify([None] * len(slots), [], goal, 0, head, 0)
+        # a goal p(y, y) against the head p(x, f(x)) in its own frame: y is bound to
+        # the head's x, which then meets f(x)
+        slots, head_slots = {}, {}
+        goal = tuple(solver._compile(t, slots) for t in (Var("y"), Var("y")))
+        head = tuple(solver._compile(t, head_slots) for t in (Var("x"), App("f", (Var("x"),))))
+        assert not solver._unify([None] * 2, [], goal, 0, head, 1)
+        assert unify_atoms(Pred("p", (Var("y"), Var("y"))), Pred("p", (Var("x"), App("f", (Var("x"),))))) is None
