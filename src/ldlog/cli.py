@@ -28,10 +28,10 @@ from typing import List, Optional
 
 from .elaborator import ElaborationError, elaborate, elaborate_library
 from .errors import LdlogError, SourceError
-from .kernel import CheckError, check_proof
+from .kernel import CheckError
 from .oracle import oracle_answers
 from .parser import parse_program
-from .proof import render_proof, serialize_proof
+from .proof import check_proof, render_proof, serialize_proof
 from .solver import FlounderedBuiltin, SolverConfig, solve
 from .terms import Query, apply_subst_atom, atom_text, term_text
 

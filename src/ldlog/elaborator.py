@@ -22,22 +22,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import LdlogError
 from . import parser as ast
-from .terms import (
-    App,
-    Atom,
-    Builtin,
-    Clause,
-    Constructor,
-    IntLit,
-    KnowledgeBase,
-    Meta,
-    Pred,
-    Query,
-    StrLit,
-    TEXT_OP,
-    Term,
-    Var,
-)
+from .kernel import App, Atom, Builtin, IntLit, Meta, Pred, StrLit, Term, Var
+from .terms import Clause, Constructor, KnowledgeBase, Query, TEXT_OP
 
 
 class ElaborationError(LdlogError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Generic, Iterable, List, Tuple, TypeVar
 
-from .terms import Pred, Term, is_ground
+from .kernel import Pred, Term, is_ground
 
 T = TypeVar("T")
 

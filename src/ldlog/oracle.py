@@ -42,19 +42,9 @@ from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, T
 
 from .errors import BuiltinNotUnifiable, LdlogError
 from .index import ArgIndex
+from .kernel import Atom, Builtin, Meta, Pred, Substitution
 from .solver import _Call, _call_keys, _Template, _Test, _unify, _value
-from .terms import (
-    Atom,
-    Builtin,
-    Clause,
-    KnowledgeBase,
-    Meta,
-    Pred,
-    Substitution,
-    eval_builtin,
-    loose_vars,
-    term_text,
-)
+from .terms import Clause, KnowledgeBase, eval_builtin, loose_vars, term_text
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
 # `ldlog.oracle.unify_atoms`, so it must stay importable from this module.

@@ -50,7 +50,8 @@ from itertools import islice
 from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import SourceError
-from .terms import INT64_MAX, INT64_MIN, IntLit, StrLit, term_text
+from .kernel import IntLit, StrLit
+from .terms import INT64_MAX, INT64_MIN, term_text
 
 KEYWORDS = ("use", "struct", "def")
 

@@ -1,10 +1,12 @@
-"""Certificate output: the render, the JSON document and its bindings.
+"""The public certificate check and the certificate output: render, JSON and bindings.
 
-Nothing here is trusted. An answer's validity rests on `ldlog.kernel`,
-which defines the certificate types and `check_proof`; this module only
-prints certificates, and the kernel never imports it. `check_proof` and
-`ProofTree` are re-exported because the benchmark (bench/run.py) reads
-them here.
+Nothing here is trusted. An answer's verdict rests on `ldlog.kernel`, which
+defines the certificate types and decides each check; the kernel never
+imports this module. `check_proof` runs the kernel's check and words the
+detail of a failure: the kernel puts on its CheckError the atoms the detail
+names, unprinted, and this module prints them. The rest only prints
+certificates. `ProofTree` is re-exported because the benchmark
+(bench/run.py) reads it here.
 """
 
 from __future__ import annotations
@@ -14,10 +16,53 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import List
 
 from .errors import LdlogError
-from .kernel import BuiltinLeaf, ProofNode, ProofTree, check_proof, instantiates
-from .terms import App, Meta, Pred, Query, Substitution, Var, atom_text, term_text
+from .kernel import App, Builtin, BuiltinLeaf, CheckError, CheckReason, MalformedTerm, Meta, Pred, ProofNode, ProofTree
+from .kernel import Substitution, Var, atom_is_ground, check, instantiates
+from .terms import OP_TEXT, KnowledgeBase, Query, TypeMismatch, apply_subst_atom, atom_text, eval_builtin, term_text
 
 __all__ = ["ProofTree", "check_proof", "proof_bindings", "render_proof", "serialize_proof"]
+
+
+def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
+    """Validate a certificate against kb's clauses; raises CheckError.
+
+    The verdict, the reason and the path are `kernel.check`'s, and so is
+    every detail that names no term. A detail that does is written here,
+    with the text `ldlog.kernel.CheckError` describes.
+    """
+    try:
+        check(kb, proof)
+    except CheckError as err:
+        if err.detail or not err.parts:
+            raise
+        raise CheckError(err.path, err.reason, _detail(err)) from None
+
+
+def _detail(err: CheckError) -> str:
+    """The text of the kernel's parts of err. A comparison leaf the kernel found false or
+    not covered reads as `eval_builtin` words it. A premise's instance is read as the
+    kernel reads an atom, and one it would refuse is named as such instead of printed.
+    Every other atom is one the kernel read, so it is well formed and prints."""
+    if err.reason is CheckReason.BUILTIN_FALSE:
+        try:
+            eval_builtin(err.parts[0])
+        except TypeMismatch as exc:
+            return str(exc)
+    texts = []
+    for part in err.parts:
+        if type(part) is tuple:  # (premise, substitution)
+            part = apply_subst_atom(*part)
+            name = part.symbol if type(part) is Pred else part.op
+            if type(name) is not str or type(part) is Builtin and name not in OP_TEXT:
+                return "the instantiated premise is not an atom"
+            try:
+                atom_is_ground(part)
+            except MalformedTerm:
+                return "the instantiated premise holds a malformed literal or name"
+            except TypeError:
+                return "the instantiated premise holds a non-term"
+        texts.append(part if type(part) is str else atom_text(part))
+    return "".join(texts)
 
 
 def render_proof(node: ProofNode) -> str:

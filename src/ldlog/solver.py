@@ -118,22 +118,19 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import BuiltinNotUnifiable, LdlogError
 from .index import ArgIndex
-from .kernel import BuiltinLeaf, ProofTree
-from .terms import (
+from .kernel import (
     App,
     Builtin,
-    Clause,
-    KnowledgeBase,
+    BuiltinLeaf,
     Meta,
     Pred,
-    Query,
+    ProofTree,
     Substitution,
     Var,
     atom_is_ground,
-    atom_text,
-    eval_builtin,
     is_ground,
 )
+from .terms import Clause, KnowledgeBase, Query, atom_text, eval_builtin
 
 # Not called here: traced benchmark runs (bench/run.py) wrap the name
 # `ldlog.solver.unify_atoms`, so it must stay importable from this module.

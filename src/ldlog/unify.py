@@ -11,18 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import BuiltinNotUnifiable
-from .terms import (
-    App,
-    Atom,
-    Builtin,
-    Key,
-    Meta,
-    Substitution,
-    Term,
-    apply_subst,
-    free_vars,
-    Var,
-)
+from .kernel import App, Atom, Builtin, Key, Meta, Substitution, Term, Var
+from .terms import apply_subst, free_vars
 
 
 def unify(t1: Term, t2: Term, s: Optional[Substitution] = None) -> Optional[Substitution]:

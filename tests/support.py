@@ -20,7 +20,20 @@ import ldlog
 from ldlog.elaborator import elaborate, elaborate_library
 from ldlog.errors import LdlogError
 from ldlog.index import ArgIndex
-from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree
+from ldlog.kernel import (
+    App,
+    Builtin,
+    BuiltinLeaf,
+    CheckError,
+    CheckReason,
+    IntLit,
+    Meta,
+    Pred,
+    ProofTree,
+    StrLit,
+    Substitution,
+    Var,
+)
 from ldlog.oracle import UnsafeRule
 from ldlog.parser import (
     KEYWORDS,
@@ -42,21 +55,13 @@ from ldlog.parser import (
 from ldlog.proof import render_proof
 from ldlog.solver import FlounderedBuiltin, Solution, SolverConfig
 from ldlog.terms import (
+    Clause,
     INT64_MAX,
     INT64_MIN,
-    OP_TEXT,
-    App,
-    Query,
-    Builtin,
-    Clause,
-    IntLit,
-    Meta,
     NonGroundBuiltin,
-    Pred,
-    StrLit,
-    Substitution,
+    OP_TEXT,
+    Query,
     TypeMismatch,
-    Var,
     apply_subst,
     apply_subst_atom,
     atom_free_vars,
@@ -161,7 +166,7 @@ def reference_answers(facts, goal: Pred) -> List[Substitution]:
 
 
 def reference_check(kb, proof: ProofTree) -> None:
-    """Recursive checker, one call per proof level: `ldlog.kernel.check_proof` must agree.
+    """Recursive checker, one call per proof level: `ldlog.proof.check_proof` must agree.
 
     It must accept the same certificates and raise the same CheckError,
     with the same path, reason and detail. The recursion caps proof height
@@ -414,7 +419,7 @@ def reference_term_text(t) -> str:
 
 
 def reference_is_ground(t) -> bool:
-    """Recursive ground test, one call per nesting level: `ldlog.terms.is_ground` must agree."""
+    """Recursive ground test, one call per nesting level: `ldlog.kernel.is_ground` must agree."""
     if isinstance(t, (Var, Meta)):
         return False
     if isinstance(t, App):
@@ -423,7 +428,7 @@ def reference_is_ground(t) -> bool:
 
 
 def reference_atom_is_ground(a) -> bool:
-    """`ldlog.terms.atom_is_ground` must agree on every atom of terms."""
+    """`ldlog.kernel.atom_is_ground` must agree on every atom of terms."""
     if isinstance(a, Pred):
         return all(map(reference_is_ground, a.args))
     return reference_is_ground(a.lhs) and reference_is_ground(a.rhs)
@@ -437,7 +442,7 @@ def reference_free_vars(t) -> Set:
 
 
 def reference_well_formed(atom) -> bool:
-    """Recursive well-formedness, one call per nesting level: `ldlog.terms._scan` must
+    """Recursive well-formedness, one call per nesting level: `ldlog.kernel.scan` must
     refuse a term of an atom this calls malformed, and `ldlog.kernel` reads only atoms
     it calls well formed. Those are a Pred named by a str, or a Builtin whose op is a
     key of OP_TEXT, whose terms are IntLits holding exactly an int, StrLits holding a

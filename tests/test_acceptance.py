@@ -11,26 +11,12 @@ from pathlib import Path
 
 from ldlog.cli import main
 from ldlog.errors import SourceError
-from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, check_proof
+from ldlog.kernel import App, Builtin, BuiltinLeaf, CheckError, CheckReason, IntLit, Meta, Pred, StrLit, Var
 from ldlog.oracle import oracle_answers, saturate
 from ldlog.parser import parse_program, render_program
-from ldlog.proof import render_proof
+from ldlog.proof import check_proof, render_proof
 from ldlog.solver import SolverConfig, solve
-from ldlog.terms import (
-    App,
-    Builtin,
-    IntLit,
-    Meta,
-    Pred,
-    Query,
-    StrLit,
-    Var,
-    apply_subst,
-    atom_text,
-    eval_builtin,
-    free_vars,
-    term_text,
-)
+from ldlog.terms import Query, apply_subst, atom_text, eval_builtin, free_vars, term_text
 from ldlog.unify import match_one_way, unify, unify_atoms
 from support import (
     compile_text,

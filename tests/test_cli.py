@@ -428,6 +428,20 @@ class TestInternalErrors:
         assert '"tree": {"clause": "h2999", "conclusion": "p2999()", "children": [{"clause": "h2998", ' in doc
         assert doc.endswith('{"clause": "b0", "conclusion": "p0()", "children": [' + "]}" * 3000 + "}\n")
 
+    def test_chained_defs_past_the_recursion_limit_answer(self, capsys, tmp_path):
+        # a constant 1,500 deep is hashed as an answer and a fact, bottom-up on a stack
+        f = tmp_path / "defs.ldl"
+        defs = ["def d0 := F(0)."] + [f"def d{i} := F(d{i - 1})." for i in range(1, 1500)]
+        f.write_text("\n".join(defs + ["f: q(d1499, 1).", "r: p(x, y) :- q(x, y).", "a: p(m?, n?)?"]) + "\n")
+        deep = "F(" * 1500 + "0" + ")" * 1500
+        line = f"a: p({deep}, 1)  [m? := {deep}, n? := 1]"
+        assert run(capsys, "run", str(f)) == (0, f"{line}  proof: r f\n", "")
+        assert run(capsys, "run", str(f), "--check") == (0, f"{line}  proof: r f\n", "check: 1 proofs verified.\n")
+        assert run(capsys, "run", str(f), "--oracle") == (0, f"{line}\n", "")
+        code, out, err = run(capsys, "run", str(f), "--json")
+        assert (code, err) == (0, "")
+        assert out.startswith(f'{{"query": "a", "goal": "p(m?, n?)", "bindings": {{"m?": "{deep}", "n?": "1"}}, "render": "r f", ')
+
     def test_unexpected_exception_exits_4_in_one_line(self, capsys, monkeypatch):
         def broken(kb, q, cfg):
             raise RuntimeError("injected failure")

@@ -19,7 +19,7 @@ from ldlog.elaborator import (
     fresh_name,
 )
 from ldlog.parser import parse_program
-from ldlog.terms import App, Builtin, IntLit, Meta, Pred, StrLit, Var
+from ldlog.kernel import App, Builtin, IntLit, Meta, Pred, StrLit, Var
 from support import compile_text
 
 DERIVS_LIB = """

@@ -7,11 +7,11 @@ import pytest
 
 from ldlog import index as index_module
 from ldlog.index import ArgIndex
-from ldlog.kernel import check_proof
+from ldlog.kernel import App, IntLit, Meta, Pred, StrLit, Var, is_ground
 from ldlog.oracle import saturate
-from ldlog.proof import render_proof
+from ldlog.proof import check_proof, render_proof
 from ldlog.solver import SolverConfig, solve
-from ldlog.terms import App, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var, is_ground, term_text
+from ldlog.terms import Clause, KnowledgeBase, Query, term_text
 from support import compile_text
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 from ldlog import oracle
 from ldlog.errors import LdlogError
 from ldlog.oracle import UnsafeRule, oracle_answers, saturate
-from ldlog.terms import App, Builtin, Clause, IntLit, Meta, Pred, StrLit, TypeMismatch, Var, atom_text, term_text
+from ldlog.kernel import App, Builtin, IntLit, Meta, Pred, StrLit, Var
+from ldlog.terms import Clause, TypeMismatch, atom_text, term_text
 from ldlog.unify import BuiltinNotUnifiable
 from support import (
     compile_text,

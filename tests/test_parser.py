@@ -28,7 +28,7 @@ from ldlog.parser import (
     render_statement,
     tokenize,
 )
-from ldlog.terms import IntLit, StrLit
+from ldlog.kernel import IntLit, StrLit
 from support import random_program_ast, random_statement_ast, reference_lex
 
 

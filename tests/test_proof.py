@@ -14,11 +14,11 @@ from ldlog import kernel as kernel_module
 from ldlog import proof as proof_module
 from ldlog import terms as terms_module
 from ldlog.errors import LdlogError
-from ldlog.kernel import BuiltinLeaf, CheckError, CheckReason, ProofTree, check_proof
+from ldlog.kernel import App, Builtin, BuiltinLeaf, CheckError, CheckReason, IntLit, Meta, Pred, ProofTree, StrLit, Var
 from ldlog.oracle import oracle_answers
-from ldlog.proof import proof_bindings, render_proof, serialize_proof
+from ldlog.proof import check_proof, proof_bindings, render_proof, serialize_proof
 from ldlog.solver import SolverConfig, solve
-from ldlog.terms import App, Builtin, Clause, IntLit, KnowledgeBase, Meta, Pred, Query, StrLit, Var
+from ldlog.terms import Clause, KnowledgeBase, Query
 from support import (
     compile_text,
     diamond_ladder,
@@ -84,7 +84,7 @@ def test_checker_imports_nothing_from_the_evaluators():
     names = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     modules = {name.rpartition(".")[2] for name in names}
-    assert "terms" in modules and not modules & {"solver", "index", "oracle", "cli"}
+    assert "errors" in modules and not modules & {"solver", "index", "oracle", "cli"}
 
 
 class TestGoldenProofs:
@@ -438,6 +438,14 @@ class TestMutations:
         err = reason_of(kb, change(proof))
         assert (err.reason, err.path, err.detail) == (reason, path, detail)
 
+    def test_premise_instance_with_an_unknown_operator_is_named(self):
+        """A hand-built clause whose comparison premise has no known operator: no
+        leaf matches it, and the detail names its instance instead of printing it."""
+        kb = KnowledgeBase({"r": Clause("r", Pred("q", (IntLit(1),)), (Builtin("zz", IntLit(1), IntLit(1)),))})
+        leaf = BuiltinLeaf(Builtin("eq", IntLit(1), IntLit(1)))
+        err = reason_of(kb, ProofTree("r", {}, Pred("q", (IntLit(1),)), (leaf,)))
+        assert (err.reason, err.path, err.detail) == (CheckReason.PREMISE_MISMATCH, (0,), "the instantiated premise is not an atom")
+
 
 class TestRendering:
     def test_golden_render(self):
@@ -565,7 +573,7 @@ class TestDeepProofs:
     def test_height_1100_constructor_conclusions_check(self):
         """nat(F(...F(0)...)) at the root nests 1,100 deep, past the recursion
         limit that a recursive ground test would hit: the kernel's ground test,
-        `terms.atom_is_ground`, walks it with a stack."""
+        `kernel.atom_is_ground`, walks it with a stack."""
         kb, _ = compile_text("z: nat(0).\ns: nat(F(x)) :- nat(x).")
         x, term = Var("x"), IntLit(0)
         node = ProofTree("z", {}, Pred("nat", (term,)))
@@ -576,7 +584,7 @@ class TestDeepProofs:
         open_term = Var("y")
         for _ in range(1100):
             open_term = App("F", (open_term,))
-        assert terms_module.atom_is_ground(Pred("nat", (open_term,))) is False
+        assert kernel_module.atom_is_ground(Pred("nat", (open_term,))) is False
 
     def test_height_1100_non_ground_conclusion_is_reported(self):
         """The error's detail prints nat(F(...F(y)...)) 1,100 deep, which
@@ -926,9 +934,11 @@ def fuzz_certificates():
 
 class TestStructuralFuzz:
     """Seeded structural fuzz of solver certificates, one field or subterm replaced per
-    mutant: check_proof returns or raises CheckError, never another exception. Where
+    mutant: the kernel's check returns or raises CheckError, never another exception. Where
     every atom the kernel reads is well formed and the recursive reference checker does
-    not crash, both give the same verdict, reason and path; otherwise the kernel rejects."""
+    not crash, both give the same verdict, reason and path; otherwise the kernel rejects.
+    The public check_proof gives the kernel's verdict, reason and path, with a message
+    that builds."""
 
     MUTANTS = 10_000
 
@@ -940,10 +950,17 @@ class TestStructuralFuzz:
             kb, proof = rng.choice(certificates)
             bad = mutate_somewhere(rng, kb, proof, fuzz_node)
             try:
-                check_proof(kb, bad)
+                kernel_module.check(kb, bad)
                 got = None
             except CheckError as err:
                 got = (err.reason, err.path)
+            try:
+                check_proof(kb, bad)
+                worded = None
+            except CheckError as err:
+                worded = (err.reason, err.path)
+                assert str(err) and err.detail, bad
+            assert worded == got, bad
             want = outcome(reference_check, kb, bad)
             if want is not None and want[0] is not CheckError:
                 counts["reference crashed"] += 1
@@ -1126,9 +1143,8 @@ def proof_nodes(proof):
 
 
 class TestOneScanPerAtom:
-    """A valid check scans each atom once: one `atom_is_ground` or
-    `atom_free_vars` call per ProofTree's conclusion, the root's included, and
-    one per BuiltinLeaf."""
+    """A valid check scans each atom once: one `atom_is_ground` call per
+    ProofTree's conclusion, the root's included, and one per BuiltinLeaf."""
 
     @pytest.mark.parametrize("main, lib", GOLDENS)
     def test_goldens(self, main, lib, monkeypatch):
@@ -1136,9 +1152,8 @@ class TestOneScanPerAtom:
         kb, queries = compile_text((PROGRAMS / main).read_text(), lib_text)
         proofs = [sol.proof for q in queries for sol in solve(kb, q, SolverConfig(solution_limit=None))]
         calls = []
-        for name in ("atom_is_ground", "atom_free_vars"):
-            scan = getattr(kernel_module, name)
-            monkeypatch.setattr(kernel_module, name, lambda atom, scan=scan: calls.append(atom) or scan(atom))
+        scan = kernel_module.atom_is_ground
+        monkeypatch.setattr(kernel_module, "atom_is_ground", lambda atom: calls.append(atom) or scan(atom))
         assert proofs
         for proof in proofs:
             calls.clear()
@@ -1239,7 +1254,7 @@ def with_each_leaf_open(atom):
 
 
 class TestKernelGround(TestAgainstReferenceSerializer):
-    """The kernel's ground test, `terms.atom_is_ground`, gives the recursive
+    """The kernel's ground test, `kernel.atom_is_ground`, gives the recursive
     reference's verdict on the serializer differential's streams: the goal,
     every conclusion and leaf, and each of those with one leaf made a placeholder."""
 
@@ -1253,9 +1268,9 @@ class TestKernelGround(TestAgainstReferenceSerializer):
                 atoms.append(node.conclusion)
                 stack.extend(node.children)
         for atom in atoms:
-            assert terms_module.atom_is_ground(atom) is reference_atom_is_ground(atom)
+            assert kernel_module.atom_is_ground(atom) is reference_atom_is_ground(atom)
             for variant in with_each_leaf_open(atom):
-                assert terms_module.atom_is_ground(variant) is reference_atom_is_ground(variant) is False
+                assert kernel_module.atom_is_ground(variant) is reference_atom_is_ground(variant) is False
         return super().assert_same(proof, q)
 
     x = Var("x")
@@ -1278,15 +1293,15 @@ class TestKernelGround(TestAgainstReferenceSerializer):
     def test_odd_atoms(self, atom):
         args = atom.args if isinstance(atom, Pred) else (atom.lhs, atom.rhs)
         if all(isinstance(t, (IntLit, StrLit, Var, Meta, App)) for t in args):
-            assert terms_module.atom_is_ground(atom) is reference_atom_is_ground(atom)
+            assert kernel_module.atom_is_ground(atom) is reference_atom_is_ground(atom)
         else:  # the scan refuses a leaf that is not a term, where the reference passes over it
             with pytest.raises(TypeError):
-                terms_module.atom_is_ground(atom)
+                kernel_module.atom_is_ground(atom)
 
     @pytest.mark.parametrize("atom", [Pred("p", (App("f", 5), x)), Pred("p", 5), Builtin("lt", App("f", None), x)], ids=repr)
     def test_malformed_arguments_fail_at_the_same_point(self, atom):
         # is_ground meets the bad argument list before the variable after it
-        for ground in (terms_module.atom_is_ground, reference_atom_is_ground):
+        for ground in (kernel_module.atom_is_ground, reference_atom_is_ground):
             with pytest.raises(TypeError):
                 ground(atom)
 
@@ -1420,11 +1435,12 @@ class TestInterning:
         assert copy == proof and copy._json is None
 
     def test_checker_never_calls_the_recursive_ground_test(self):
-        """No function of kernel.py names itself, nor does `terms._scan` or
-        any of `is_ground`, `atom_is_ground`, `free_vars`, `atom_free_vars`,
-        `clause_vars` and `loose_vars` over it, nor `apply_subst`: the recursion
-        left in the kernel's closure is exactly the function listed here."""
-        assert self_referring_functions() == ["terms.term_text"]
+        """No function in the kernel's closure names itself: not `scan`, nor
+        `is_ground` or `atom_is_ground` over it, nor `App.__hash__`. Nor does any
+        function that `ldlog.proof` reaches, which words a failed check: not
+        `term_text`, `apply_subst`, or `free_vars` to `loose_vars` over `scan`."""
+        assert self_referring_functions() == []
+        assert self_referring_functions("proof") == []
 
     def test_checker_compares_no_literal_by_value(self, monkeypatch):
         kb, q, sols = self.chain()

@@ -9,11 +9,11 @@ import pytest
 from ldlog import solver
 from ldlog.errors import LdlogError
 from ldlog.index import ArgIndex
-from ldlog.kernel import BuiltinLeaf, ProofTree, check_proof
-from ldlog.proof import render_proof
+from ldlog.kernel import Builtin, BuiltinLeaf, IntLit, Meta, Pred, ProofTree, StrLit, Var
+from ldlog.proof import check_proof, render_proof
 from ldlog.solver import FlounderedBuiltin, SolverConfig, solve
 from ldlog.oracle import oracle_answers, saturate
-from ldlog.terms import Builtin, Clause, IntLit, Meta, Pred, Query, StrLit, TypeMismatch, Var, atom_text, term_text
+from ldlog.terms import Clause, Query, TypeMismatch, atom_text, term_text
 from ldlog.unify import BuiltinNotUnifiable
 from support import (
     UNARY_PREDICATES,

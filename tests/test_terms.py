@@ -10,33 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from ldlog import terms
+from ldlog import kernel, terms
+from ldlog.kernel import App, Builtin, IntLit, Meta, Pred, StrLit, Var, atom_is_ground, is_ground
+from ldlog.errors import LdlogError
+from ldlog.parser import Application, FactStmt, parse_program, render_program, render_term
 from ldlog.terms import (
-    App,
-    Builtin,
     Clause,
-    IntLit,
     KnowledgeBase,
-    Meta,
     NonGroundBuiltin,
-    Pred,
-    StrLit,
     TypeMismatch,
-    Var,
     apply_subst,
     apply_subst_atom,
     atom_free_vars,
-    atom_is_ground,
     atom_text,
     eval_builtin,
     free_vars,
-    is_ground,
     loose_vars,
     quote_string,
     term_text,
 )
-from ldlog.errors import LdlogError
-from ldlog.parser import Application, FactStmt, parse_program, render_program, render_term
 from support import (
     compile_text,
     random_ground_term,
@@ -113,14 +105,14 @@ class TestApplySubst:
         assert apply_subst_atom(b, {X: IntLit(5)}) == Builtin("ge", IntLit(5), IntLit(2))
 
 
-# Terms whose fields have the wrong types: `terms._scan` refuses each
+# Terms whose fields have the wrong types: `kernel.scan` refuses each
 MALFORMED = (IntLit(True), IntLit(1.0), IntLit("3"), IntLit(None), StrLit(5), Var(None), Meta(0, None), App(5, ()))
 
 
 def scan_accepts(terms_) -> bool:
-    """Whether `terms._scan`, given a set so it reads past variables, reads terms_ without a TypeError."""
+    """Whether `kernel.scan`, which reads past variables, reads terms_ without a TypeError."""
     try:
-        terms._scan(terms_, set())
+        kernel.scan(terms_)
     except TypeError:
         return False
     return True
@@ -149,6 +141,11 @@ class TestFreeVarsAndGroundness:
         assert not is_ground(X)
         assert not is_ground(App("f", (X,)))
 
+    def test_ground_test_reads_past_a_variable(self):
+        # the scan reads every term to its end, so it refuses a malformed term after a variable
+        with pytest.raises(kernel.MalformedTerm):
+            is_ground(App("f", (X, StrLit(5))))
+
     def test_atom_helpers(self):
         a = Pred("p", (X, A))
         assert atom_free_vars(a) == {X}
@@ -165,7 +162,7 @@ class TestFreeVarsAndGroundness:
             assert free_vars(t) == reference_free_vars(t)
             assert atom_free_vars(Builtin("eq", t, X)) == reference_free_vars(t) | {X}
             out = {Y}  # the scan adds to the set it is given, and still answers
-            assert terms._scan((t, t), out) is reference_is_ground(t) and out == reference_free_vars(t) | {Y}
+            assert kernel.scan((t, t), out) is reference_is_ground(t) and out == reference_free_vars(t) | {Y}
 
     def test_deep_constructor_nesting(self):
         # past the recursion limit, a variable at the bottom and a literal closing each level
@@ -177,7 +174,7 @@ class TestFreeVarsAndGroundness:
 
     @pytest.mark.parametrize("seed", [101, 214, 501])
     def test_well_formedness_matches_the_reference(self, seed):
-        """`_scan` refuses exactly the terms `reference_well_formed` calls malformed:
+        """`scan` refuses exactly the terms `reference_well_formed` calls malformed:
         random_term_ast trees (parser ASTs around literal leaves), the elaborated
         atoms of random_program_ast programs, and random terms with one leaf made malformed."""
         rng = random.Random(seed)
@@ -205,7 +202,7 @@ class TestFreeVarsAndGroundness:
             lambda: loose_vars(Clause("c", Pred("p", (X,)), (Pred("q", (X, term)),))),
         )
         for scan in scans:
-            with pytest.raises(terms.MalformedTerm):
+            with pytest.raises(kernel.MalformedTerm):
                 scan()
         with pytest.raises(TypeError):
             KnowledgeBase({"f": Clause("f", Pred("p", (term,)))})
@@ -317,21 +314,27 @@ class TestQuoteString:
 
 class TestPickling:
     def test_variables_loaded_from_another_hash_seed_hash_afresh(self):
-        # each variable and literal caches its hash, which string hashing makes
-        # differ between processes; the literals' texts are made before pickling
+        # each variable, literal and constructor term caches its hash, which string
+        # hashing makes differ between processes; the literals' texts and the
+        # constructor term's hash are made before pickling
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         code = (
             "import pickle, sys\n"
-            "from ldlog.terms import IntLit, Meta, StrLit, Var, term_text\n"
+            "from ldlog.kernel import App, IntLit, Meta, StrLit, Var\n"
+            "from ldlog.terms import term_text\n"
             "lits = (StrLit('x'), IntLit(7))\n"
             "[term_text(t) for t in lits]\n"
-            "sys.stdout.buffer.write(pickle.dumps((Var('x'), Meta(0, 'a?')) + lits + (hash('x'),)))\n"
+            "app = App('f', (App('g', lits),))\n"
+            "hash(app)\n"
+            "sys.stdout.buffer.write(pickle.dumps((Var('x'), Meta(0, 'a?')) + lits + (app, hash('x'))))\n"
         )
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
-        var, meta, string, integer, their_hash = pickle.loads(proc.stdout)
+        var, meta, string, integer, app, their_hash = pickle.loads(proc.stdout)
         assert their_hash != hash("x")  # the child really hashed strings differently
-        pairs = ((var, Var("x")), (meta, Meta(0, "a?")), (string, StrLit("x")), (integer, IntLit(7)))
+        assert "_hash" not in vars(app) and "_hash" not in vars(app.args[0])
+        fresh_app = App("f", (App("g", (StrLit("x"), IntLit(7))),))
+        pairs = ((var, Var("x")), (meta, Meta(0, "a?")), (string, StrLit("x")), (integer, IntLit(7)), (app, fresh_app))
         for loaded, fresh in pairs:
             assert loaded == fresh
             assert hash(loaded) == hash(fresh)
@@ -346,6 +349,20 @@ class TestLiterals:
         # the value a generated dataclass hash gives, so set and dict orders do not move
         lit = StrLit(value) if isinstance(value, str) else IntLit(value)
         assert hash(lit) == hash((value,))
+        # a constructor term's too: a twin class keeps the generated hash
+        twin = dataclasses.make_dataclass("App", [("constructor", str), ("args", tuple)], frozen=True)
+        assert hash(App("f", (lit, App("g", (lit,)), App("nil")))) == hash(twin("f", (lit, twin("g", (lit,)), twin("nil", ()))))
+
+    def test_constructor_hash_is_lazy_and_on_a_stack(self):
+        """App's hash is made on first use, so args that are a list still raise then,
+        and args that are not a tuple hash as the generated hash would."""
+        with pytest.raises(TypeError):
+            hash(App("f", [IntLit(1)]))
+        assert hash(App("F", 5)) == hash(("F", 5))
+        deep = App("z")
+        for _ in range(5000):  # past the recursion limit
+            deep = App("s", (deep, IntLit(1)))
+        assert {deep: "found"}[deep] == "found"
 
     def test_equality_repr_and_fields_stay_by_value(self):
         for lit, twin, other in ((StrLit("x"), StrLit("x"), StrLit("y")), (IntLit(7), IntLit(7), IntLit(8))):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from ldlog import solver
-from ldlog.terms import App, Builtin, IntLit, Meta, Pred, StrLit, Var, apply_subst, free_vars
+from ldlog.kernel import App, Builtin, IntLit, Meta, Pred, StrLit, Var
+from ldlog.terms import apply_subst, free_vars
 from ldlog.unify import BuiltinNotUnifiable, match_atoms, match_one_way, unify, unify_atoms
 from support import ground_unifiers, random_term
 
