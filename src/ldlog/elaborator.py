@@ -12,6 +12,11 @@ Everywhere, def-bound names substitute their (ground) value, declared
 constructors must be applied at their declared arity, and field projection
 resolves immediately against a struct-constructed value. Comparisons
 elaborate to Builtin atoms and are only legal as body premises.
+
+Literals elaborate to themselves, the parser's objects. A predicate atom
+whose arguments are all literals keeps the parser's argument tuple, so a
+table of ground facts builds no new tuple per fact; any other atom gets a
+new tuple, with its literal arguments passed through unchanged.
 """
 
 from __future__ import annotations
@@ -184,14 +189,23 @@ def _resolve_projection(t: ast.ProjAst, ctx: ElabContext) -> Term:
 
 
 def rewrite_atom(a: ast.AtomAst, ctx: ElabContext) -> Atom:
-    """Elaborate a surface atom to a predicate or comparison atom."""
+    """Elaborate a surface atom to a predicate or comparison atom; an all-literal
+    argument tuple is kept as it is."""
     if isinstance(a, ast.Application):
         known = ctx.pred_arities.get(a.name)
         if known is None:
             ctx.pred_arities[a.name] = len(a.args)
         elif known != len(a.args):
             raise ArityMismatch(a.name, known, len(a.args))
-        return Pred(a.name, tuple([rewrite_term(t, ctx) for t in a.args]))
+        args = a.args
+        for t in args:
+            if type(t) is not IntLit and type(t) is not StrLit:
+                args = tuple([t if type(t) is IntLit or type(t) is StrLit else rewrite_term(t, ctx) for t in args])
+                break
+        else:
+            if type(args) is not tuple:
+                args = tuple(args)
+        return Pred(a.name, args)
     term = a.term
     if isinstance(term, ast.CmpAst):
         return Builtin(TEXT_OP[term.op], rewrite_term(term.lhs, ctx), rewrite_term(term.rhs, ctx))

@@ -17,9 +17,13 @@ only each token's kind and value, in two parallel lists, which the parser
 reads. An integer or string token's value is the text's one IntLit or
 StrLit of that value, whatever its spelling (`7` and `007`, a tab escaped
 or raw), and the parser puts it in the AST as it is: equal literals are one
-object per parsed text. Offsets, and from them a line and column, are read
-again from the source only when an error is raised, or when tokenize()
-builds its Token list, whose values stay int and str.
+object per parsed text. A literal argument, one followed by ',' or ')', goes
+from the lists into the argument tuple without a call to term(). The
+elaborator keeps an atom's tuple when all its arguments are literals, so a
+ground fact's clause holds the tuple built here. Offsets, and from them a
+line and column, are read again from the source only when an error is
+raised, or when tokenize() builds its Token list, whose values stay int and
+str.
 
 Surface syntax, one statement per '.' or '?' terminator:
 
@@ -422,24 +426,45 @@ class _Parser:
     # -- atoms and terms ----------------------------------------------------
 
     def atom(self) -> AtomAst:
-        if self.accept("("):
+        pos, kinds = self.pos, self.kinds
+        kind = kinds[pos]
+        if kind == "(":
+            self.pos = pos + 1
             t = self.term(0)
             self.expect_punct(")")
             return ParenTerm(t)
-        name = self.plain_ident("predicate name")
-        self.expect_punct("(")
+        name = self.values[pos]
+        if kind != "ident" or name[-1] == "?":
+            raise self.error(("predicate name",))
+        if kinds[pos + 1] != "(":
+            self.pos = pos + 1
+            raise self.error(("'('",))
+        self.pos = pos + 2
         return Application(name, self.args(0))
 
     def args(self, depth: int) -> tuple:
-        # opening '(' already consumed; consumes the closing ')'
-        kinds = self.kinds
-        if kinds[self.pos] == ")":
-            self.pos += 1
+        # opening '(' already consumed; consumes the closing ')'. An int or
+        # str token before ',' or ')' is its literal, as term() returns it.
+        # The tuple is the one elaboration keeps when every argument is a literal
+        pos, kinds, values = self.pos, self.kinds, self.values
+        if kinds[pos] == ")":
+            self.pos = pos + 1
             return ()
-        out = [self.term(depth)]
-        while kinds[self.pos] == ",":
-            self.pos += 1
-            out.append(self.term(depth))
+        shallow = depth <= _MAX_TERM_DEPTH
+        out = []
+        while True:
+            kind = kinds[pos]
+            if (kind == "int" or kind == "str") and shallow and kinds[pos + 1] in (",", ")"):
+                out.append(values[pos])
+                pos += 1
+            else:
+                self.pos = pos
+                out.append(self.term(depth))
+                pos = self.pos
+            if kinds[pos] != ",":
+                break
+            pos += 1
+        self.pos = pos
         self.expect_punct(")")
         return tuple(out)
 

@@ -192,13 +192,22 @@ def quote_string(value: str) -> str:
     return '"' + value.translate(_ESCAPES) + '"'
 
 
+def _int_text(value) -> str:
+    """The decimal text of an integer payload. No parsed literal leaves int64, but a hand-built one may
+    have more digits than `str` converts (`sys.get_int_max_str_digits`): that one prints its size instead."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 def _leaf_text(t: Term) -> str:
     """Concrete syntax of a term that is not a constructor application with args."""
     kind = type(t)
     if kind is StrLit or kind is IntLit:
         text = t._text
         if text is None:
-            text = quote_string(t.value) if kind is StrLit else str(t.value)
+            text = quote_string(t.value) if kind is StrLit else _int_text(t.value)
             object.__setattr__(t, "_text", text)
         return text
     if kind is Var:

@@ -18,7 +18,7 @@ from ldlog.elaborator import (
     elaborate_library,
     fresh_name,
 )
-from ldlog.parser import parse_program
+from ldlog.parser import AppAst, Application, FactStmt, ParseError, RuleStmt, parse_program
 from ldlog.kernel import App, Builtin, IntLit, Meta, Pred, StrLit, Var
 from support import compile_text
 
@@ -279,6 +279,98 @@ class TestUse:
         lib = elaborate_library(parse_program("struct P(x, y).\nbase: at(P(1, 2))."))
         kb, _ = elaborate(parse_program("use base.\nf: at2(P(3, 4).x)."), lib)
         assert kb.clauses["f"].head == Pred("at2", (IntLit(3),))
+
+
+def _deep(n, leaf):
+    return "F(" * n + leaf + ")" * n
+
+
+class TestLiteralArguments:
+    """Literal arguments pass from the lexer's table to the clause untouched, and
+    an all-literal argument tuple is the one the parser built."""
+
+    def test_all_literal_fact_keeps_the_parsers_tuple(self):
+        text = 'f: emp(1, 2, "a", -7).\nemp(3, 4, "b", 007).\ng: p().'
+        statements = parse_program(text)
+        kb, _ = elaborate(statements)
+        for name, stmt in zip(("f", "_fact_2", "g"), statements):
+            assert kb.clauses[name].head.args is stmt.atom.args
+        assert kb.clauses["_fact_2"].head == Pred("emp", (IntLit(3), IntLit(4), StrLit("b"), IntLit(7)))
+
+    @pytest.mark.parametrize(
+        "text, name, expected",
+        [
+            ("f: p(1, sin).", "f", (IntLit(1), App("sin"))),
+            ("def c := 5.\nf: p(1, c).", "f", (IntLit(1), IntLit(5))),
+            ('f: p("a", G(2), 3).', "f", (StrLit("a"), App("G", (IntLit(2),)), IntLit(3))),
+            ("struct P(x, y).\nf: p(P(1, 2).y, 3).", "f", (IntLit(2), IntLit(3))),
+            ("r: p(1, x) :- q(x).", "r", (IntLit(1), Var("x"))),
+        ],
+    )
+    def test_other_arguments_are_rewritten(self, text, name, expected):
+        statements = parse_program(text)
+        kb, _ = elaborate(statements)
+        stmt = statements[-1]
+        head, parsed = kb.clauses[name].head.args, (stmt.head if isinstance(stmt, RuleStmt) else stmt.atom).args
+        assert head == expected
+        assert head is not parsed
+        # the literal arguments themselves are the parser's objects
+        for term, source in zip(head, parsed):
+            if type(source) in (IntLit, StrLit):
+                assert term is source
+
+    def test_placeholder_argument_is_rewritten(self):
+        statements = parse_program('q: p(1, m?, "s")?')
+        _, (query,) = elaborate(statements)
+        assert query.goal == Pred("p", (IntLit(1), Meta(0, "m?"), StrLit("s")))
+        assert query.goal.args is not statements[0].atom.args
+
+    def test_hand_built_list_of_literals_becomes_a_tuple(self):
+        kb, _ = elaborate([FactStmt("f", Application("p", [IntLit(1), StrLit("a")]))])
+        assert type(kb.clauses["f"].head.args) is tuple
+        assert kb.clauses["f"].head == Pred("p", (IntLit(1), StrLit("a")))
+
+    # each row's outcome was recorded on the code before literal arguments
+    # skipped `term()` and `rewrite_term`: error type, text, line and column
+    @pytest.mark.parametrize(
+        "text, error, message, position",
+        [
+            ("p(1 2).", ParseError, "1:5: expected ')', found integer 2", (1, 5)),
+            ("p(1,).", ParseError, "1:5: expected a term, found ')'", (1, 5)),
+            ("p(1", ParseError, "1:4: expected ')', found end of input", (1, 4)),
+            ('\np("a" "b").', ParseError, "2:7: expected ')', found string literal", (2, 7)),
+            ("p(1 ?", ParseError, "1:5: expected ')', found '?'", (1, 5)),
+            ("p(1, 2", ParseError, "1:7: expected ')', found end of input", (1, 7)),
+            ("p(1) :- q(2 3).", ParseError, "1:13: expected ')', found integer 3", (1, 13)),
+            ("p?(1).", ParseError, "1:1: expected predicate name, found 'p?'", (1, 1)),
+            ("p 1).", ParseError, "1:3: expected '(', found integer 1", (1, 3)),
+            (
+                f"p({_deep(101, '1')}).",
+                ParseError,
+                "1:205: expected a shallower term, found term nesting too deep",
+                (1, 205),
+            ),
+            (f"p({_deep(100, '1 2')}).", ParseError, "1:205: expected ')', found integer 2", (1, 205)),
+            ("p(1.x).", UnknownField, "cannot project field 'x': projection base is not a constructed value", None),
+            ('p("a".f).', UnknownField, "cannot project field 'f': projection base is not a constructed value", None),
+            ("p(1 < 2).", ComparisonAsTerm, "comparison used in term position; comparisons are atoms, written (a <= b)", None),
+        ],
+    )
+    def test_errors_around_literal_arguments(self, text, error, message, position):
+        with pytest.raises(error) as err:
+            compile_text(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        if position is not None:
+            assert (err.value.line, err.value.column) == position
+
+    def test_literal_one_hundred_constructors_deep_parses(self):
+        (stmt,) = parse_program(f"p({_deep(100, '1')}).")
+        term = stmt.atom.args[0]
+        for _ in range(100):
+            assert type(term) is AppAst and len(term.args) == 1
+            term = term.args[0]
+        assert term == IntLit(1)
 
 
 class TestDeterminism:

@@ -159,6 +159,14 @@ class TestMutations:
         assert err.reason is CheckReason.HEAD_MISMATCH
         assert err.path == ()
 
+    def test_conclusion_with_an_integer_too_long_to_print_is_head_mismatch(self):
+        """`str` refuses an int of more than 4,300 digits; the detail names its size instead."""
+        kb, _, proof = proof_of(N1, "q0")
+        bad = dataclasses.replace(proof, conclusion=Pred("n", (IntLit(10**5000),)))
+        err = reason_of(kb, bad)
+        assert (err.reason, err.path) == (CheckReason.HEAD_MISMATCH, ())
+        assert str(err) == "HeadMismatch at root: instantiated head of 'n' is not n(<16610-bit integer>)"
+
     def test_tampered_instantiation_is_head_mismatch(self):
         kb, _, proof = proof_of(REACH, "q0")
         inst = dict(proof.instantiation)
