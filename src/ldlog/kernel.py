@@ -5,13 +5,15 @@ substitution that instantiates the clause, the ground conclusion, and one
 child per body atom (a BuiltinLeaf for comparison premises). `check`
 re-derives validity from those pieces alone: it never runs unification or
 search, so it stays a small trusted core independent of the solver. One
-reader, `_read`, decides every atom it evaluates, and it is the one place
+reader, `read`, decides every atom it evaluates, and it is the one place
 where a malformed term becomes a CheckError: the ground scan it runs, `scan`,
 refuses a non-term and a term whose literal payload or name has the wrong type
 (`IntLit(True)`, `StrLit(5)`, `Var(None)`). Fields of the wrong type and
 unknown comparison operators fail as a CheckError too, and terms of any depth
 are compared on an explicit stack. Out of scope: objects whose own `__eq__` or
-`__hash__` raise, which no reader builds.
+`__hash__` raise, which no reader builds, and an instantiation whose lookups
+answer differently from call to call (a `MappingProxyType` over such a
+`Mapping`): the check looks a variable up at each place it occurs.
 
 Everything an answer's verdict rests on is in this module's import closure:
 this module and `ldlog.errors`, which `test_the_kernel_imports_only_errors`
@@ -22,12 +24,11 @@ the public entry point, words that detail. Printing, substitution, variable
 sets, clauses and the knowledge base (`ldlog.terms`) and the certificate
 output (`ldlog.proof`) are outside the closure.
 
-Literals and variables compute their hash once, and a constructor term on its
-first hash. The lexer makes equal literals of one parsed text one object, and
-the elaborator does the same for the rule variables of one program; the
-evaluators and the checker compare by identity before they compare by value.
-Equality stays by value: a term built by hand equals its shared twin and
-hashes like it.
+Every term keeps its hash (`_Kept`). The lexer makes equal literals of one
+parsed text one object, and the elaborator does the same for the rule
+variables of one program; the evaluators and the checker compare by identity
+before they compare by value. Equality stays by value: a term built by hand
+equals its shared twin and hashes like it.
 """
 
 from __future__ import annotations
@@ -35,35 +36,43 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
+from types import FunctionType, MappingProxyType
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import LdlogError
 
 
+class _Kept:
+    """A term's hash is the generated hash's value, kept in `_hash` (App's from its first hash).
+    Pickling rebuilds a term from its fields, as string hashes vary by process."""
+
+    # A frozen dataclass generates a hash unless the class itself defines one. Each class gets its own
+    # copy of the code: CPython caches `self._hash`'s lookup in the code, for one class at a time.
+    def __init_subclass__(cls):
+        cls.__hash__ = FunctionType(cls.__hash__.__code__.replace(), globals())
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
 @dataclass(frozen=True)
-class IntLit:
+class IntLit(_Kept):
     """Signed 64-bit integer literal."""
 
     value: int
 
     _text = None  # its concrete syntax, set by `terms.term_text` on first use
 
-    # The generated hash's value, computed once: every index bucket and answer
-    # set hashes its terms. Pickling rebuilds it, as string hashes vary by
-    # process, and leaves the text out.
+    # computed once: every index bucket and answer set hashes its terms
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.value,)))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return IntLit, (self.value,)
-
 
 @dataclass(frozen=True)
-class StrLit:
+class StrLit(_Kept):
     """String literal."""
 
     value: str
@@ -74,15 +83,9 @@ class StrLit:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.value,)))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return StrLit, (self.value,)
-
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Kept):
     """Named logic variable (scoped to a single clause)."""
 
     name: str
@@ -91,15 +94,9 @@ class Var:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.name,)))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Var, (self.name,)
-
 
 @dataclass(frozen=True)
-class Meta:
+class Meta(_Kept):
     """Query placeholder; id is unique within one elaborated program."""
 
     id: int
@@ -109,27 +106,19 @@ class Meta:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.id, self.source_name)))
 
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Meta, (self.id, self.source_name)
-
 
 @dataclass(frozen=True)
-class App:
+class App(_Kept):
     """Constructor application; a constant is an App with no args."""
 
     constructor: str
     args: tuple = ()
 
-    _hash = None  # the generated hash's value, set on first use
+    _hash = None  # set on first use
 
-    # The generated hash's value, computed on first use and bottom-up on a
-    # stack, so a term nested past the recursion limit hashes: each App's
-    # tuple hash then reads its args' kept values. Args that are not a tuple
-    # hash as the generated hash would, so a list raises. Pickling leaves the
-    # value out, as in IntLit.
+    # Bottom-up on a stack, so a term nested past the recursion limit hashes: each
+    # App's tuple hash then reads its args' kept values. Args that are not a tuple
+    # hash as the generated hash would, so a list raises.
     def __hash__(self):
         if self._hash is None:
             todo = [self]
@@ -142,9 +131,6 @@ class App:
                     todo.pop()
                     object.__setattr__(t, "_hash", hash((t.constructor, t.args)))
         return self._hash
-
-    def __reduce__(self):
-        return App, (self.constructor, self.args)
 
 
 Term = Union[IntLit, StrLit, Var, Meta, App]
@@ -308,17 +294,17 @@ def check(kb, proof: ProofTree) -> None:
         frame[2] = i + 1
         premise, child, s = clause.body[i], node.children[i], node.instantiation
         if type(premise) is Builtin:
-            if not isinstance(child, BuiltinLeaf) or type(child.atom) is not Builtin:
+            if type(child) is not BuiltinLeaf or type(child.atom) is not Builtin:
                 raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
             leaf = child.atom
             # truth first: a falsified leaf is a BuiltinFalse, not a mismatch against the premise
-            if not _read(leaf, spine, "leaf"):
+            if not read(leaf, spine, "leaf"):
                 raise CheckError(_path(spine), CheckReason.NON_GROUND_CONCLUSION, leaf)
             if not holds(leaf):
                 raise CheckError(_path(spine), CheckReason.BUILTIN_FALSE, leaf)
             if not instantiates(premise, s, leaf):
                 raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "leaf ", leaf, " is not the instantiated premise ", (premise, s))
-        elif not isinstance(child, ProofTree):
+        elif type(child) is not ProofTree:
             raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
         else:
             spine.append([child, _check_node(kb, child, premise, s, spine), 0])
@@ -329,10 +315,10 @@ def _path(spine: List[list]) -> Tuple[int, ...]:
     return tuple(frame[2] - 1 for frame in spine)
 
 
-def _read(atom, spine: List[list], what: str) -> bool:
+def read(atom, spine: List[list], what: str) -> bool:
     """Whether atom, the node's `what`, is ground. It must be a Pred named by a str, or a Builtin whose op is a
     comparison operator, holding only terms that `scan` finds well formed; otherwise it raises a CheckError (a
-    HeadMismatch for the conclusion, a PremiseMismatch for a leaf)."""
+    HeadMismatch for the conclusion, else a PremiseMismatch). `ldlog.proof` reads an instantiated premise here."""
     kind = type(atom)
     try:
         if kind is Pred and type(atom.symbol) is str or kind is Builtin and type(atom.op) is str and atom.op in _OPS:
@@ -349,7 +335,7 @@ def _read(atom, spine: List[list], what: str) -> bool:
 def _check_node(kb, node: ProofTree, premise, s: Substitution, spine: List[list]):
     """The clause node applies, once its conclusion reads and matches premise (None at the root), and its fields check."""
     name, conclusion, inst, children = node.clause_name, node.conclusion, node.instantiation, node.children
-    ground = _read(conclusion, spine, "conclusion")
+    ground = read(conclusion, spine, "conclusion")
     if premise is not None and not instantiates(premise, s, conclusion):
         raise CheckError(_path(spine), CheckReason.PREMISE_MISMATCH, "child concludes ", conclusion, ", premise needs ", (premise, s))
     if type(name) is not str:

@@ -28,8 +28,8 @@ in some predicate premise) and facts ground, which guarantees every derived
 atom is ground; `saturate` raises UnsafeRule on `kb.loose_clause` otherwise.
 It does not make the fixpoint finite: a recursive rule that wraps a premise
 variable in a constructor, such as `s: nat(f(x)) :- nat(x).`, derives ever
-deeper terms, and `saturate` then runs until Python's recursion limit stops
-it with a RecursionError, or without end.
+deeper terms, and `saturate` then runs without end, its memory growing with
+each round.
 
 A knowledge base is frozen, so its fixpoint is a function of it: the first
 `saturate` keeps the facts and their index in `kb.compiled`, and every

@@ -55,7 +55,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import SourceError
 from .kernel import IntLit, StrLit
-from .terms import INT64_MAX, INT64_MIN, term_text
+from .terms import INT64_MAX, INT64_MIN, TEXT_OP, term_text
 
 KEYWORDS = ("use", "struct", "def")
 
@@ -303,8 +303,6 @@ def _bad_token(source: str, pos: int) -> LexError:
 # Parser
 # ---------------------------------------------------------------------------
 
-_COMPARISONS = frozenset(("<", "<=", ">", ">=", "=", "!="))
-
 
 def parse_program(source: str) -> List[StatementAst]:
     """Parse a full program; raises LexError or ParseError on bad input."""
@@ -473,7 +471,7 @@ class _Parser:
             raise ParseError(*self.position(), ("a shallower term",), "term nesting too deep")
         lhs = self.operand(depth)
         op = self.kinds[self.pos]
-        if op in _COMPARISONS:
+        if op in TEXT_OP:
             self.pos += 1
             return CmpAst(op, lhs, self.operand(depth))
         return lhs

@@ -16,9 +16,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import List
 
 from .errors import LdlogError
-from .kernel import App, Builtin, BuiltinLeaf, CheckError, CheckReason, MalformedTerm, Meta, Pred, ProofNode, ProofTree
-from .kernel import Substitution, Var, atom_is_ground, check, instantiates
-from .terms import OP_TEXT, KnowledgeBase, Query, TypeMismatch, apply_subst_atom, atom_text, eval_builtin, term_text
+from .kernel import App, BuiltinLeaf, CheckError, CheckReason, Meta, Pred, ProofNode, ProofTree, Substitution, Var
+from .kernel import check, instantiates, read
+from .terms import KnowledgeBase, Query, TypeMismatch, apply_subst_atom, atom_text, eval_builtin, term_text
 
 __all__ = ["ProofTree", "check_proof", "proof_bindings", "render_proof", "serialize_proof"]
 
@@ -40,8 +40,8 @@ def check_proof(kb: KnowledgeBase, proof: ProofTree) -> None:
 
 def _detail(err: CheckError) -> str:
     """The text of the kernel's parts of err. A comparison leaf the kernel found false or
-    not covered reads as `eval_builtin` words it. A premise's instance is read as the
-    kernel reads an atom, and one it would refuse is named as such instead of printed.
+    not covered reads as `eval_builtin` words it. A premise's instance goes through the
+    kernel's `read`, and one it refuses is named by the kernel's detail instead of printed.
     Every other atom is one the kernel read, so it is well formed and prints."""
     if err.reason is CheckReason.BUILTIN_FALSE:
         try:
@@ -52,15 +52,10 @@ def _detail(err: CheckError) -> str:
     for part in err.parts:
         if type(part) is tuple:  # (premise, substitution)
             part = apply_subst_atom(*part)
-            name = part.symbol if type(part) is Pred else part.op
-            if type(name) is not str or type(part) is Builtin and name not in OP_TEXT:
-                return "the instantiated premise is not an atom"
             try:
-                atom_is_ground(part)
-            except MalformedTerm:
-                return "the instantiated premise holds a malformed literal or name"
-            except TypeError:
-                return "the instantiated premise holds a non-term"
+                read(part, [], "instantiated premise")
+            except CheckError as refused:
+                return refused.detail
         texts.append(part if type(part) is str else atom_text(part))
     return "".join(texts)
 

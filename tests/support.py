@@ -196,7 +196,7 @@ def _ref_check(kb, node: ProofTree, path: Tuple[int, ...]) -> None:
     for i, (premise, child) in enumerate(zip(clause.body, node.children)):
         want = apply_subst_atom(premise, node.instantiation)
         if isinstance(premise, Builtin):
-            if not isinstance(child, BuiltinLeaf):
+            if type(child) is not BuiltinLeaf:
                 raise CheckError(path + (i,), CheckReason.PREMISE_MISMATCH, "comparison premise needs a builtin leaf")
             try:
                 holds = eval_builtin(child.atom)
@@ -213,7 +213,7 @@ def _ref_check(kb, node: ProofTree, path: Tuple[int, ...]) -> None:
                     f"leaf {atom_text(child.atom)} is not the instantiated premise {atom_text(want)}",
                 )
         else:
-            if not isinstance(child, ProofTree):
+            if type(child) is not ProofTree:
                 raise CheckError(path + (i,), CheckReason.PREMISE_MISMATCH, "predicate premise needs a subproof")
             if child.conclusion != want:
                 raise CheckError(

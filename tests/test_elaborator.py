@@ -217,6 +217,10 @@ class TestErrors:
         with pytest.raises(ElaborationError):
             compile_text("f: (sin).")
 
+    def test_unknown_statement(self):
+        with pytest.raises(ElaborationError, match="unsupported statement"):
+            elaborate([object()])
+
 
 class TestUse:
     def lib(self):

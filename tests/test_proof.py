@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import itertools
 import json
 import random
 from pathlib import Path
@@ -266,6 +267,32 @@ class TestMutations:
         err = reason_of(kb, bad)
         assert err.reason is CheckReason.PREMISE_MISMATCH
         assert err.path == (0,)
+
+    def test_subclassed_subproof_is_premise_mismatch(self):
+        """A child's type is checked as the root's is. This subclass's instantiation
+        reads {x: "b"} for the head p(x), then {x: "a"} for the premise q(x), so
+        an isinstance test would let it prove top("b") from the fact q("a")."""
+        kb, _ = compile_text('r: p(x) :- q(x).\nt: top(y) :- p(y).\nf: q("a").')
+        (x,), (y,), a, b = kb.clauses["r"].head.args, kb.clauses["t"].head.args, StrLit("a"), StrLit("b")
+        views = itertools.cycle(({x: b}, {x: a}))
+
+        class Flipping(ProofTree):
+            instantiation = property(lambda self: next(views), lambda self, value: None)
+
+        fact = ProofTree("f", {}, Pred("q", (a,)), ())
+        proof = ProofTree("t", {y: b}, Pred("top", (b,)), (Flipping("r", None, Pred("p", (b,)), (fact,)),))
+        err = reason_of(kb, proof)
+        assert (err.reason, err.path, err.detail) == (CheckReason.PREMISE_MISMATCH, (0,), "predicate premise needs a subproof")
+
+    def test_subclassed_leaf_is_premise_mismatch(self):
+        kb, _, proof = proof_of(RECTS, "q0")
+
+        class Leaf(BuiltinLeaf):
+            pass
+
+        bad = dataclasses.replace(proof, children=(Leaf(proof.children[0].atom),) + proof.children[1:])
+        err = reason_of(kb, bad)
+        assert (err.reason, err.path, err.detail) == (CheckReason.PREMISE_MISMATCH, (0,), "comparison premise needs a builtin leaf")
 
     def test_conclusion_is_read_before_the_clause_name(self):
         """Every node's conclusion is read first: a child with an unknown clause

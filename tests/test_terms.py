@@ -342,6 +342,14 @@ class TestPickling:
         assert "_text" not in vars(string) and "_text" not in vars(integer)
         assert (term_text(string), term_text(integer)) == ('"x"', "7")
 
+    def test_each_term_class_round_trips_in_process(self):
+        lits = (StrLit("x"), IntLit(7))
+        for term in lits + (Var("x"), Meta(0, "a?"), App("f", (App("g", lits),)), App("nil")):
+            loaded = pickle.loads(pickle.dumps(term))
+            assert type(loaded) is type(term)
+            assert loaded == term
+            assert hash(loaded) == hash(term)
+
 
 class TestLiterals:
     @pytest.mark.parametrize("value", ["", "x", 'a "b"\n', 0, 7, -(2**63)])
